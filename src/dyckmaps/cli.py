@@ -13,7 +13,7 @@ import sys
 
 from . import __version__
 from .errors import DyckError
-from .generate import distribution
+from .generate import _CLASS_SOURCES, distribution
 from .maps import alpha, beta, phi, phi_ext, phi_stages, psi, psi_ext, psi_stages
 from .render import render_ascii
 from .stats import stat_record
@@ -168,11 +168,8 @@ def _check_n(n: int) -> None:
 
 
 def _cmd_enum(args, stdin, stdout) -> int:
-    from .generate import _balanced_texts, _dyck_texts
-
     _check_n(args.n)
-    source = _dyck_texts if args.path_class == "dyck" else _balanced_texts
-    for text in source(args.n):
+    for text in _CLASS_SOURCES[args.path_class](args.n):
         print(text, file=stdout)
     return 0
 
@@ -190,14 +187,16 @@ def _cmd_table(args, stdin, stdout) -> int:
 def _cmd_verify(args, stdin, stdout) -> int:
     if not 0 <= args.max_n <= _MAX_N:
         raise DyckError(f"--max-n must be between 0 and {_MAX_N}")
+    # run first so that invalid --rand-n/--trials fail before the sweeps
+    randomized = (
+        verify_randomized(args.rand_n, args.trials, args.seed).checks
+        if args.randomized else []
+    )
     report = VerificationReport()
     report.checks += verify_theorem1(args.max_n, jobs=args.jobs).checks
     report.checks += verify_theorem2(args.max_n, jobs=args.jobs).checks
     report.checks += verify_involutions_and_transport(args.max_n).checks
-    if args.randomized:
-        report.checks += verify_randomized(
-            args.rand_n, args.trials, args.seed
-        ).checks
+    report.checks += randomized
     if args.format == "json":
         print(json.dumps(report.to_dict()), file=stdout)
     else:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import partial
 from math import comb
 from typing import Iterator
 
@@ -43,22 +44,24 @@ def central_binomial(n: int) -> int:
     return comb(2 * n, n)
 
 
-def _next_dyck(buf: list) -> bool:
-    """Advance a Dyck word buffer to its lexicographic successor (U < D).
+def _next_word(buf: list, floor: int) -> bool:
+    """Advance a balanced word buffer to its lexicographic successor (U < D).
 
-    Flips the rightmost U that can become a D without the prefix dipping
-    below the axis, then fills the suffix minimally (all U's first).
-    Returns False at the last word (UD)^n.
+    Flips the rightmost U whose prefix height h before it exceeds ``floor``
+    (so the flipped prefix ends at or above it) and after which the suffix
+    can still return to the axis, then fills the suffix minimally (all U's
+    first).  ``floor`` is 0 for Dyck words and -2n, below any reachable
+    height, for balanced words.  Returns False at the last word.
     """
     size = len(buf)
     h = 0  # height before the position being examined, built right to left
     for i in range(size - 1, -1, -1):
         if buf[i] == "U":
             h -= 1
-            if h >= 1:
+            if h > floor:
                 rest = size - i - 1
                 u = (rest - h + 1) // 2
-                if u >= 0:
+                if 0 <= u <= rest:
                     buf[i] = "D"
                     buf[i + 1 : i + 1 + u] = "U" * u
                     buf[i + 1 + u :] = "D" * (rest - u)
@@ -68,49 +71,24 @@ def _next_dyck(buf: list) -> bool:
     return False
 
 
-def _next_balanced(buf: list) -> bool:
-    """Advance a balanced word buffer to its lexicographic successor (U < D)."""
-    size = len(buf)
-    h = 0
-    for i in range(size - 1, -1, -1):
-        if buf[i] == "U":
-            h -= 1
-            rest = size - i - 1
-            u = (rest - h + 1) // 2
-            if 0 <= u <= rest:
-                buf[i] = "D"
-                buf[i + 1 : i + 1 + u] = "U" * u
-                buf[i + 1 + u :] = "D" * (rest - u)
-                return True
-        else:
-            h += 1
-    return False
-
-
-def _dyck_texts(n: int) -> Iterator[str]:
+def _texts(n: int, dyck: bool) -> Iterator[str]:
+    """All Dyck (``dyck``) or all balanced words of semilength n, in
+    lexicographic order."""
     if n < 0:
         raise ValueError("semilength must be nonnegative")
     if n == 0:
         yield ""
         return
+    floor = 0 if dyck else -2 * n
     buf = list("U" * n + "D" * n)
     while True:
         yield "".join(buf)
-        if not _next_dyck(buf):
+        if not _next_word(buf, floor):
             return
 
 
-def _balanced_texts(n: int) -> Iterator[str]:
-    if n < 0:
-        raise ValueError("semilength must be nonnegative")
-    if n == 0:
-        yield ""
-        return
-    buf = list("U" * n + "D" * n)
-    while True:
-        yield "".join(buf)
-        if not _next_balanced(buf):
-            return
+_dyck_texts = partial(_texts, dyck=True)
+_balanced_texts = partial(_texts, dyck=False)
 
 
 def generate_dyck(n: int) -> Iterator[PathWord]:

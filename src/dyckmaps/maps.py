@@ -121,29 +121,25 @@ def _beta_b(data: bytes) -> bytes:
     return b"U" + data[r:] + b"D" + data[1 : r - 1]
 
 
-def _phi_ext_b(data: bytes) -> bytes:
-    if not data:
-        return b""
+def _phi_beta_b(data: bytes) -> bytes:
+    return _phi_b(_beta_b(data))
+
+
+def _beta_psi_b(data: bytes) -> bytes:
+    return _beta_b(_psi_b(data))
+
+
+def _ext_b(data: bytes, core, negative_core) -> bytes:
+    """Map a balanced word factor by factor across its crossings: positive
+    factors through ``core``, negative factors through ``negative_core``
+    conjugated by the reflection alpha."""
     parts = []
     for a, b, negative in _crossing_factors(data):
         seg = data[a:b]
         if negative:
-            parts.append(_phi_b(_beta_b(seg.translate(_FLIP_B))).translate(_FLIP_B))
+            parts.append(negative_core(seg.translate(_FLIP_B)).translate(_FLIP_B))
         else:
-            parts.append(_phi_b(seg))
-    return b"".join(parts)
-
-
-def _psi_ext_b(data: bytes) -> bytes:
-    if not data:
-        return b""
-    parts = []
-    for a, b, negative in _crossing_factors(data):
-        seg = data[a:b]
-        if negative:
-            parts.append(_beta_b(_psi_b(seg.translate(_FLIP_B))).translate(_FLIP_B))
-        else:
-            parts.append(_psi_b(seg))
+            parts.append(core(seg))
     return b"".join(parts)
 
 
@@ -166,11 +162,11 @@ def _beta_text(text: str) -> str:
 
 
 def _phi_ext_text(text: str) -> str:
-    return _phi_ext_b(text.encode("ascii")).decode("ascii")
+    return _ext_b(text.encode("ascii"), _phi_b, _phi_beta_b).decode("ascii")
 
 
 def _psi_ext_text(text: str) -> str:
-    return _psi_ext_b(text.encode("ascii")).decode("ascii")
+    return _ext_b(text.encode("ascii"), _psi_b, _beta_psi_b).decode("ascii")
 
 
 def phi(w: PathWord) -> PathWord:

@@ -13,17 +13,22 @@ defaults are the production maps.
 
 from __future__ import annotations
 
+import os
+import pickle
 import time
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import islice
 from multiprocessing import Pool
+from operator import attrgetter
+from typing import NamedTuple
 
 import numpy as np
 
 from .decompose import _crossing_factors
 from .generate import (
+    _CLASS_SOURCES,
     CATALAN_NUMBERS,
     CENTRAL_BINOMIALS,
     _balanced_texts,
@@ -126,59 +131,144 @@ def _map_chunks(worker, texts, jobs):
         yield from pool.imap(worker, _chunks(texts, _CHUNK))
 
 
-class _Failures(dict):
-    """First counterexample per check name, in stream order."""
+def _check_jobs(jobs: int, maps: dict) -> int:
+    """Validate a worker-process count, clamp it to the CPU count, and make
+    sure that the maps can be sent to the worker processes it asks for."""
+    cpus = os.cpu_count() or 1
+    if jobs < 1:
+        raise ValueError(
+            f"jobs must be at least 1 (values above the {cpus} CPUs are "
+            f"clamped to {cpus}), got {jobs}"
+        )
+    jobs = min(jobs, cpus)
+    if jobs > 1:
+        for arg, fn in maps.items():
+            try:
+                pickle.dumps(fn)
+            except (pickle.PicklingError, AttributeError, TypeError) as exc:
+                raise ValueError(
+                    f"{arg} cannot be sent to worker processes (jobs > 1): {exc}"
+                ) from None
+    return jobs
 
-    def merge(self, other: dict) -> None:
-        for name, word in other.items():
-            self.setdefault(name, word)
+
+def _results(names, path_class, n_range, total, failures) -> list:
+    """One CheckResult per check name, failed where a counterexample exists."""
+    return [
+        CheckResult(name, path_class, n_range, total, name not in failures,
+                    counterexample=failures.get(name))
+        for name in names
+    ]
 
 
-# --- Dyck bijection -------------------------------------------------------
+# --- the two theorems, stated as data and run by one sweep ------------------
 
-def _differs(fn, arg, expected) -> bool:
-    """True when fn(arg) is not expected; a raise counts as a mismatch, so
-    broken injected maps surface as counterexamples instead of crashes."""
+def _try(fn, arg):
+    """fn(arg), or None when it raises, so that broken injected maps surface
+    as counterexamples instead of crashes."""
     try:
-        return fn(arg) != expected
+        return fn(arg)
     except Exception:
-        return True
+        return None
 
 
-def _t1_chunk(texts, phi_fn, psi_fn):
+# Per-word checks: predicate(text, image, s, si) on a word, its image under
+# the forward map, and the scans of both; True when the check holds.
+
+def _peaks_from_ups_odd(text, image, s, si) -> bool:
+    return si.peaks == s.ups_odd
+
+
+def _contacts_preserved(text, image, s, si) -> bool:
+    return si.contacts == s.contacts
+
+
+def _crossings_preserved(text, image, s, si) -> bool:
+    return si.crossings == s.crossings
+
+
+def _factors_preserved(text, image, s, si) -> bool:
+    return _crossing_factors(text.encode()) == _crossing_factors(image.encode())
+
+
+class _Theorem(NamedTuple):
+    """A bijection theorem stated as data for :func:`_sweep`.
+
+    ``maps`` maps the name of each argument that injects a map to that map,
+    the forward map first and its inverse second.  ``checks`` holds
+    (name, predicate) pairs.  The distributions of the two ``dist_keys``
+    (functions of a scan) must agree at every semilength; ``dist_check``
+    holds that check's name and the noun of its failure note.
+    """
+
+    path_class: str
+    sizes: tuple  # reference class size by semilength
+    maps: dict
+    round_trips: tuple  # check names: inverse after forward, forward after inverse
+    checks: tuple
+    dist_keys: tuple
+    dist_check: tuple
+
+
+def _theorem_chunk(texts, spec: _Theorem):
+    forward, inverse = spec.maps.values()
+    key_a, key_b = spec.dist_keys
     failures = {}
-    joint_odd = Counter()
-    joint_peaks = Counter()
+    dist_a = Counter()
+    dist_b = Counter()
     for text in texts:
-        try:
-            image = phi_fn(text)
-        except Exception:
-            image = None
-        if image is None or _differs(psi_fn, image, text):
-            failures.setdefault("dyck.round_trip.psi_after_phi", text)
-        try:
-            back = phi_fn(psi_fn(text))
-        except Exception:
-            back = None
-        if back != text:
-            failures.setdefault("dyck.round_trip.phi_after_psi", text)
+        image = _try(forward, text)
+        if image is None or _try(inverse, image) != text:
+            failures.setdefault(spec.round_trips[0], text)
+        preimage = _try(inverse, text)
+        if preimage is None or _try(forward, preimage) != text:
+            failures.setdefault(spec.round_trips[1], text)
         s = _scan_text(text)
         si = _scan_text(image) if image is not None else None
-        if si is None or si.peaks != s.ups_odd:
-            failures.setdefault("dyck.transport.peaks_from_ups_odd", text)
-        if si is None or si.contacts != s.contacts:
-            failures.setdefault("dyck.transport.contacts_preserved", text)
-        joint_odd[(s.contacts, s.ups_odd)] += 1
-        joint_peaks[(s.contacts, s.peaks)] += 1
-    return len(texts), failures, joint_odd, joint_peaks
+        for name, holds in spec.checks:
+            if si is None or not holds(text, image, s, si):
+                failures.setdefault(name, text)
+        dist_a[key_a(s)] += 1
+        dist_b[key_b(s)] += 1
+    return len(texts), failures, dist_a, dist_b
 
 
-_T1_CHECKS = (
-    "dyck.round_trip.psi_after_phi",
-    "dyck.round_trip.phi_after_psi",
-    "dyck.transport.peaks_from_ups_odd",
-    "dyck.transport.contacts_preserved",
-)
+def _sweep(spec: _Theorem, max_n: int, jobs: int) -> VerificationReport:
+    """Check one theorem over its whole class at every semilength 0..max_n."""
+    jobs = _check_jobs(jobs, spec.maps)
+    worker = partial(_theorem_chunk, spec=spec)
+    failures = {}  # first counterexample per check name, in stream order
+    total = 0
+    dist_name, dist_noun = spec.dist_check
+    dist_ok = True
+    dist_note = ""
+    for n in range(max_n + 1):
+        dist_a = Counter()
+        dist_b = Counter()
+        count_n = 0
+        source = _CLASS_SOURCES[spec.path_class](n)
+        for size, fails, c_a, c_b in _map_chunks(worker, source, jobs):
+            count_n += size
+            for name, word in fails.items():
+                failures.setdefault(name, word)
+            dist_a.update(c_a)
+            dist_b.update(c_b)
+        total += count_n
+        if n < len(spec.sizes) and count_n != spec.sizes[n]:
+            dist_ok = False
+            dist_note = f"class size mismatch at n={n}: {count_n}"
+        if dist_ok and dist_a != dist_b:
+            dist_ok = False
+            diff = next(k for k in dist_a.keys() | dist_b.keys()
+                        if dist_a[k] != dist_b[k])
+            dist_note = f"{dist_noun} differ at n={n}, key={diff}"
+    rng = (0, max_n)
+    names = spec.round_trips + tuple(name for name, _ in spec.checks)
+    report = VerificationReport(_results(names, spec.path_class, rng, total, failures))
+    report.checks.append(
+        CheckResult(dist_name, spec.path_class, rng, total, dist_ok, note=dist_note)
+    )
+    return report
 
 
 def verify_theorem1(
@@ -191,88 +281,19 @@ def verify_theorem1(
     and that the joint (contacts, ups_odd) and (contacts, peaks)
     distributions coincide at every semilength.
     """
-    phi_fn = phi_fn or _phi_text
-    psi_fn = psi_fn or _psi_text
-    worker = partial(_t1_chunk, phi_fn=phi_fn, psi_fn=psi_fn)
-    failures = _Failures()
-    total = 0
-    joint_note = ""
-    joint_ok = True
-    for n in range(max_n + 1):
-        joint_odd = Counter()
-        joint_peaks = Counter()
-        count_n = 0
-        for size, fails, c_odd, c_peaks in _map_chunks(worker, _dyck_texts(n), jobs):
-            count_n += size
-            failures.merge(fails)
-            joint_odd.update(c_odd)
-            joint_peaks.update(c_peaks)
-        total += count_n
-        if n < len(CATALAN_NUMBERS) and count_n != CATALAN_NUMBERS[n]:
-            joint_ok = False
-            joint_note = f"class size mismatch at n={n}: {count_n}"
-        if joint_ok and joint_odd != joint_peaks:
-            joint_ok = False
-            diff = next(k for k in joint_odd.keys() | joint_peaks.keys()
-                        if joint_odd[k] != joint_peaks[k])
-            joint_note = f"joint distributions differ at n={n}, key={diff}"
-    report = VerificationReport()
-    rng = (0, max_n)
-    for name in _T1_CHECKS:
-        report.checks.append(
-            CheckResult(name, "dyck", rng, total, name not in failures,
-                        counterexample=failures.get(name))
-        )
-    report.checks.append(
-        CheckResult("dyck.joint_distribution.contacts_x_stats", "dyck", rng,
-                    total, joint_ok, note=joint_note)
+    theorem = _Theorem(
+        "dyck",
+        CATALAN_NUMBERS,
+        {"phi_fn": phi_fn or _phi_text, "psi_fn": psi_fn or _psi_text},
+        ("dyck.round_trip.psi_after_phi", "dyck.round_trip.phi_after_psi"),
+        (
+            ("dyck.transport.peaks_from_ups_odd", _peaks_from_ups_odd),
+            ("dyck.transport.contacts_preserved", _contacts_preserved),
+        ),
+        (attrgetter("contacts", "ups_odd"), attrgetter("contacts", "peaks")),
+        ("dyck.joint_distribution.contacts_x_stats", "joint distributions"),
     )
-    return report
-
-
-# --- bilateral bijection --------------------------------------------------
-
-def _t2_chunk(texts, phi_ext_fn, psi_ext_fn, check_contacts):
-    failures = {}
-    dist_odd = Counter()
-    dist_peaks = Counter()
-    for text in texts:
-        try:
-            image = phi_ext_fn(text)
-        except Exception:
-            image = None
-        if image is None or _differs(psi_ext_fn, image, text):
-            failures.setdefault("bilateral.round_trip.psi_after_phi", text)
-        try:
-            back = phi_ext_fn(psi_ext_fn(text))
-        except Exception:
-            back = None
-        if back != text:
-            failures.setdefault("bilateral.round_trip.phi_after_psi", text)
-        s = _scan_text(text)
-        si = _scan_text(image) if image is not None else None
-        if si is None or si.peaks != s.ups_odd:
-            failures.setdefault("bilateral.transport.peaks_from_ups_odd", text)
-        if si is None or si.crossings != s.crossings:
-            failures.setdefault("bilateral.crossings_preserved", text)
-        if image is None or _crossing_factors(text.encode()) != _crossing_factors(
-            image.encode()
-        ):
-            failures.setdefault("bilateral.factor_structure_preserved", text)
-        if check_contacts and (si is None or si.contacts != s.contacts):
-            failures.setdefault("bilateral.contacts_preserved", text)
-        dist_odd[s.ups_odd] += 1
-        dist_peaks[s.peaks] += 1
-    return len(texts), failures, dist_odd, dist_peaks
-
-
-_T2_CHECKS = (
-    "bilateral.round_trip.psi_after_phi",
-    "bilateral.round_trip.phi_after_psi",
-    "bilateral.transport.peaks_from_ups_odd",
-    "bilateral.crossings_preserved",
-    "bilateral.factor_structure_preserved",
-)
+    return _sweep(theorem, max_n, jobs)
 
 
 def verify_theorem2(
@@ -292,53 +313,26 @@ def verify_theorem2(
     is expected to fail (the negative-factor conjugation moves contacts) and
     exists as a negative control.
     """
-    phi_ext_fn = phi_ext_fn or _phi_ext_text
-    psi_ext_fn = psi_ext_fn or _psi_ext_text
-    worker = partial(
-        _t2_chunk,
-        phi_ext_fn=phi_ext_fn,
-        psi_ext_fn=psi_ext_fn,
-        check_contacts=include_contact_preservation,
+    checks = (
+        ("bilateral.transport.peaks_from_ups_odd", _peaks_from_ups_odd),
+        ("bilateral.crossings_preserved", _crossings_preserved),
+        ("bilateral.factor_structure_preserved", _factors_preserved),
     )
-    failures = _Failures()
-    total = 0
-    dist_ok = True
-    dist_note = ""
-    for n in range(max_n + 1):
-        dist_odd = Counter()
-        dist_peaks = Counter()
-        count_n = 0
-        for size, fails, c_odd, c_peaks in _map_chunks(
-            worker, _balanced_texts(n), jobs
-        ):
-            count_n += size
-            failures.merge(fails)
-            dist_odd.update(c_odd)
-            dist_peaks.update(c_peaks)
-        total += count_n
-        if n < len(CENTRAL_BINOMIALS) and count_n != CENTRAL_BINOMIALS[n]:
-            dist_ok = False
-            dist_note = f"class size mismatch at n={n}: {count_n}"
-        if dist_ok and dist_odd != dist_peaks:
-            dist_ok = False
-            diff = next(k for k in dist_odd.keys() | dist_peaks.keys()
-                        if dist_odd[k] != dist_peaks[k])
-            dist_note = f"distributions differ at n={n}, key={diff}"
-    report = VerificationReport()
-    rng = (0, max_n)
-    names = _T2_CHECKS + (
-        ("bilateral.contacts_preserved",) if include_contact_preservation else ()
+    if include_contact_preservation:
+        checks += (("bilateral.contacts_preserved", _contacts_preserved),)
+    theorem = _Theorem(
+        "bilateral",
+        CENTRAL_BINOMIALS,
+        {
+            "phi_ext_fn": phi_ext_fn or _phi_ext_text,
+            "psi_ext_fn": psi_ext_fn or _psi_ext_text,
+        },
+        ("bilateral.round_trip.psi_after_phi", "bilateral.round_trip.phi_after_psi"),
+        checks,
+        (attrgetter("ups_odd"), attrgetter("peaks")),
+        ("bilateral.distribution.peaks_eq_ups_odd", "distributions"),
     )
-    for name in names:
-        report.checks.append(
-            CheckResult(name, "bilateral", rng, total, name not in failures,
-                        counterexample=failures.get(name))
-        )
-    report.checks.append(
-        CheckResult("bilateral.distribution.peaks_eq_ups_odd", "bilateral",
-                    rng, total, dist_ok, note=dist_note)
-    )
-    return report
+    return _sweep(theorem, max_n, jobs)
 
 
 # --- involutions and their transports --------------------------------------
@@ -356,7 +350,7 @@ def verify_involutions_and_transport(
     ``include_beta_peak_preservation`` adds a peak-preservation check for
     beta that is expected to fail (beta does not preserve peak count).
     """
-    failures = _Failures()
+    failures = {}
     bilateral_total = 0
     for n in range(max_n + 1):
         for text in _balanced_texts(n):
@@ -394,22 +388,16 @@ def verify_involutions_and_transport(
                 break
         if witness:
             break
-    report = VerificationReport()
     rng = (0, max_n)
-    for name in ("alpha.involution", "alpha.transport.peak_valley_swap",
-                 "alpha.transport.parity_swap"):
-        report.checks.append(
-            CheckResult(name, "bilateral", rng, bilateral_total,
-                        name not in failures, counterexample=failures.get(name))
-        )
+    report = VerificationReport(_results(
+        ("alpha.involution", "alpha.transport.peak_valley_swap",
+         "alpha.transport.parity_swap"),
+        "bilateral", rng, bilateral_total, failures,
+    ))
     beta_names = ["beta.involution", "beta.transport.odd_to_even_shift"]
     if include_beta_peak_preservation:
         beta_names.append("beta.transport.peaks_preserved")
-    for name in beta_names:
-        report.checks.append(
-            CheckResult(name, "dyck", rng, dyck_total, name not in failures,
-                        counterexample=failures.get(name))
-        )
+    report.checks += _results(beta_names, "dyck", rng, dyck_total, failures)
     report.checks.append(
         CheckResult("beta.contact_change_witness", "dyck", (0, max(max_n, 3)),
                     dyck_total, witness is not None, witness=witness)
@@ -441,9 +429,13 @@ def verify_randomized(
     by at most 2.5x (linear scaling), unless the sample is too small for
     timing to mean anything (n < 64 or trials < 2).
     """
+    if n < 0:
+        raise ValueError(f"semilength n must be nonnegative, got {n}")
+    if trials < 0:
+        raise ValueError(f"trials must be nonnegative, got {trials}")
     rng = np.random.default_rng(seed)
     texts = [_random_balanced_text(n, rng) for _ in range(trials)]
-    failures = _Failures()
+    failures = {}
     for text in texts:
         image = _phi_ext_text(text)
         if _psi_ext_text(image) != text:
@@ -452,15 +444,11 @@ def verify_randomized(
             failures.setdefault("random.round_trip.phi_after_psi", text)
         if _scan_text(image).peaks != _scan_text(text).ups_odd:
             failures.setdefault("random.transport.peaks_from_ups_odd", text)
-    report = VerificationReport()
-    rng_range = (n, n)
-    for name in ("random.round_trip.psi_after_phi",
-                 "random.round_trip.phi_after_psi",
-                 "random.transport.peaks_from_ups_odd"):
-        report.checks.append(
-            CheckResult(name, "bilateral", rng_range, trials,
-                        name not in failures, counterexample=failures.get(name))
-        )
+    report = VerificationReport(_results(
+        ("random.round_trip.psi_after_phi", "random.round_trip.phi_after_psi",
+         "random.transport.peaks_from_ups_odd"),
+        "bilateral", (n, n), trials, failures,
+    ))
     if check_scaling and n >= 64 and trials >= 2:
         doubled = [_random_balanced_text(2 * n, rng) for _ in range(trials)]
         t_base = _time_map(_phi_ext_text, texts)

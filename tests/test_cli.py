@@ -156,6 +156,25 @@ def test_verify_command_randomized():
     assert "random.round_trip" in out
 
 
+def test_verify_rejects_jobs_below_one():
+    code, out, err = _run(["verify", "--max-n", "2", "--jobs", "-3"])
+    assert code == 1
+    assert out == ""
+    assert "jobs must be at least 1" in err and "-3" in err
+
+
+def test_verify_rejects_negative_randomized_sizes():
+    code, out, err = _run(["verify", "--max-n", "0", "--randomized",
+                           "--trials", "-5", "--rand-n", "3"])
+    assert (code, out) == (1, "")
+    assert "trials must be nonnegative" in err
+    code, out, err = _run(["verify", "--max-n", "0", "--randomized",
+                           "--rand-n", "-2"])
+    assert (code, out) == (1, "")
+    assert "semilength n must be nonnegative" in err
+    assert "negative dimensions" not in err
+
+
 def test_render_command():
     code, out, _ = _run(["render"], "UD\n")
     assert code == 0

@@ -46,7 +46,7 @@ def test_generate_bilateral_small():
 
 
 def test_generators_match_brute_force():
-    for n in range(7):
+    for n in range(9):
         assert [w.text for w in generate_dyck(n)] == sorted(
             oracles.all_dyck(n), key=oracles.lex_key
         )

@@ -1,10 +1,21 @@
+import io
+import json
+import os
+from pathlib import Path
+
+import pytest
+
+import dyckmaps.verify
 from dyckmaps import (
+    cli,
     verify_involutions_and_transport,
     verify_randomized,
     verify_theorem1,
     verify_theorem2,
 )
 from dyckmaps.maps import _phi_text
+
+DATA = Path(__file__).parent / "data"
 
 
 # deliberately broken forward map: drops the relocated descent run
@@ -44,10 +55,36 @@ def test_theorem1_counterexample_is_lexicographically_first():
     assert failing.counterexample == "UUDD"
 
 
-def test_theorem1_parallel_matches_serial():
-    serial = verify_theorem1(5, jobs=1)
-    parallel = verify_theorem1(5, jobs=2)
+@pytest.mark.parametrize(
+    "verify", [verify_theorem1, verify_theorem2], ids=lambda f: f.__name__
+)
+def test_parallel_matches_serial(verify):
+    serial = verify(5, jobs=1)
+    parallel = verify(5, jobs=2)
     assert serial.to_dict() == parallel.to_dict()
+
+
+def _no_pool(*args, **kwargs):
+    raise AssertionError("no worker process may start")
+
+
+@pytest.mark.parametrize("jobs", [0, -1])
+def test_jobs_below_one_rejected(jobs):
+    with pytest.raises(ValueError, match="at least 1"):
+        verify_theorem1(2, jobs=jobs)
+
+
+def test_jobs_clamped_to_cpu_count(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    monkeypatch.setattr(dyckmaps.verify, "Pool", _no_pool)
+    assert verify_theorem2(3, jobs=4).to_dict() == verify_theorem2(3).to_dict()
+
+
+def test_unpicklable_map_rejected_before_pool(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(dyckmaps.verify, "Pool", _no_pool)
+    with pytest.raises(ValueError, match="phi_fn"):
+        verify_theorem1(3, phi_fn=lambda t: t, jobs=2)
 
 
 def test_theorem2_passes_small():
@@ -106,6 +143,14 @@ def test_randomized_trivial():
     assert verify_randomized(0, trials=3, seed=0, check_scaling=False).ok
 
 
+@pytest.mark.parametrize(
+    "n, trials, message", [(3, -5, "trials"), (-2, 3, "semilength")]
+)
+def test_randomized_rejects_negative_sizes(n, trials, message):
+    with pytest.raises(ValueError, match=message):
+        verify_randomized(n, trials=trials, seed=0, check_scaling=False)
+
+
 def test_randomized_with_scaling():
     report = verify_randomized(256, trials=40, seed=7)
     assert report.ok
@@ -124,3 +169,33 @@ def test_report_formatting():
     broken = verify_theorem1(2, phi_fn=_broken_phi)
     lines = broken.format_text().splitlines()
     assert any(line.startswith("FAIL") and "counterexample=" in line for line in lines)
+
+
+def _cli_verify(fmt):
+    out = io.StringIO()
+    assert cli.run(["verify", "--max-n", "8", "--format", fmt], stdout=out) == 0
+    return out.getvalue()
+
+
+def _report_json(report):
+    return json.dumps(report.to_dict(), indent=2) + "\n"
+
+
+# Outputs captured from the engines before they were merged into one sweep
+# driver; any change to names, order, counts or counterexamples shows here.
+_GOLDEN = {
+    "verify_max_n_8.txt": lambda: _cli_verify("text"),
+    "verify_max_n_8.json": lambda: _cli_verify("json"),
+    "theorem1_broken_phi_n5.json":
+        lambda: _report_json(verify_theorem1(5, phi_fn=_broken_phi)),
+    "theorem2_contacts_n4.json":
+        lambda: _report_json(verify_theorem2(4, include_contact_preservation=True)),
+    "involutions_beta_peaks_n3.json": lambda: _report_json(
+        verify_involutions_and_transport(3, include_beta_peak_preservation=True)
+    ),
+}
+
+
+@pytest.mark.parametrize("fixture", list(_GOLDEN))
+def test_output_matches_golden_fixture(fixture):
+    assert _GOLDEN[fixture]() == (DATA / fixture).read_text()
