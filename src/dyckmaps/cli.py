@@ -12,6 +12,7 @@ import json
 import sys
 
 from . import __version__
+from .decompose import crossing_factorize, first_return_split
 from .errors import DyckError
 from .generate import _CLASS_SOURCES, distribution
 from .maps import alpha, beta, phi, phi_ext, phi_stages, psi, psi_ext, psi_stages
@@ -36,6 +37,7 @@ _PLAIN_OPS = {
     "phi-ext": phi_ext,
     "psi-ext": psi_ext,
 }
+_STAGED_OPS = {"phi": phi_stages, "psi": psi_stages}
 
 
 class _LineError(Exception):
@@ -93,73 +95,52 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _input_words(stdin):
-    for lineno, line in enumerate(stdin, 1):
-        yield lineno, line.rstrip("\r\n")
+def _per_line(format_word):
+    """A command that prints the lines ``format_word(args, word)`` returns for
+    each input line; any DyckError names the line it came from."""
+
+    def command(args, stdin, stdout) -> int:
+        for lineno, line in enumerate(stdin, 1):
+            try:
+                lines = format_word(args, parse_word(line.rstrip("\r\n")))
+            except DyckError as exc:
+                raise _LineError(lineno, str(exc)) from exc
+            for out in lines:
+                print(out, file=stdout)
+        return 0
+
+    return command
 
 
-def _parse_line(lineno: int, raw: str):
-    try:
-        return parse_word(raw)
-    except DyckError as exc:
-        raise _LineError(lineno, str(exc)) from exc
+def _map_lines(args, word) -> list:
+    """The image of one word, after its '#'-prefixed trace lines with --trace."""
+    if not args.trace:
+        return [_PLAIN_OPS[args.op](word).text]
+    staged = _STAGED_OPS.get(args.op)
+    if staged is not None:
+        result, stages = staged(word)
+        return [f"# {line}" for line in stages] + [result.text]
+    result = _PLAIN_OPS[args.op](word)
+    return _simple_trace(args.op, word) + [result.text]
 
 
-def _cmd_map(args, stdin, stdout) -> int:
-    op = _PLAIN_OPS[args.op]
-    staged = {"phi": phi_stages, "psi": psi_stages}.get(args.op)
-    for lineno, raw in _input_words(stdin):
-        word = _parse_line(lineno, raw)
-        try:
-            if args.trace and staged is not None:
-                result, lines = staged(word)
-                for line in lines:
-                    print(f"# {line}", file=stdout)
-            else:
-                result = op(word)
-                if args.trace:
-                    _print_simple_trace(args.op, word, stdout)
-        except DyckError as exc:
-            raise _LineError(lineno, str(exc)) from exc
-        print(result.text, file=stdout)
-    return 0
-
-
-def _print_simple_trace(op: str, word, stdout) -> None:
-    from .decompose import crossing_factorize, first_return_split
-
+def _simple_trace(op: str, word) -> list:
+    """Trace lines of the ops without staged traces: alpha, beta, the extensions."""
     if op == "alpha":
-        print("# reflect every step", file=stdout)
-    elif op == "beta":
-        if word.text:
-            head, rest = first_return_split(word)
-            print(f"# swap U({head.text[1:-1]})D {rest.text} -> "
-                  f"U({rest.text})D {head.text[1:-1]}", file=stdout)
-    else:
-        factors = crossing_factorize(word).factors
-        if factors:
-            print("# factors: " + " | ".join(f.text for f in factors), file=stdout)
+        return ["# reflect every step"]
+    if op == "beta":
+        if not word.text:
+            return []
+        head, rest = first_return_split(word)
+        return [f"# swap U({head.text[1:-1]})D {rest.text} -> "
+                f"U({rest.text})D {head.text[1:-1]}"]
+    factors = crossing_factorize(word).factors
+    return ["# factors: " + " | ".join(f.text for f in factors)] if factors else []
 
 
-def _cmd_stats(args, stdin, stdout) -> int:
-    for lineno, raw in _input_words(stdin):
-        word = _parse_line(lineno, raw)
-        try:
-            rec = stat_record(word)
-        except DyckError as exc:
-            raise _LineError(lineno, str(exc)) from exc
-        if args.format == "json":
-            print(json.dumps(rec.to_dict()), file=stdout)
-        else:
-            print(rec.to_text(), file=stdout)
-    return 0
-
-
-def _cmd_classify(args, stdin, stdout) -> int:
-    for lineno, raw in _input_words(stdin):
-        word = _parse_line(lineno, raw)
-        print(classify(word).value, file=stdout)
-    return 0
+def _stats_lines(args, word) -> list:
+    rec = stat_record(word)
+    return [json.dumps(rec.to_dict()) if args.format == "json" else rec.to_text()]
 
 
 def _check_n(n: int) -> None:
@@ -204,26 +185,15 @@ def _cmd_verify(args, stdin, stdout) -> int:
     return 0 if report.ok else 3
 
 
-def _cmd_render(args, stdin, stdout) -> int:
-    for lineno, raw in _input_words(stdin):
-        word = _parse_line(lineno, raw)
-        try:
-            block = render_ascii(word)
-        except DyckError as exc:
-            raise _LineError(lineno, str(exc)) from exc
-        print(block, file=stdout)
-        print(file=stdout)
-    return 0
-
-
 _COMMANDS = {
-    "map": _cmd_map,
-    "stats": _cmd_stats,
-    "classify": _cmd_classify,
+    "map": _per_line(_map_lines),
+    "stats": _per_line(_stats_lines),
+    "classify": _per_line(lambda args, word: [classify(word).value]),
     "enum": _cmd_enum,
     "table": _cmd_table,
     "verify": _cmd_verify,
-    "render": _cmd_render,
+    # a blank line after each drawing
+    "render": _per_line(lambda args, word: [render_ascii(word), ""]),
 }
 
 

@@ -11,6 +11,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import partial
 from math import comb
+from operator import attrgetter
 from typing import Iterator
 
 import numpy as np
@@ -213,13 +214,12 @@ def distribution(
     _check_stat_name(stat1)
     if stat2 is not None:
         _check_stat_name(stat2)
-    counts: Counter = Counter()
-    if stat2 is None:
-        for text in source(n):
-            counts[int(getattr(_stat_record_text(text), stat1))] += 1
-    else:
-        for text in source(n):
-            rec = _stat_record_text(text)
-            counts[(int(getattr(rec, stat1)), int(getattr(rec, stat2)))] += 1
     stats = (stat1,) if stat2 is None else (stat1, stat2)
-    return DistributionTable(path_class.lower(), n, stats, dict(counts))
+    pick = attrgetter(*stats)  # one value, or a pair for two statistics
+    raw = Counter(pick(_stat_record_text(text)) for text in source(n))
+    # int() of each field once per distinct key, so is_prime counts as 0/1
+    counts = {
+        tuple(map(int, key)) if stat2 is not None else int(key): count
+        for key, count in raw.items()
+    }
+    return DistributionTable(path_class.lower(), n, stats, counts)

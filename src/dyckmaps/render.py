@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
-from .errors import NotBilateralError
+from .errors import DyckError, NotBilateralError
 from .words import PathWord
+
+# Most glyph-block cells (steps times rows) a drawing may take; drawing costs
+# one pass over the word per row, so this bounds the time as well.
+_MAX_CELLS = 10_000_000
 
 
 def render_ascii(w: PathWord) -> str:
@@ -11,15 +15,21 @@ def render_ascii(w: PathWord) -> str:
 
     The band between heights j-1 and j holds the glyphs of the steps at
     height j; bands are stacked top down and a rule of '-' characters marks
-    the axis.  The glyph block is max_height - min_height rows tall.
+    the axis.  The glyph block is max_height - min_height rows tall; a word
+    whose block would exceed ``_MAX_CELLS`` cells raises DyckError.
     """
     if w.text and w.final_height != 0:
         raise NotBilateralError("rendering requires a balanced word")
     text = w.text
     if not text:
         return ""
-    heights = w._height_list()
     hi, lo = w.max_height, w.min_height
+    size = len(text) * (hi - lo)
+    if size > _MAX_CELLS:
+        raise DyckError(
+            f"rendering needs {size} cells, more than the cap of {_MAX_CELLS}"
+        )
+    heights = w._height_list()
     rows = []
     for band in range(hi, lo, -1):
         cells = []

@@ -14,7 +14,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import NotBilateralError
-from .words import PathClass, PathWord, _LONG, classify
+from .words import PathWord, _LONG
 
 
 class _Scan(NamedTuple):
@@ -178,24 +178,17 @@ def stat_record(w: PathWord) -> StatRecord:
     cached = w._stats
     if cached is not None:
         return cached
-    cls = classify(w)
-    if cls is PathClass.NOT_CLOSED:
-        raise NotBilateralError("statistics bundle requires a balanced word")
-    rec = _stat_record_text(w.text, cls)
+    rec = _stat_record_text(w.text)
     w._cache("_stats", rec)
     return rec
 
 
-def _stat_record_text(text: str, cls: PathClass | None = None) -> StatRecord:
+def _stat_record_text(text: str) -> StatRecord:
+    """All statistics of a canonical balanced word from one scan."""
     s = _scan_text(text)
+    if s.final != 0:
+        raise NotBilateralError("statistics bundle requires a balanced word")
     downs = len(text) - s.ups
-    if cls is None:
-        if not text:
-            cls = PathClass.EMPTY
-        elif s.lo >= 0:
-            cls = PathClass.DYCK
-        else:
-            cls = PathClass.NEGATIVE_DYCK if s.hi <= 0 else PathClass.BILATERAL_PROPER
     return StatRecord(
         n=len(text) // 2,
         peaks=s.peaks,
@@ -208,7 +201,7 @@ def _stat_record_text(text: str, cls: PathClass | None = None) -> StatRecord:
         downs_even=downs - s.downs_odd,
         max_height=s.hi,
         min_height=s.lo,
-        is_prime=(cls is PathClass.DYCK and s.contacts == 1),
+        is_prime=(s.lo >= 0 and s.contacts == 1),
     )
 
 

@@ -17,6 +17,7 @@ import os
 import pickle
 import time
 from collections import Counter
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import islice
@@ -119,16 +120,6 @@ def _chunks(iterator, size):
         if not block:
             return
         yield block
-
-
-def _map_chunks(worker, texts, jobs):
-    """Apply worker to chunks, optionally across processes, preserving order."""
-    if jobs <= 1:
-        for block in _chunks(texts, _CHUNK):
-            yield worker(block)
-        return
-    with Pool(jobs) as pool:
-        yield from pool.imap(worker, _chunks(texts, _CHUNK))
 
 
 def _check_jobs(jobs: int, maps: dict) -> int:
@@ -242,26 +233,29 @@ def _sweep(spec: _Theorem, max_n: int, jobs: int) -> VerificationReport:
     dist_name, dist_noun = spec.dist_check
     dist_ok = True
     dist_note = ""
-    for n in range(max_n + 1):
-        dist_a = Counter()
-        dist_b = Counter()
-        count_n = 0
-        source = _CLASS_SOURCES[spec.path_class](n)
-        for size, fails, c_a, c_b in _map_chunks(worker, source, jobs):
-            count_n += size
-            for name, word in fails.items():
-                failures.setdefault(name, word)
-            dist_a.update(c_a)
-            dist_b.update(c_b)
-        total += count_n
-        if n < len(spec.sizes) and count_n != spec.sizes[n]:
-            dist_ok = False
-            dist_note = f"class size mismatch at n={n}: {count_n}"
-        if dist_ok and dist_a != dist_b:
-            dist_ok = False
-            diff = next(k for k in dist_a.keys() | dist_b.keys()
-                        if dist_a[k] != dist_b[k])
-            dist_note = f"{dist_noun} differ at n={n}, key={diff}"
+    # one pool for every semilength; the builtin map runs chunks in-process
+    with (Pool(jobs) if jobs > 1 else nullcontext()) as pool:
+        imap = map if pool is None else pool.imap
+        for n in range(max_n + 1):
+            dist_a = Counter()
+            dist_b = Counter()
+            count_n = 0
+            source = _CLASS_SOURCES[spec.path_class](n)
+            for size, fails, c_a, c_b in imap(worker, _chunks(source, _CHUNK)):
+                count_n += size
+                for name, word in fails.items():
+                    failures.setdefault(name, word)
+                dist_a.update(c_a)
+                dist_b.update(c_b)
+            total += count_n
+            if n < len(spec.sizes) and count_n != spec.sizes[n]:
+                dist_ok = False
+                dist_note = f"class size mismatch at n={n}: {count_n}"
+            if dist_ok and dist_a != dist_b:
+                dist_ok = False
+                diff = next(k for k in dist_a.keys() | dist_b.keys()
+                            if dist_a[k] != dist_b[k])
+                dist_note = f"{dist_noun} differ at n={n}, key={diff}"
     rng = (0, max_n)
     names = spec.round_trips + tuple(name for name, _ in spec.checks)
     report = VerificationReport(_results(names, spec.path_class, rng, total, failures))

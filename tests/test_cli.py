@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from dyckmaps.cli import run
 
 GOLDEN_TOP = "UUUUDDDUUUUDDUDDDD"
@@ -181,6 +183,12 @@ def test_render_command():
     assert out == "/\\\n--\n\n"
 
 
+def test_render_command_refuses_oversized_word():
+    code, out, err = _run(["render"], "U" * 20000 + "D" * 20000 + "\n")
+    assert (code, out) == (1, "")
+    assert "line 1" in err and "cells" in err
+
+
 def test_unknown_subcommand_is_input_error():
     code, _, _ = _run(["frobnicate"])
     assert code == 1
@@ -201,3 +209,43 @@ def test_console_entry_point_runs_in_subprocess():
     )
     assert proc.returncode == 0
     assert proc.stdout == GOLDEN_BOTTOM + "\n"
+
+
+# Golden transcripts of the per-line commands: stdout, an "[exit N]" line,
+# then stderr, captured before the commands shared one per-line driver.
+DATA = Path(__file__).parent / "data"
+_DYCK_IN = "\n(())\nudud\nUUDUDD\n" + GOLDEN_TOP + "\nUDUUDD\n"
+_BALANCED_IN = "\n(())\nudud\nDDUU\nUDDUUDDU\nUUDDDUDDUU\n" + GOLDEN_TOP + "\n"
+_LONG_IN = "U" * 2050 + "D" * 2050 + "\n" + "UUDD" * 600 + "DDUU" * 500 + "\n"
+_CLI_CASES = {
+    **{
+        f"map_{op}{suffix}": (["map", "--op", op] + flags, stdin)
+        for op, stdin in [
+            ("phi", _DYCK_IN), ("psi", _DYCK_IN), ("beta", _DYCK_IN),
+            ("alpha", _BALANCED_IN), ("phi-ext", _BALANCED_IN),
+            ("psi-ext", _BALANCED_IN),
+        ]
+        for suffix, flags in [("", []), ("_trace", ["--trace"])]
+    },
+    "stats_text": (["stats"], _BALANCED_IN + _LONG_IN),
+    "stats_json": (["stats", "--format", "json"], _BALANCED_IN + _LONG_IN),
+    "classify": (["classify"], _BALANCED_IN + "UUD\nDDDUU\n"),
+    "render": (["render"], _BALANCED_IN),
+    # two good lines, a bad line 3, and a good line that is never reached
+    "map_phi_fail": (["map", "--op", "phi"], "UUDD\nUD\nUDDU\nUD\n"),
+    "map_phi_trace_fail": (["map", "--op", "phi", "--trace"], "UUDD\nUD\nUDDU\nUD\n"),
+    "stats_fail": (["stats"], "UD\nDU\nUUD\nUD\n"),
+    "classify_fail": (["classify"], "UD\nUUD\nUXD\nUD\n"),
+    "render_fail": (["render"], "UD\nDU\nUUD\nUD\n"),
+}
+
+
+def _transcript(argv, stdin_text):
+    code, out, err = _run(argv, stdin_text)
+    return f"{out}[exit {code}]\n{err}"
+
+
+@pytest.mark.parametrize("case", list(_CLI_CASES))
+def test_cli_output_matches_golden_fixture(case):
+    expected = (DATA / f"cli_{case}.txt").read_text()
+    assert _transcript(*_CLI_CASES[case]) == expected

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 import oracles
@@ -103,6 +105,13 @@ def test_distribution_tables_serialize():
     assert payload["counts"][0] == {"peaks": 1, "count": 1}
     both = distribution("dyck", 3, "contacts", "peaks")
     assert both.to_csv().splitlines()[0] == "contacts,peaks,count"
+    prime = distribution("dyck", 3, "is_prime")
+    assert prime.to_csv() == "is_prime,count\n0,3\n1,2\n"
+    prime2 = distribution("dyck", 3, "contacts", "is_prime")
+    assert prime2.to_csv() == "contacts,is_prime,count\n1,1,2\n2,0,2\n3,0,1\n"
+    assert json.dumps(prime2.to_dict()["counts"][0]) == (
+        '{"contacts": 1, "is_prime": 1, "count": 2}'
+    )
 
 
 def test_distribution_validates_inputs():

@@ -1,6 +1,8 @@
+import time
+
 import pytest
 
-from dyckmaps import NotBilateralError, parse_word, render_ascii
+from dyckmaps import DyckError, NotBilateralError, parse_word, render_ascii
 
 
 def test_render_single_peak():
@@ -39,3 +41,17 @@ def test_render_block_height():
 def test_render_rejects_open_words():
     with pytest.raises(NotBilateralError):
         render_ascii(parse_word("UUD"))
+
+
+def test_render_refuses_oversized_blocks_quickly():
+    w = parse_word("U" * 20000 + "D" * 20000)  # 40000 steps x 20000 rows
+    start = time.perf_counter()
+    with pytest.raises(DyckError, match="800000000 cells.*cap of 10000000"):
+        render_ascii(w)
+    assert time.perf_counter() - start < 0.5
+
+
+def test_render_cap_admits_the_largest_measured_hill():
+    k = 2000  # 4000 steps x 2000 rows = 8 * 10^6 cells, under the cap
+    rows = render_ascii(parse_word("U" * k + "D" * k)).splitlines()
+    assert len(rows) == k + 1 and rows[-1] == "-" * (2 * k)

@@ -3,6 +3,8 @@ import math
 import pytest
 from hypothesis import given
 
+import dyckmaps.stats
+import dyckmaps.words
 import oracles
 from conftest import balanced_texts
 from dyckmaps import (
@@ -100,6 +102,20 @@ def test_stat_record_examples():
 def test_stat_record_rejects_open_words():
     with pytest.raises(NotBilateralError):
         stat_record(parse_word("UUD"))
+
+
+@pytest.mark.parametrize(
+    "text", ["", "UDDU", GOLDEN_TOP, "UD" * 3000], ids=["empty", "short", "golden", "long"]
+)
+def test_stat_record_scans_a_fresh_word_once(monkeypatch, text):
+    calls = []
+    for module, name in [(dyckmaps.stats, "_scan_text"), (dyckmaps.words, "_extremes_of")]:
+        original = getattr(module, name)
+        monkeypatch.setattr(
+            module, name, lambda t, f=original, n=name: calls.append(n) or f(t)
+        )
+    stat_record(parse_word(text))
+    assert calls == ["_scan_text"]
 
 
 def test_stat_record_consistent_with_parts():

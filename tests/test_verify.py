@@ -87,6 +87,37 @@ def test_unpicklable_map_rejected_before_pool(monkeypatch):
         verify_theorem1(3, phi_fn=lambda t: t, jobs=2)
 
 
+class _CountingPool:
+    """Stand-in for multiprocessing.Pool that runs chunks in-process and
+    counts how many pools were opened."""
+
+    opened = 0
+
+    def __init__(self, processes):
+        type(self).opened += 1
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    imap = staticmethod(map)
+
+
+@pytest.mark.parametrize(
+    "verify, max_n", [(verify_theorem1, 8), (verify_theorem2, 5)],
+    ids=["verify_theorem1", "verify_theorem2"],
+)
+def test_parallel_sweep_opens_one_pool(monkeypatch, verify, max_n):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(dyckmaps.verify, "Pool", _CountingPool)
+    monkeypatch.setattr(_CountingPool, "opened", 0)
+    parallel = verify(max_n, jobs=2)
+    assert _CountingPool.opened == 1
+    assert parallel.to_dict() == verify(max_n, jobs=1).to_dict()
+
+
 def test_theorem2_passes_small():
     report = verify_theorem2(2)
     assert report.ok
