@@ -27,6 +27,8 @@ from .decompose import (
     phi_bracketing,
     psi_bracketing,
 )
+from .errors import DyckError
+from .render import _MAX_CELLS
 from .words import PathWord, require_closed, require_dyck
 
 _U, _D = 85, 68  # ord('U'), ord('D'); the cores run on ASCII bytes
@@ -117,6 +119,8 @@ def _psi_b(data: bytes) -> bytes:
 
 
 def _beta_b(data: bytes) -> bytes:
+    if not data:
+        return data  # beta(empty) = empty makes the map total
     r = _first_return_len(data)
     return b"U" + data[r:] + b"D" + data[1 : r - 1]
 
@@ -204,8 +208,6 @@ def beta(w: PathWord) -> PathWord:
     Extended by beta(empty) = empty to make the map total.
     """
     require_dyck(w)
-    if not w.text:
-        return w
     return PathWord(_beta_text(w.text))
 
 
@@ -235,6 +237,8 @@ def psi_ext(w: PathWord) -> PathWord:
 # display-only parentheses, and empty subwords print as "()" so their
 # positions stay visible.  The frontier is kept flat (group parentheses are
 # mark tokens, excluded from the final word), so no recursion is involved.
+# The round count is not bounded by the height (k+2 for (UD)^k), so the lines'
+# running total of characters is capped: a refused trace costs O(cap) work.
 
 _PEND = 0
 _LIT = 1
@@ -243,6 +247,7 @@ _MARK = 2
 
 def _stages(w: PathWord, rewrite, bracket) -> tuple[PathWord, list]:
     lines = [bracket(w)]
+    size = len(lines[0])
     frontier = [(_PEND, w.text)]
     top_level = True
     while True:
@@ -260,16 +265,17 @@ def _stages(w: PathWord, rewrite, bracket) -> tuple[PathWord, list]:
                 nxt.append((_MARK, ")"))
         top_level = False
         frontier = nxt
-        pending = [p for k, p in frontier if k == _PEND]
-        lines.append(
-            "".join(
-                "(" + bracket(PathWord(payload)) + ")"
-                if kind == _PEND
-                else payload
-                for kind, payload in frontier
-            )
+        line = "".join(
+            "(" + bracket(PathWord(payload)) + ")"
+            if kind == _PEND
+            else payload
+            for kind, payload in frontier
         )
-        if not pending:
+        size += len(line)
+        if size > _MAX_CELLS:
+            raise DyckError(f"trace needs more than the cap of {_MAX_CELLS} characters")
+        lines.append(line)
+        if all(kind != _PEND for kind, _ in frontier):
             break
     result = PathWord("".join(p for k, p in frontier if k == _LIT))
     return result, lines
@@ -307,7 +313,7 @@ def phi_stages(w: PathWord) -> tuple[PathWord, list]:
 
     Returns (phi(w), lines): line 0 is the input's bracketed parse, each
     further line shows the word after one more round, the last line with no
-    pending subwords left.
+    pending subwords left.  Raises DyckError if the lines exceed 10^7 characters.
     """
     require_dyck(w)
     return _stages(w, _phi_rewrite, phi_bracketing)

@@ -14,7 +14,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import NotBilateralError
-from .words import PathWord, _LONG
+from .words import PathWord, _LONG, _up_and_heights
 
 
 class _Scan(NamedTuple):
@@ -69,9 +69,7 @@ def _scan_text(text: str) -> _Scan:
 
 
 def _scan_text_long(text: str) -> _Scan:
-    arr = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
-    up = arr == 85
-    h = np.cumsum(np.where(up, 1, -1))
+    up, h = _up_and_heights(text)
     peaks = int(np.count_nonzero(up[:-1] & ~up[1:]))
     valleys = int(np.count_nonzero(~up[:-1] & up[1:]))
     contacts = int(np.count_nonzero(h == 0))

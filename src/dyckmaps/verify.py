@@ -20,7 +20,7 @@ from collections import Counter
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import islice
+from itertools import chain, islice
 from multiprocessing import Pool
 from operator import attrgetter
 from typing import NamedTuple
@@ -32,7 +32,6 @@ from .generate import (
     _CLASS_SOURCES,
     CATALAN_NUMBERS,
     CENTRAL_BINOMIALS,
-    _balanced_texts,
     _dyck_texts,
     _random_balanced_text,
 )
@@ -143,16 +142,17 @@ def _check_jobs(jobs: int, maps: dict) -> int:
     return jobs
 
 
-def _results(names, path_class, n_range, total, failures) -> list:
-    """One CheckResult per check name, failed where a counterexample exists."""
+def _results(spec, n_range, total, failures) -> list:
+    """One CheckResult per named check of a record, failed on a counterexample."""
+    names = spec.round_trips + tuple(name for name, _ in spec.checks)
     return [
-        CheckResult(name, path_class, n_range, total, name not in failures,
+        CheckResult(name, spec.path_class, n_range, total, name not in failures,
                     counterexample=failures.get(name))
         for name in names
     ]
 
 
-# --- the two theorems, stated as data and run by one sweep ------------------
+# --- the theorems, stated as data and run by one sweep ----------------------
 
 def _try(fn, arg):
     """fn(arg), or None when it raises, so that broken injected maps surface
@@ -183,13 +183,14 @@ def _factors_preserved(text, image, s, si) -> bool:
 
 
 class _Theorem(NamedTuple):
-    """A bijection theorem stated as data for :func:`_sweep`.
+    """A bijection theorem or an involution stated as data for :func:`_sweep`.
 
-    ``maps`` maps the name of each argument that injects a map to that map,
-    the forward map first and its inverse second.  ``checks`` holds
-    (name, predicate) pairs.  The distributions of the two ``dist_keys``
-    (functions of a scan) must agree at every semilength; ``dist_check``
-    holds that check's name and the noun of its failure note.
+    ``maps`` maps a name for each map (that of the argument injecting it,
+    where one does) to the map: forward then inverse, or an involution's
+    one map, which has one round-trip check.  ``checks`` holds (name,
+    predicate) pairs.  The distributions of the ``dist_keys`` (two functions
+    of a scan, or none) must agree at every semilength; ``dist_check`` holds
+    that check's name and the noun of its failure note.
     """
 
     path_class: str
@@ -202,25 +203,29 @@ class _Theorem(NamedTuple):
 
 
 def _theorem_chunk(texts, spec: _Theorem):
-    forward, inverse = spec.maps.values()
-    key_a, key_b = spec.dist_keys
+    forward, *rest = spec.maps.values()
+    inverse = rest[0] if rest else forward
     failures = {}
+    first_trip, *second_trip = spec.round_trips  # an involution has no second trip
+    key_a, key_b = spec.dist_keys or (None, None)
     dist_a = Counter()
     dist_b = Counter()
     for text in texts:
         image = _try(forward, text)
         if image is None or _try(inverse, image) != text:
-            failures.setdefault(spec.round_trips[0], text)
-        preimage = _try(inverse, text)
-        if preimage is None or _try(forward, preimage) != text:
-            failures.setdefault(spec.round_trips[1], text)
+            failures.setdefault(first_trip, text)
+        if second_trip:
+            preimage = _try(inverse, text)
+            if preimage is None or _try(forward, preimage) != text:
+                failures.setdefault(second_trip[0], text)
         s = _scan_text(text)
         si = _scan_text(image) if image is not None else None
         for name, holds in spec.checks:
             if si is None or not holds(text, image, s, si):
                 failures.setdefault(name, text)
-        dist_a[key_a(s)] += 1
-        dist_b[key_b(s)] += 1
+        if key_a:
+            dist_a[key_a(s)] += 1
+            dist_b[key_b(s)] += 1
     return len(texts), failures, dist_a, dist_b
 
 
@@ -230,7 +235,6 @@ def _sweep(spec: _Theorem, max_n: int, jobs: int) -> VerificationReport:
     worker = partial(_theorem_chunk, spec=spec)
     failures = {}  # first counterexample per check name, in stream order
     total = 0
-    dist_name, dist_noun = spec.dist_check
     dist_ok = True
     dist_note = ""
     # one pool for every semilength; the builtin map runs chunks in-process
@@ -255,13 +259,13 @@ def _sweep(spec: _Theorem, max_n: int, jobs: int) -> VerificationReport:
                 dist_ok = False
                 diff = next(k for k in dist_a.keys() | dist_b.keys()
                             if dist_a[k] != dist_b[k])
-                dist_note = f"{dist_noun} differ at n={n}, key={diff}"
+                dist_note = f"{spec.dist_check[1]} differ at n={n}, key={diff}"
     rng = (0, max_n)
-    names = spec.round_trips + tuple(name for name, _ in spec.checks)
-    report = VerificationReport(_results(names, spec.path_class, rng, total, failures))
-    report.checks.append(
-        CheckResult(dist_name, spec.path_class, rng, total, dist_ok, note=dist_note)
-    )
+    report = VerificationReport(_results(spec, rng, total, failures))
+    if spec.dist_keys:
+        report.checks.append(CheckResult(
+            spec.dist_check[0], spec.path_class, rng, total, dist_ok, note=dist_note
+        ))
     return report
 
 
@@ -331,6 +335,27 @@ def verify_theorem2(
 
 # --- involutions and their transports --------------------------------------
 
+def _peak_valley_swap(text, image, s, si) -> bool:
+    return si.peaks == s.valleys and si.valleys == s.peaks
+
+
+def _parity_swap(text, image, s, si) -> bool:
+    return si.ups_odd == (len(text) - s.ups) - s.downs_odd  # downs at even height
+
+
+def _odd_to_even_shift(text, image, s, si) -> bool:
+    # vacuous on the empty word, which beta fixes
+    return not text or si.ups - si.ups_odd == s.ups_odd - 1
+
+
+def _peaks_preserved(text, image, s, si) -> bool:
+    return si.peaks == s.peaks
+
+
+def _beta_moves_contacts(text) -> bool:
+    return _scan_text(_beta_text(text)).contacts != _scan_text(text).contacts
+
+
 def verify_involutions_and_transport(
     max_n: int, *, include_beta_peak_preservation: bool = False
 ) -> VerificationReport:
@@ -344,57 +369,30 @@ def verify_involutions_and_transport(
     ``include_beta_peak_preservation`` adds a peak-preservation check for
     beta that is expected to fail (beta does not preserve peak count).
     """
-    failures = {}
-    bilateral_total = 0
-    for n in range(max_n + 1):
-        for text in _balanced_texts(n):
-            bilateral_total += 1
-            refl = _alpha_text(text)
-            if _alpha_text(refl) != text:
-                failures.setdefault("alpha.involution", text)
-            s = _scan_text(text)
-            sr = _scan_text(refl)
-            if sr.peaks != s.valleys or sr.valleys != s.peaks:
-                failures.setdefault("alpha.transport.peak_valley_swap", text)
-            downs_even = (len(text) - s.ups) - s.downs_odd
-            if sr.ups_odd != downs_even:
-                failures.setdefault("alpha.transport.parity_swap", text)
-    dyck_total = 0
-    for n in range(max_n + 1):
-        for text in _dyck_texts(n):
-            dyck_total += 1
-            if not text:
-                continue
-            swapped = _beta_text(text)
-            if _beta_text(swapped) != text:
-                failures.setdefault("beta.involution", text)
-            s = _scan_text(text)
-            sb = _scan_text(swapped)
-            if (sb.ups - sb.ups_odd) != s.ups_odd - 1:
-                failures.setdefault("beta.transport.odd_to_even_shift", text)
-            if include_beta_peak_preservation and sb.peaks != s.peaks:
-                failures.setdefault("beta.transport.peaks_preserved", text)
-    witness = None
-    for n in range(max(max_n, 3) + 1):
-        for text in _dyck_texts(n):
-            if text and _scan_text(_beta_text(text)).contacts != _scan_text(text).contacts:
-                witness = text
-                break
-        if witness:
-            break
-    rng = (0, max_n)
-    report = VerificationReport(_results(
-        ("alpha.involution", "alpha.transport.peak_valley_swap",
-         "alpha.transport.parity_swap"),
-        "bilateral", rng, bilateral_total, failures,
-    ))
-    beta_names = ["beta.involution", "beta.transport.odd_to_even_shift"]
+    alpha = _Theorem(
+        "bilateral", (), {"alpha": _alpha_text}, ("alpha.involution",),
+        (
+            ("alpha.transport.peak_valley_swap", _peak_valley_swap),
+            ("alpha.transport.parity_swap", _parity_swap),
+        ),
+        (), (),
+    )
+    beta_checks = (("beta.transport.odd_to_even_shift", _odd_to_even_shift),)
     if include_beta_peak_preservation:
-        beta_names.append("beta.transport.peaks_preserved")
-    report.checks += _results(beta_names, "dyck", rng, dyck_total, failures)
+        beta_checks += (("beta.transport.peaks_preserved", _peaks_preserved),)
+    beta = _Theorem(
+        "dyck", (), {"beta": _beta_text}, ("beta.involution",), beta_checks, (), ()
+    )
+    report = _sweep(alpha, max_n, jobs=1)
+    report.checks += _sweep(beta, max_n, jobs=1).checks
+    # a search for one word, not a check over the class
+    witness_n = max(max_n, 3)
+    dyck_words = chain.from_iterable(map(_dyck_texts, range(witness_n + 1)))
+    witness = next(filter(_beta_moves_contacts, dyck_words), None)
     report.checks.append(
-        CheckResult("beta.contact_change_witness", "dyck", (0, max(max_n, 3)),
-                    dyck_total, witness is not None, witness=witness)
+        CheckResult("beta.contact_change_witness", "dyck", (0, witness_n),
+                    report.checks[-1].words_tested,  # the Dyck words swept
+                    witness is not None, witness=witness)
     )
     return report
 
@@ -402,15 +400,13 @@ def verify_involutions_and_transport(
 # --- randomized / performance ----------------------------------------------
 
 def _time_map(fn, texts, repeats: int = 2) -> float:
-    best = None
+    times = []
     for _ in range(repeats):
         start = time.perf_counter()
         for text in texts:
             fn(text)
-        elapsed = time.perf_counter() - start
-        if best is None or elapsed < best:
-            best = elapsed
-    return best
+        times.append(time.perf_counter() - start)
+    return min(times)
 
 
 def verify_randomized(
@@ -429,20 +425,15 @@ def verify_randomized(
         raise ValueError(f"trials must be nonnegative, got {trials}")
     rng = np.random.default_rng(seed)
     texts = [_random_balanced_text(n, rng) for _ in range(trials)]
-    failures = {}
-    for text in texts:
-        image = _phi_ext_text(text)
-        if _psi_ext_text(image) != text:
-            failures.setdefault("random.round_trip.psi_after_phi", text)
-        if _phi_ext_text(_psi_ext_text(text)) != text:
-            failures.setdefault("random.round_trip.phi_after_psi", text)
-        if _scan_text(image).peaks != _scan_text(text).ups_odd:
-            failures.setdefault("random.transport.peaks_from_ups_odd", text)
-    report = VerificationReport(_results(
-        ("random.round_trip.psi_after_phi", "random.round_trip.phi_after_psi",
-         "random.transport.peaks_from_ups_odd"),
-        "bilateral", (n, n), trials, failures,
-    ))
+    spec = _Theorem(
+        "bilateral", (),
+        {"phi_ext_fn": _phi_ext_text, "psi_ext_fn": _psi_ext_text},
+        ("random.round_trip.psi_after_phi", "random.round_trip.phi_after_psi"),
+        (("random.transport.peaks_from_ups_odd", _peaks_from_ups_odd),),
+        (), (),
+    )
+    _, failures, _, _ = _theorem_chunk(texts, spec)
+    report = VerificationReport(_results(spec, (n, n), trials, failures))
     if check_scaling and n >= 64 and trials >= 2:
         doubled = [_random_balanced_text(2 * n, rng) for _ in range(trials)]
         t_base = _time_map(_phi_ext_text, texts)

@@ -63,11 +63,16 @@ class PathClass(Enum):
 HeightProfile = list
 
 
+def _up_and_heights(text: str) -> tuple[np.ndarray, np.ndarray]:
+    """Up-step mask and vertex heights of a canonical word, as numpy arrays."""
+    up = np.frombuffer(text.encode("ascii"), dtype=np.uint8) == 85  # ord('U')
+    return up, np.cumsum(np.where(up, 1, -1))
+
+
 def _extremes_of(text: str) -> tuple[int, int, int]:
     """(final, min, max) vertex height of a canonical word, start vertex included."""
     if len(text) >= _LONG:
-        arr = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
-        h = np.cumsum(np.where(arr == 85, 1, -1))
+        _, h = _up_and_heights(text)
         return int(h[-1]), min(0, int(h.min())), max(0, int(h.max()))
     h = lo = hi = 0
     for ch in text:
@@ -162,8 +167,7 @@ class PathWord:
         if heights is None:
             text = self.text
             if len(text) >= _LONG:
-                arr = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
-                heights = np.cumsum(np.where(arr == 85, 1, -1)).tolist()
+                heights = _up_and_heights(text)[1].tolist()
             else:
                 heights = []
                 h = 0

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+import dyckmaps.maps
 from dyckmaps.cli import run
 
 GOLDEN_TOP = "UUUUDDDUUUUDDUDDDD"
@@ -187,6 +188,13 @@ def test_render_command_refuses_oversized_word():
     code, out, err = _run(["render"], "U" * 20000 + "D" * 20000 + "\n")
     assert (code, out) == (1, "")
     assert "line 1" in err and "cells" in err
+
+
+def test_trace_command_refuses_an_over_cap_trace(monkeypatch):
+    monkeypatch.setattr(dyckmaps.maps, "_MAX_CELLS", 1000)
+    code, out, err = _run(["map", "--op", "phi", "--trace"], "UD" * 100 + "\n")
+    assert (code, out) == (1, "")
+    assert "line 1" in err and "cap of 1000 characters" in err
 
 
 def test_unknown_subcommand_is_input_error():

@@ -1,9 +1,11 @@
 import pytest
 from hypothesis import given, settings
 
+import dyckmaps.maps
 import oracles
 from conftest import balanced_texts, dyck_texts
 from dyckmaps import (
+    DyckError,
     NotADyckWordError,
     NotBilateralError,
     PathWord,
@@ -23,7 +25,7 @@ from dyckmaps import (
     ups_at_odd_height,
     valleys,
 )
-from dyckmaps.maps import _phi_text, _psi_text
+from dyckmaps.maps import _beta_text, _phi_text, _psi_text
 
 GOLDEN_TOP = "UUUUDDDUUUUDDUDDDD"
 GOLDEN_BOTTOM = "UUUDDUUUDUUDDDUDDD"
@@ -132,6 +134,11 @@ def test_beta_involution_and_parity_shift():
             assert beta(b) == w
             assert ups_at_even_height(b) == ups_at_odd_height(w) - 1
             assert ups_at_odd_height(b) == ups_at_even_height(w) + 1
+
+
+def test_beta_text_map_fixes_the_empty_word():
+    # the text map itself defines beta(empty) = empty, so sweeps need no branch
+    assert _beta_text("") == ""
 
 
 def test_beta_changes_contacts_somewhere_small():
@@ -245,3 +252,31 @@ def test_stages_of_empty_word():
     result, lines = phi_stages(parse_word(""))
     assert result.text == ""
     assert lines[0] == ""
+
+
+@pytest.mark.parametrize("stages", [phi_stages, psi_stages])
+def test_staged_trace_cap_counts_every_line(monkeypatch, stages):
+    w = parse_word("UUDUDD" * 5)
+    _, lines = stages(w)
+    total = sum(map(len, lines))
+    monkeypatch.setattr(dyckmaps.maps, "_MAX_CELLS", total)
+    assert stages(w)[1] == lines
+    monkeypatch.setattr(dyckmaps.maps, "_MAX_CELLS", total - 1)
+    with pytest.raises(DyckError, match=f"cap of {total - 1} characters"):
+        stages(w)
+
+
+@pytest.mark.parametrize("stages", [phi_stages, psi_stages])
+def test_staged_trace_refuses_many_rounds_at_low_height(monkeypatch, stages):
+    # (UD)^k has height 1 but takes about k rounds, so a bound made up front
+    # from length and height cannot catch it
+    monkeypatch.setattr(dyckmaps.maps, "_MAX_CELLS", 1000)
+    with pytest.raises(DyckError, match="cap of 1000 characters"):
+        stages(parse_word("UD" * 100))
+
+
+def test_trace_cap_admits_the_largest_measured_hill():
+    k = 2000  # 7,015,000 characters of trace lines, under the cap of 10^7
+    result, lines = phi_stages(parse_word("U" * k + "D" * k))
+    assert result == phi(parse_word("U" * k + "D" * k))
+    assert sum(map(len, lines)) == 7_015_000

@@ -1,4 +1,6 @@
 import math
+import random
+from functools import lru_cache
 
 import pytest
 from hypothesis import given
@@ -14,6 +16,7 @@ from dyckmaps import (
     crossings,
     downs_at_even_height,
     downs_at_odd_height,
+    height_profile,
     narayana,
     parse_word,
     peaks,
@@ -172,6 +175,45 @@ def test_long_words_use_same_definitions():
     assert crossings(w) == oracles.crossings(text)
     assert ups_at_odd_height(w) == oracles.ups_odd(text)
     assert downs_at_odd_height(w) == oracles.downs_odd(text)
+
+
+def _threshold_word(length, closed):
+    """A seeded open word of ``length`` steps that starts with D, or a closed
+    one of the largest even length not above ``length``."""
+    rng = random.Random(length)
+    if closed:
+        steps = list("U" * (length // 2) + "D" * (length // 2))
+        rng.shuffle(steps)
+        return "".join(steps)
+    return "D" + "".join(rng.choice("UD") for _ in range(length - 1))
+
+
+@pytest.mark.parametrize("closed", [False, True], ids=["open", "closed"])
+@pytest.mark.parametrize("length", [4095, 4096, 4097])
+def test_scans_at_the_numpy_threshold_match_oracles(monkeypatch, length, closed):
+    assert dyckmaps.words._LONG == 4096  # both scan paths meet here
+    # the oracles rebuild the height list on every step query; caching it
+    # keeps their definitions and makes 4096-step words affordable
+    monkeypatch.setattr(oracles, "heights", lru_cache(maxsize=None)(oracles.heights))
+    text = _threshold_word(length, closed)
+    hs = oracles.heights(text)
+    w = PathWord(text)
+    assert (w.final_height, w.min_height, w.max_height) == (
+        hs[-1], min(0, min(hs)), max(0, max(hs))
+    )
+    assert height_profile(w) == hs
+    assert dyckmaps.stats._scan_text(text) == (
+        hs[-1],
+        min(0, min(hs)),
+        max(0, max(hs)),
+        oracles.peaks(text),
+        oracles.valleys(text),
+        oracles.contacts(text),
+        oracles.crossings(text),
+        oracles.ups_odd(text) + oracles.ups_even(text),
+        oracles.ups_odd(text),
+        oracles.downs_odd(text),
+    )
 
 
 def test_narayana_values():

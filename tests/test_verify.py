@@ -1,7 +1,9 @@
 import io
 import json
 import os
+from functools import partial
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -13,7 +15,7 @@ from dyckmaps import (
     verify_theorem1,
     verify_theorem2,
 )
-from dyckmaps.maps import _phi_text
+from dyckmaps.maps import _alpha_text, _beta_text, _phi_text
 
 DATA = Path(__file__).parent / "data"
 
@@ -22,6 +24,14 @@ DATA = Path(__file__).parent / "data"
 def _broken_phi(text):
     return _phi_text(text).replace("UDD", "UD", 1)
 
+
+# deliberately broken involutions: each damages the first matching factor
+def _broken_alpha(text):
+    return _alpha_text(text).replace("DU", "UD", 1)
+
+
+def _broken_beta(text):
+    return _beta_text(text).replace("UUDD", "UDUD", 1)
 
 
 
@@ -225,6 +235,37 @@ _GOLDEN = {
         verify_involutions_and_transport(3, include_beta_peak_preservation=True)
     ),
 }
+
+
+def _involutions_json(n, **kwargs):
+    return _report_json(verify_involutions_and_transport(n, **kwargs))
+
+
+def _with_broken(name, broken, **kwargs):
+    with mock.patch.object(dyckmaps.verify, name, broken):
+        return _involutions_json(4, **kwargs)
+
+
+# Outputs captured before the involution and randomized checks moved onto the
+# theorem engine; n <= 2 puts the witness search beyond max_n.
+for _n in (0, 1, 2):
+    _GOLDEN[f"involutions_n{_n}.json"] = partial(_involutions_json, _n)
+    _GOLDEN[f"involutions_beta_peaks_n{_n}.json"] = partial(
+        _involutions_json, _n, include_beta_peak_preservation=True
+    )
+_GOLDEN.update({
+    "involutions_broken_alpha_n4.json":
+        lambda: _with_broken("_alpha_text", _broken_alpha),
+    "involutions_broken_beta_n4.json": lambda: _with_broken(
+        "_beta_text", _broken_beta, include_beta_peak_preservation=True
+    ),
+    "randomized_n50_trials200_seed3.json": lambda: _report_json(
+        verify_randomized(50, 200, 3, check_scaling=False)
+    ),
+    "randomized_n0_trials5_seed1.json": lambda: _report_json(
+        verify_randomized(0, 5, 1, check_scaling=False)
+    ),
+})
 
 
 @pytest.mark.parametrize("fixture", list(_GOLDEN))
