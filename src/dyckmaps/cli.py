@@ -14,7 +14,7 @@ import sys
 from . import __version__
 from .decompose import crossing_factorize, first_return_split
 from .errors import DyckError
-from .generate import _CLASS_SOURCES, distribution
+from .generate import _CLASS_SOURCES, catalan, central_binomial, distribution
 from .maps import alpha, beta, phi, phi_ext, phi_stages, psi, psi_ext, psi_stages
 from .render import render_ascii
 from .stats import stat_record
@@ -27,7 +27,10 @@ from .verify import (
 )
 from .words import classify, parse_word
 
-_MAX_N = 30
+_MAX_N = 30  # the range of --n and --max-n
+# Words one enum or verify command may walk: enum walks one class at one n,
+# verify the words of all its sweeps.  table counts without walking.
+_MAX_WORDS = 10**8
 
 _PLAIN_OPS = {
     "phi": phi,
@@ -148,9 +151,19 @@ def _check_n(n: int) -> None:
         raise DyckError(f"--n must be between 0 and {_MAX_N}")
 
 
+def _check_words(what: str, words: int) -> None:
+    if words > _MAX_WORDS:
+        raise DyckError(f"{what} = {words} words exceeds the cap of {_MAX_WORDS}")
+
+
 def _cmd_enum(args, stdin, stdout) -> int:
     _check_n(args.n)
-    for text in _CLASS_SOURCES[args.path_class](args.n):
+    n = args.n
+    if args.path_class == "dyck":
+        _check_words(f"Catalan({n})", catalan(n))
+    else:
+        _check_words(f"C({2 * n}, {n})", central_binomial(n))
+    for text in _CLASS_SOURCES[args.path_class](n):
         print(text, file=stdout)
     return 0
 
@@ -168,6 +181,12 @@ def _cmd_table(args, stdin, stdout) -> int:
 def _cmd_verify(args, stdin, stdout) -> int:
     if not 0 <= args.max_n <= _MAX_N:
         raise DyckError(f"--max-n must be between 0 and {_MAX_N}")
+    # each class is swept twice: theorem 1 and beta over Dyck words,
+    # theorem 2 and alpha over balanced words
+    _check_words(
+        f"2 * sum over n <= {args.max_n} of (Catalan(n) + C(2n, n))",
+        2 * sum(catalan(n) + central_binomial(n) for n in range(args.max_n + 1)),
+    )
     # run first so that invalid --rand-n/--trials fail before the sweeps
     randomized = (
         verify_randomized(args.rand_n, args.trials, args.seed).checks

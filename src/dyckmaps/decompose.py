@@ -225,10 +225,14 @@ _BRACKET_MIRROR = str.maketrans("UD()", "DU)(")
 def phi_bracketing(w: PathWord) -> str:
     """Fully bracketed form of a Dyck word under the block parse."""
     require_dyck(w)
+    return _phi_bracketing_text(w.text)
+
+
+def _phi_bracketing_text(text: str) -> str:
     out = []
     emit = out.append
     stack = []
-    for ch in w.text:
+    for ch in text:
         if ch == "U":
             if stack and stack[-1]:
                 emit("U(")
@@ -247,7 +251,11 @@ def phi_bracketing(w: PathWord) -> str:
 def psi_bracketing(w: PathWord) -> str:
     """Fully bracketed form of a Dyck word under the spine parse."""
     require_dyck(w)
-    mirrored = w.text.translate(_BRACKET_MIRROR)[::-1]
+    return _psi_bracketing_text(w.text)
+
+
+def _psi_bracketing_text(text: str) -> str:
+    mirrored = text.translate(_BRACKET_MIRROR)[::-1]
     out = []
     emit = out.append
     stack = []

@@ -7,17 +7,15 @@ Counts are exact Python integers throughout.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from functools import partial
 from math import comb
-from operator import attrgetter
 from typing import Iterator
 
 import numpy as np
 
 from .errors import UnknownStatisticError
-from .stats import StatRecord, _stat_record_text
+from .stats import StatRecord
 from .words import PathWord
 
 # Reference count sequences for cross-checks, embedded rather than computed.
@@ -129,12 +127,7 @@ def _random_dyck_text(n: int, rng: np.random.Generator) -> str:
     cut = int(np.flatnonzero(sums == sums.min())[-1]) + 1
     rotated = np.concatenate((delta[cut:], delta[:cut]))
     body = rotated[1:]
-    return (
-        np.where(body == 1, np.uint8(85), np.uint8(68))
-        .astype(np.uint8)
-        .tobytes()
-        .decode("ascii")
-    )
+    return np.where(body == 1, np.uint8(85), np.uint8(68)).tobytes().decode("ascii")
 
 
 def sample_bilateral(n: int, seed: int) -> PathWord:
@@ -199,27 +192,109 @@ def _check_stat_name(name: str) -> str:
     return name
 
 
+# The counter each statistic reads; n, ups_even and downs_even follow from n.
+_COUNTER_OF = {
+    "peaks": "peaks", "valleys": "valleys", "contacts": "contacts",
+    "crossings": "crossings", "ups_odd": "ups_odd", "ups_even": "ups_odd",
+    "downs_odd": "downs_odd", "downs_even": "downs_odd",
+}
+_READS_PREV = {"peaks", "valleys", "crossings"}
+
+
+def _step_counts(prev, up: bool, h: int) -> dict:
+    """What one step adds to each counter, by the rules of ``_scan_text``:
+    ``prev`` is True/False after an up/down-step and None before the first
+    step, ``h`` is the height before the step."""
+    if up:
+        return {"valleys": prev is False, "crossings": prev is True and h == 0,
+                "contacts": h == -1, "ups_odd": h & 1 == 0}
+    return {"peaks": prev is True, "crossings": prev is False and h == 0,
+            "contacts": h == 1, "downs_odd": h & 1}
+
+
+def _transfer_counts(n: int, dyck: bool, stats: tuple) -> dict:
+    """Exact counts of the words of one class by the values of ``stats``.
+
+    A transfer-matrix count over the steps (Stanley, EC1 4.7): a state is
+    (height, previous step, running max, running min, prime flag, packed
+    counters), mapped to the number of prefixes that reach it.  A field that
+    no requested statistic reads stays constant, so it splits no states.  The
+    prime flag holds while every step but the last ends above the axis,
+    which is ``min_height >= 0 and contacts == 1`` for n >= 1.  Steps that go
+    below the axis (Dyck) or can no longer return to it are pruned.
+    """
+    counters = list(dict.fromkeys(_COUNTER_OF[s] for s in stats if s in _COUNTER_OF))
+    base = 2 * n + 1  # above any counter's value
+    weight = {c: base**i for i, c in enumerate(counters)}
+    track_prev = bool(_READS_PREV.intersection(counters))
+    track_hi = "max_height" in stats
+    track_lo = "min_height" in stats
+    floor = 0 if dyck else -n
+    # (h, prev) -> the two steps from it as (next height, next prev, increment)
+    moves = {
+        (h, prev): [
+            (h + 1 if up else h - 1, up if track_prev else None,
+             sum(weight[c] * v for c, v in _step_counts(prev, up, h).items()
+                 if c in weight))
+            for up in (True, False)
+        ]
+        for h in range(floor, n + 1)
+        for prev in ((None, True, False) if track_prev else (None,))
+    }
+    states = {(0, None, 0, 0, "is_prime" in stats and n > 0, 0): 1}
+    for left in range(2 * n - 1, -1, -1):  # steps left after this one
+        nxt = {}
+        for (h, prev, hi, lo, prime, packed), count in states.items():
+            for h2, prev2, inc in moves[h, prev]:
+                if h2 < floor or h2 > left or -h2 > left:
+                    continue
+                key = (
+                    h2,
+                    prev2,
+                    h2 if track_hi and h2 > hi else hi,
+                    h2 if track_lo and h2 < lo else lo,
+                    prime and (h2 > 0 or not left),
+                    packed + inc,
+                )
+                nxt[key] = nxt.get(key, 0) + count
+        states = nxt
+
+    def value(stat: str, hi: int, lo: int, prime: bool, packed: int) -> int:
+        if stat == "n":
+            return n
+        if stat == "max_height":
+            return hi
+        if stat == "min_height":
+            return lo
+        if stat == "is_prime":
+            return int(prime)
+        c = packed // weight[_COUNTER_OF[stat]] % base
+        return n - c if stat in ("ups_even", "downs_even") else c
+
+    counts = {}
+    for (_, _, *fields), count in states.items():
+        values = tuple(value(stat, *fields) for stat in stats)
+        key = values if len(stats) == 2 else values[0]
+        counts[key] = counts.get(key, 0) + count
+    return counts
+
+
 def distribution(
     path_class: str, n: int, stat1: str, stat2: str | None = None
 ) -> DistributionTable:
     """Exact distribution of one or two statistics over a word class.
 
-    ``path_class`` is "dyck" or "bilateral".  Streams the class; memory is
-    proportional to the number of distinct key values only.
+    ``path_class`` is "dyck" or "bilateral".  The counts come from an exact
+    dynamic program over the steps, with no enumeration of the class, so
+    cost is polynomial in n (well under a second at n = 30).
     """
-    try:
-        source = _CLASS_SOURCES[path_class.lower()]
-    except KeyError:
-        raise ValueError(f"unknown word class {path_class!r}") from None
+    cls = path_class.lower()
+    if cls not in _CLASS_SOURCES:
+        raise ValueError(f"unknown word class {path_class!r}")
     _check_stat_name(stat1)
     if stat2 is not None:
         _check_stat_name(stat2)
+    if n < 0:
+        raise ValueError("semilength must be nonnegative")
     stats = (stat1,) if stat2 is None else (stat1, stat2)
-    pick = attrgetter(*stats)  # one value, or a pair for two statistics
-    raw = Counter(pick(_stat_record_text(text)) for text in source(n))
-    # int() of each field once per distinct key, so is_prime counts as 0/1
-    counts = {
-        tuple(map(int, key)) if stat2 is not None else int(key): count
-        for key, count in raw.items()
-    }
-    return DistributionTable(path_class.lower(), n, stats, counts)
+    return DistributionTable(cls, n, stats, _transfer_counts(n, cls == "dyck", stats))

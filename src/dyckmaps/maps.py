@@ -22,10 +22,10 @@ from __future__ import annotations
 from .decompose import (
     _crossing_factors,
     _first_return_len,
+    _phi_bracketing_text,
     _phi_parse_text,
+    _psi_bracketing_text,
     _psi_parse_text,
-    phi_bracketing,
-    psi_bracketing,
 )
 from .errors import DyckError
 from .render import _MAX_CELLS
@@ -246,7 +246,7 @@ _MARK = 2
 
 
 def _stages(w: PathWord, rewrite, bracket) -> tuple[PathWord, list]:
-    lines = [bracket(w)]
+    lines = [bracket(w.text)]
     size = len(lines[0])
     frontier = [(_PEND, w.text)]
     top_level = True
@@ -266,7 +266,7 @@ def _stages(w: PathWord, rewrite, bracket) -> tuple[PathWord, list]:
         top_level = False
         frontier = nxt
         line = "".join(
-            "(" + bracket(PathWord(payload)) + ")"
+            "(" + bracket(payload) + ")"
             if kind == _PEND
             else payload
             for kind, payload in frontier
@@ -316,10 +316,10 @@ def phi_stages(w: PathWord) -> tuple[PathWord, list]:
     pending subwords left.  Raises DyckError if the lines exceed 10^7 characters.
     """
     require_dyck(w)
-    return _stages(w, _phi_rewrite, phi_bracketing)
+    return _stages(w, _phi_rewrite, _phi_bracketing_text)
 
 
 def psi_stages(w: PathWord) -> tuple[PathWord, list]:
     """Apply psi one rewriting round at a time; see :func:`phi_stages`."""
     require_dyck(w)
-    return _stages(w, _psi_rewrite, psi_bracketing)
+    return _stages(w, _psi_rewrite, _psi_bracketing_text)

@@ -2,11 +2,15 @@ import io
 import json
 import subprocess
 import sys
+from math import comb
 from pathlib import Path
 
 import pytest
 
+import dyckmaps.cli
+import dyckmaps.generate
 import dyckmaps.maps
+import dyckmaps.verify
 from dyckmaps.cli import run
 
 GOLDEN_TOP = "UUUUDDDUUUUDDUDDDD"
@@ -127,6 +131,50 @@ def test_table_json_two_stats():
     payload = json.loads(out)
     assert payload["stats"] == ["contacts", "peaks"]
     assert sum(e["count"] for e in payload["counts"]) == 5
+
+
+def _refuse_enumeration(monkeypatch):
+    """Make every word source raise, so a refused command provably walks nothing."""
+
+    def boom(*args, **kwargs):
+        raise AssertionError("enumerated a class")
+
+    monkeypatch.setattr(dyckmaps.generate, "_texts", boom)
+    for path_class in ("dyck", "bilateral"):
+        monkeypatch.setitem(dyckmaps.generate._CLASS_SOURCES, path_class, boom)
+    monkeypatch.setattr(dyckmaps.verify, "_dyck_texts", boom)
+
+
+@pytest.mark.parametrize("path_class, n, message", [
+    ("dyck", "30", "Catalan(30) = 3814986502092304 words exceeds the cap of 100000000"),
+    ("dyck", "17", "Catalan(17) = 129644790 words exceeds the cap of 100000000"),
+    ("bilateral", "15", "C(30, 15) = 155117520 words exceeds the cap of 100000000"),
+])
+def test_enum_refuses_a_class_over_the_word_cap(monkeypatch, path_class, n, message):
+    _refuse_enumeration(monkeypatch)
+    code, out, err = _run(["enum", "--class", path_class, "--n", n])
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+def test_verify_refuses_sweeps_over_the_word_cap(monkeypatch):
+    _refuse_enumeration(monkeypatch)
+    code, out, err = _run(["verify", "--max-n", "14", "--randomized"])
+    assert (code, out) == (1, "")
+    assert err == (
+        "error: 2 * sum over n <= 14 of (Catalan(n) + C(2n, n)) = 115771186 words"
+        " exceeds the cap of 100000000\n"
+    )
+    assert 2 * sum(dyckmaps.generate.catalan(n) + dyckmaps.generate.central_binomial(n)
+                   for n in range(14)) <= dyckmaps.cli._MAX_WORDS
+
+
+def test_table_at_n30_counts_the_whole_class():
+    code, out, err = _run(["table", "--class", "bilateral", "--n", "30",
+                           "--stat", "max_height", "--stat2", "min_height"])
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert lines[0] == "max_height,min_height,count"
+    assert sum(int(line.rsplit(",", 1)[1]) for line in lines[1:]) == comb(60, 30)
 
 
 def test_table_unknown_statistic():
@@ -257,3 +305,20 @@ def _transcript(argv, stdin_text):
 def test_cli_output_matches_golden_fixture(case):
     expected = (DATA / f"cli_{case}.txt").read_text()
     assert _transcript(*_CLI_CASES[case]) == expected
+
+
+# table transcripts captured while distribution still enumerated the class
+_TABLE_CASES = {
+    "table": ["table", "--class", "bilateral", "--n", "8",
+              "--stat", "contacts", "--stat2", "crossings"],
+    "table_prime": ["table", "--class", "dyck", "--n", "9",
+                    "--stat", "max_height", "--stat2", "is_prime"],
+    "table_fail": ["table", "--class", "bilateral", "--n", "3",
+                   "--stat", "peaks", "--stat2", "wiggles"],
+}
+
+
+@pytest.mark.parametrize("case", list(_TABLE_CASES))
+def test_table_output_matches_golden_fixture(case):
+    expected = (DATA / f"cli_{case}.txt").read_text()
+    assert _transcript(_TABLE_CASES[case], "") == expected

@@ -1,4 +1,7 @@
 import json
+from collections import Counter
+from operator import attrgetter
+from pathlib import Path
 
 import pytest
 
@@ -6,6 +9,7 @@ import oracles
 from dyckmaps import (
     CATALAN_NUMBERS,
     CENTRAL_BINOMIALS,
+    StatRecord,
     UnknownStatisticError,
     catalan,
     central_binomial,
@@ -16,7 +20,11 @@ from dyckmaps import (
     sample_bilateral,
     sample_dyck,
 )
+from dyckmaps.generate import _texts
+from dyckmaps.stats import _stat_record_text
 from dyckmaps.words import classify
+
+DATA = Path(__file__).parent / "data"
 
 
 def test_catalan_and_central_binomial_match_recurrences():
@@ -127,6 +135,50 @@ def test_distribution_totals():
         assert distribution("bilateral", n, "peaks").total == central_binomial(n)
 
 
+def test_distribution_checks_class_then_statistic_then_semilength():
+    with pytest.raises(ValueError, match="word class"):
+        distribution("motzkin", -1, "wiggles")
+    with pytest.raises(UnknownStatisticError):
+        distribution("dyck", -1, "peaks", "wiggles")
+    with pytest.raises(ValueError, match="nonnegative"):
+        distribution("bilateral", -1, "peaks")
+
+
+# to_dict() of tables captured while distribution still enumerated the class
+_TABLE_FIXTURES = {
+    "table_dyck_n11_contacts_peaks.json": ("dyck", 11, "contacts", "peaks"),
+    "table_bilateral_n9_ups_odd.json": ("bilateral", 9, "ups_odd"),
+    "table_dyck_n11_is_prime.json": ("dyck", 11, "is_prime"),
+    "table_bilateral_n9_is_prime.json": ("bilateral", 9, "is_prime"),
+    "table_dyck_n11_contacts_is_prime.json": ("dyck", 11, "contacts", "is_prime"),
+    "table_bilateral_n9_contacts_is_prime.json":
+        ("bilateral", 9, "contacts", "is_prime"),
+    "table_bilateral_n7_max_height_min_height.json":
+        ("bilateral", 7, "max_height", "min_height"),
+}
+
+
+@pytest.mark.parametrize("fixture", list(_TABLE_FIXTURES))
+def test_distribution_matches_golden_fixture(fixture):
+    table = distribution(*_TABLE_FIXTURES[fixture])
+    assert json.dumps(table.to_dict(), indent=2) + "\n" == (DATA / fixture).read_text()
+    for key, count in table.counts.items():
+        assert type(count) is int
+        assert all(type(v) is int for v in (key if isinstance(key, tuple) else (key,)))
+
+
+@pytest.mark.parametrize("path_class, max_n", [("dyck", 10), ("bilateral", 8)])
+def test_distribution_equals_enumeration_for_every_field_and_pair(path_class, max_n):
+    fields = StatRecord._fields
+    keys = [(a,) for a in fields] + [(a, b) for a in fields for b in fields]
+    for n in range(max_n + 1):
+        records = [_stat_record_text(t) for t in _texts(n, path_class == "dyck")]
+        for stats in keys:
+            expected = Counter(map(attrgetter(*stats), records))
+            got = distribution(path_class, n, *stats).counts
+            assert got == dict(expected), (path_class, n, stats)
+
+
 # --- sampling -------------------------------------------------------------------
 
 def test_samplers_trivial_sizes():
@@ -143,6 +195,15 @@ def test_samplers_are_deterministic_in_the_seed():
     assert a == b
     assert a != c
     assert sample_bilateral(40, seed=5) == sample_bilateral(40, seed=5)
+
+
+def test_sample_dyck_words_are_pinned_per_seed():
+    # captured before the sampler's last copy was dropped
+    assert [sample_dyck(12, seed).text for seed in (0, 1, 2)] == [
+        "UUDUDUDDUDUUDUDDUUDDUUDD",
+        "UDUUUUUUUUDDDUDUDUDDDDDD",
+        "UUDUDDUUUUUUDDDUDDDUDUDD",
+    ]
 
 
 def test_samples_land_in_the_right_class():

@@ -165,7 +165,9 @@ def test_stat_invariants(text):
         assert rec.contacts >= 1
 
 
-def test_long_words_use_same_definitions():
+def test_long_words_use_same_definitions(monkeypatch):
+    # cached heights keep the oracles' definitions and make 8192 steps affordable
+    monkeypatch.setattr(oracles, "heights", lru_cache(maxsize=None)(oracles.heights))
     base = "UUDDUDDUUDUDDDUU"  # balanced, dips below axis
     text = base * 512  # above the vectorised-scan threshold
     w = PathWord(text)
