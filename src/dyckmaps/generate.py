@@ -1,7 +1,9 @@
 """Exhaustive generation, uniform sampling, and exact distribution tables.
 
 Words are generated in lexicographic order with U < D by an in-place
-successor algorithm, so enumeration is deterministic and restartable.
+successor algorithm, so enumeration is deterministic and restartable; the
+verification sweeps get the same order as blocks of uint8 matrix rows,
+grown column by column from common prefixes.
 Counts are exact Python integers throughout.
 """
 
@@ -84,6 +86,68 @@ def _texts(n: int, dyck: bool) -> Iterator[str]:
         yield "".join(buf)
         if not _next_word(buf, floor):
             return
+
+
+def _endings(n: int, dyck: bool) -> np.ndarray:
+    """``ends[r, h + n + 1]``: the number of r-step walks from height h back
+    to the axis (never below it for Dyck words), for 0 <= r <= 2n."""
+    off = n + 1
+    ends = np.zeros((2 * n + 1, 2 * n + 3), dtype=np.int64)
+    ends[0, off] = 1
+    for r in range(1, 2 * n + 1):
+        ends[r, 1:-1] = ends[r - 1, 2:] + ends[r - 1, :-2]
+        if dyck:
+            ends[r, :off] = 0
+    return ends
+
+
+def _grow(prefixes: np.ndarray, ends: np.ndarray, stop: int) -> np.ndarray:
+    """Extend prefix rows column by column to ``stop`` steps, each row's U
+    child before its D child, so that lexicographic order is kept."""
+    rows, start = prefixes.shape
+    n = ends.shape[0] // 2
+    mat = np.empty((rows, stop), dtype=np.uint8)
+    mat[:, :start] = prefixes
+    h = np.count_nonzero(prefixes == 85, axis=1) * 2 - start + n + 1  # offset heights
+    for col in range(start, stop):
+        left = ends[2 * n - col - 1]
+        child = np.flatnonzero(np.stack((left[h + 1], left[h - 1]), axis=1))
+        parent, down = child >> 1, child & 1
+        mat = mat[parent]
+        mat[:, col] = np.where(down, 68, 85)
+        h = h[parent] + 1 - 2 * down
+    return mat
+
+
+def _prefix_blocks(n: int, dyck: bool, rows: int) -> Iterator[np.ndarray]:
+    """All Dyck (``dyck``) or balanced words of semilength n, in lexicographic
+    order, as blocks of common prefixes with at most ``rows`` words between
+    them; :func:`_block_rows` expands a block.
+
+    The prefixes all have the least length at which none has more than
+    rows // 4 endings, and consecutive prefixes are grouped greedily, so a
+    block holds more than 3/4 of ``rows`` words unless it is the last.
+    """
+    if n < 0:
+        raise ValueError("semilength must be nonnegative")
+    ends = _endings(n, dyck)
+    most = max(rows // 4, 1)
+    depth = next(d for d in range(2 * n + 1)  # heights within d of the axis
+                 if ends[2 * n - d, max(n + 1 - d, 0) : n + 2 + d].max() <= most)
+    prefixes = _grow(np.empty((1, 0), dtype=np.uint8), ends, depth)
+    heights = np.count_nonzero(prefixes == 85, axis=1) * 2 - depth + n + 1
+    done = np.cumsum(ends[2 * n - depth, heights])  # words up to each prefix
+    a = 0
+    while a < len(prefixes):
+        b = int(np.searchsorted(done, (done[a - 1] if a else 0) + rows, "right"))
+        yield prefixes[a:b]
+        a = b
+
+
+def _block_rows(n: int, dyck: bool, prefixes: np.ndarray) -> np.ndarray:
+    """The words of a block of :func:`_prefix_blocks`, one per row of a
+    ``(rows, 2n)`` uint8 matrix, in lexicographic order."""
+    return _grow(prefixes, _endings(n, dyck), 2 * n)
 
 
 _dyck_texts = partial(_texts, dyck=True)

@@ -19,6 +19,8 @@ other).
 
 from __future__ import annotations
 
+import numpy as np
+
 from .decompose import (
     _crossing_factors,
     _first_return_len,
@@ -29,7 +31,7 @@ from .decompose import (
 )
 from .errors import DyckError
 from .render import _MAX_CELLS
-from .words import PathWord, require_closed, require_dyck
+from .words import PathWord, _up_and_heights, require_closed, require_dyck
 
 _U, _D = 85, 68  # ord('U'), ord('D'); the cores run on ASCII bytes
 _FLIP_B = bytes.maketrans(b"UD", b"DU")
@@ -171,6 +173,203 @@ def _phi_ext_text(text: str) -> str:
 
 def _psi_ext_text(text: str) -> str:
     return _ext_b(text.encode("ascii"), _psi_b, _beta_psi_b).decode("ascii")
+
+
+# --- matrix twins ----------------------------------------------------------
+#
+# The str-level maps on equal-length words, one per row of a uint8 matrix,
+# computed for all rows at once; the verification sweeps run them on chunks of
+# a class.  Loops run over columns or over the n steps of one kind, never over
+# rows.  Masks become bytes by arithmetic: np.where is an order of magnitude
+# slower on matrices this small.
+
+_FLIP_BITS = _U ^ _D  # byte ^ _FLIP_BITS turns U into D and D into U
+_AT = np.int32  # positions in a chunk; half the memory of the default int64
+
+
+def _flips(mask: np.ndarray) -> np.ndarray:
+    """XOR operand that flips the steps where ``mask`` holds."""
+    return mask.view(np.uint8) * np.uint8(_FLIP_BITS)
+
+
+def _phi_rows(mat: np.ndarray) -> np.ndarray:
+    """:func:`_phi_b` on Dyck words, one per row.
+
+    The frame at depth k of ``_phi_b`` is a node for odd k and a block for
+    even k, so its stack reduces to one counter per height: a U ending at
+    even k counts a block of the node at k-1 and emits U; a U ending at odd
+    k opens a node at k with no blocks; a D leaving odd k emits UD D^c,
+    with c that node's count.  One column loop carries the counters; a
+    cumsum of the emitted lengths places the U's into rows of D's.
+    """
+    rows, size = mat.shape
+    if not size:
+        return mat.copy()
+    up, h = _up_and_heights(mat)
+    up, h = np.ascontiguousarray(up.T), np.ascontiguousarray(h.T)  # (size, rows)
+    even = (h & 1) == 0
+    # the counter each step reads: a U to even height reads its node one
+    # below and adds a block, a U to odd height zeroes its own, a D reads
+    # the node it closes
+    width = size // 2 + 2
+    flat = (h + 1 - up.view(np.int8) * (even.view(np.int8) + 1)).astype(_AT)
+    flat += np.arange(0, rows * width, width, dtype=_AT)
+    add = (up & even).view(np.int8)
+    keep = ~(up & ~even)
+    counts = np.zeros(rows * width, dtype=np.int16)
+    seen = np.empty((size, rows), dtype=np.int16)
+    for col in range(size):
+        at = flat[col]
+        c = counts[at]
+        seen[col] = c
+        counts[at] = (c + add[col]) * keep[col]
+    # U to even height emits U, D to even height UD D^c, all else nothing
+    seen += 2
+    seen *= ~up
+    seen |= up
+    seen *= even
+    emit_at = np.cumsum(seen, axis=0, dtype=_AT)
+    emit_at -= seen
+    emit_at += np.arange(0, rows * size, size, dtype=_AT)
+    out = np.full(rows * size, _D, dtype=np.uint8)
+    out[emit_at[even]] = _U
+    return out.reshape(rows, size)
+
+
+def _psi_rows(mat: np.ndarray) -> np.ndarray:
+    """:func:`_psi_b` on Dyck words, one per row.
+
+    The flipped and reversed rows have their D's where the rows have U's.
+    ``_psi_mirror_b`` emits two bytes per such D: after a U-run of length
+    s+1, U then U (pushing s) or D (s = 0); after another D, D then U or D,
+    as the top count, less one, stays above zero or runs out and is popped.
+    The loop runs over the n D's of all rows at once, each row with its
+    own depth into a ``(rows, n+1)`` stack.
+    """
+    rows, size = mat.shape
+    if not size:
+        return mat.copy()
+    n = size // 2
+    # the U-run before a mirrored D is the D-run after its U in the row
+    ups = np.flatnonzero(mat == _U).astype(_AT).reshape(rows, n)
+    run = np.diff(ups, axis=1, append=np.arange(size, rows * size + 1, size, dtype=_AT)[:, None])
+    run = np.ascontiguousarray(run[:, ::-1].T) - 1
+    peak = run > 0
+    push = run > 1
+    spine = (run - 1).astype(np.int16)
+    stack = np.zeros(rows * (n + 1), dtype=np.int16)
+    top_at = np.arange(-1, rows * (n + 1) - 1, n + 1)  # depth 0 reads an unused slot
+    second_up = np.empty((n, rows), dtype=bool)
+    for k in range(n):
+        lone = ~peak[k]
+        p = push[k]
+        top = stack[top_at]
+        second_up[k] = p | (lone & (top != 1))
+        stack[top_at + p] = np.where(p, spine[k], top - lone)
+        top_at += p
+        top_at -= lone & (top == 1)
+    out = np.empty((size, rows), dtype=np.uint8)  # mirrored, transposed
+    out[0::2] = _U - _flips(~peak)
+    out[1::2] = _U - _flips(~second_up)
+    return np.ascontiguousarray(out[::-1].T ^ np.uint8(_FLIP_BITS))
+
+
+def _alpha_rows(mat: np.ndarray) -> np.ndarray:
+    return mat ^ np.uint8(_FLIP_BITS)
+
+
+def _columns(size: int) -> np.ndarray:
+    """Column numbers in the smallest type that holds twice the width,
+    which keeps the position matrices of a chunk small."""
+    return np.arange(size, dtype=np.int16 if size < 1 << 14 else _AT)
+
+
+def _beta_source(first, start, end, cols) -> np.ndarray:
+    """Where each byte of beta comes from: U W1 D W2 -> U W2 D W1, on the
+    Dyck words that run from ``start`` to ``end`` of each row and return to
+    the axis first after step ``first``."""
+    d = cols - end + (first - start)  # past W2 in W2 D W1: the D at 0
+    source = (d < 0) * (end - start)
+    source += d
+    source += (d == 0) * (first - start)
+    source *= cols > start  # the U stays
+    source += start
+    return source
+
+
+def _beta_rows(mat: np.ndarray) -> np.ndarray:
+    """:func:`_beta_b` on Dyck words, one per row."""
+    rows, size = mat.shape
+    if not size:
+        return mat.copy()
+    cols = _columns(size)
+    first = np.argmax(_up_and_heights(mat)[1] == 0, axis=1).astype(cols.dtype)
+    return np.take_along_axis(mat, _beta_source(first[:, None], 0, size, cols), axis=1)
+
+
+def _negative_steps(mat: np.ndarray, h=None) -> np.ndarray:
+    """Where the steps of each row run below the axis, which is where its
+    negative crossing factors lie; ``h`` holds the rows' heights if known."""
+    if h is None:
+        h = _up_and_heights(mat)[1]
+    return (h < 0) | ((h == 0) & (mat == _U))
+
+
+def _negative_factors(mat: np.ndarray, h: np.ndarray) -> tuple:
+    """(negative, start, end) of the crossing factor holding each step; the
+    bounds are of use on negative factors only."""
+    size = h.shape[1]
+    cols = _columns(size)
+    negative = _negative_steps(mat, h)
+    starts = np.empty_like(negative)
+    starts[:, 0] = True
+    np.not_equal(negative[:, 1:], negative[:, :-1], out=starts[:, 1:])
+    start = np.maximum.accumulate(starts * cols, axis=1)
+    later = np.full(h.shape, size, dtype=cols.dtype)  # the next start, if any
+    later[:, :-1] -= starts[:, 1:] * (size - cols[1:])
+    return negative, start, np.minimum.accumulate(later[:, ::-1], axis=1)[:, ::-1]
+
+
+def _beta_in_factors(h: np.ndarray, negative, start, end) -> np.ndarray:
+    """Gather indices that apply beta to the negative factors of each row
+    (heights ``h``, Dyck there up to a flip) and fix every other step."""
+    size = h.shape[1]
+    cols = _columns(size)
+    zeros = (h == 0) * (cols - size)
+    zeros += size
+    next_zero = np.minimum.accumulate(zeros[:, ::-1], axis=1)[:, ::-1]
+    source = _beta_source(np.take_along_axis(next_zero, start, axis=1), start, end, cols)
+    np.copyto(source, cols, where=~negative)
+    return source
+
+
+def _phi_ext_rows(mat: np.ndarray) -> np.ndarray:
+    """:func:`_phi_ext_text` on balanced words, one per row.
+
+    One gather takes every negative factor through beta after a flip, which
+    leaves a Dyck word; phi maps it prime by prime, so factor by factor;
+    the negative factors flip back.
+    """
+    if not mat.shape[1]:
+        return mat.copy()
+    _, h = _up_and_heights(mat)
+    negative, start, end = _negative_factors(mat, h)
+    flips = _flips(negative)
+    source = _beta_in_factors(h, negative, start, end)
+    return _phi_rows(np.take_along_axis(mat, source, axis=1) ^ flips) ^ flips
+
+
+def _psi_ext_rows(mat: np.ndarray) -> np.ndarray:
+    """:func:`_psi_ext_text` on balanced words, one per row: flip the
+    negative factors, psi, beta on the negative factors, flip them back."""
+    if not mat.shape[1]:
+        return mat.copy()
+    _, h = _up_and_heights(mat)
+    negative, start, end = _negative_factors(mat, h)
+    flips = _flips(negative)
+    out = _psi_rows(mat ^ flips)
+    source = _beta_in_factors(_up_and_heights(out)[1], negative, start, end)
+    return np.take_along_axis(out, source, axis=1) ^ flips
 
 
 def phi(w: PathWord) -> PathWord:

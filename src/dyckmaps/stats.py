@@ -14,7 +14,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import NotBilateralError
-from .words import PathWord, _LONG, _up_and_heights
+from .words import PathWord, _LONG, _row, _up_and_heights
 
 
 class _Scan(NamedTuple):
@@ -69,25 +69,28 @@ def _scan_text(text: str) -> _Scan:
 
 
 def _scan_text_long(text: str) -> _Scan:
-    up, h = _up_and_heights(text)
-    peaks = int(np.count_nonzero(up[:-1] & ~up[1:]))
-    valleys = int(np.count_nonzero(~up[:-1] & up[1:]))
-    contacts = int(np.count_nonzero(h == 0))
-    crossings = int(np.count_nonzero((h[:-1] == 0) & (up[:-1] == up[1:])))
-    ups = int(np.count_nonzero(up))
-    ups_odd = int(np.count_nonzero(h[up] & 1))
-    downs_odd = int(np.count_nonzero((h[~up] + 1) & 1))
+    return _Scan(*(int(field[0]) for field in _scan_rows(_row(text))))
+
+
+def _scan_rows(mat: np.ndarray) -> _Scan:
+    """The fields of :func:`_scan_text` for equal-length words, one per row of
+    a uint8 matrix, as int arrays from one height scan."""
+    up, h = _up_and_heights(mat)
+    down = ~up
+    odd = (h & 1).astype(bool)
+    same = up[:, :-1] == up[:, 1:]
+    ups = np.count_nonzero(up, axis=1)
     return _Scan(
-        int(h[-1]),
-        min(0, int(h.min())),
-        max(0, int(h.max())),
-        peaks,
-        valleys,
-        contacts,
-        crossings,
+        2 * ups - mat.shape[1],
+        h.min(axis=1, initial=0),
+        h.max(axis=1, initial=0),
+        np.count_nonzero(up[:, :-1] & down[:, 1:], axis=1),
+        np.count_nonzero(down[:, :-1] & up[:, 1:], axis=1),
+        np.count_nonzero(h == 0, axis=1),
+        np.count_nonzero((h[:, :-1] == 0) & same, axis=1),
         ups,
-        ups_odd,
-        downs_odd,
+        np.count_nonzero(up & odd, axis=1),
+        np.count_nonzero(down & ~odd, axis=1),  # a down-step ending even starts odd
     )
 
 

@@ -2,13 +2,18 @@
 
 Each function sweeps a word class exhaustively (or samples it) and checks
 round trips, statistic transport, and distribution identities, returning a
-:class:`VerificationReport`.  Counterexamples are lexicographically first
-because enumeration is lexicographic and merging preserves stream order,
-so failures are reproducible from (check name, word) alone.
+:class:`VerificationReport`.
 
-The map arguments of the exhaustive engines are injectable so that a
-deliberately broken map can be shown to produce a counterexample; the
-defaults are the production maps.
+With the default maps a sweep runs batched: each chunk of at most
+``_CHUNK`` words is a ``(rows, 2n)`` uint8 matrix in lexicographic order,
+mapped by the matrix twins of the maps, scanned once, and checked by row
+predicates.  The map arguments of the exhaustive engines are injectable so
+that a deliberately broken map can be shown to produce a counterexample;
+an injected map runs word by word, as does :func:`verify_randomized`.
+On both paths a counterexample is the first failing word of the first
+failing chunk, and chunks are merged in stream order, so it is the
+lexicographically first failing word and reproducible from (check name,
+word) alone.
 """
 
 from __future__ import annotations
@@ -32,20 +37,29 @@ from .generate import (
     _CLASS_SOURCES,
     CATALAN_NUMBERS,
     CENTRAL_BINOMIALS,
+    _block_rows,
     _dyck_texts,
+    _prefix_blocks,
     _random_balanced_text,
 )
 from .maps import (
+    _alpha_rows,
     _alpha_text,
+    _beta_rows,
     _beta_text,
+    _negative_steps,
+    _phi_ext_rows,
     _phi_ext_text,
+    _phi_rows,
     _phi_text,
+    _psi_ext_rows,
     _psi_ext_text,
+    _psi_rows,
     _psi_text,
 )
-from .stats import _scan_text
+from .stats import _scan_rows, _scan_text
 
-_CHUNK = 4096
+_CHUNK = 1024  # words per chunk of a sweep
 
 
 @dataclass
@@ -164,22 +178,42 @@ def _try(fn, arg):
 
 
 # Per-word checks: predicate(text, image, s, si) on a word, its image under
-# the forward map, and the scans of both; True when the check holds.
+# the forward map, and the scans of both; True when the check holds.  Written
+# as array expressions, each also holds row by row on a chunk: words and
+# images as uint8 matrices, scans of int arrays.
 
-def _peaks_from_ups_odd(text, image, s, si) -> bool:
+def _peaks_from_ups_odd(text, image, s, si):
     return si.peaks == s.ups_odd
 
 
-def _contacts_preserved(text, image, s, si) -> bool:
+def _contacts_preserved(text, image, s, si):
     return si.contacts == s.contacts
 
 
-def _crossings_preserved(text, image, s, si) -> bool:
+def _crossings_preserved(text, image, s, si):
     return si.crossings == s.crossings
 
 
 def _factors_preserved(text, image, s, si) -> bool:
     return _crossing_factors(text.encode()) == _crossing_factors(image.encode())
+
+
+def _factors_preserved_rows(mat, image, s, si):
+    # factors alternate in sign, so the steps below the axis fix them all
+    return (_negative_steps(mat) == _negative_steps(image)).all(axis=1)
+
+
+# The matrix twin of each default map, and of the one check that reads the
+# words themselves; a sweep whose maps all have one runs on matrix chunks.
+_ROWS_OF = {
+    _phi_text: _phi_rows,
+    _psi_text: _psi_rows,
+    _alpha_text: _alpha_rows,
+    _beta_text: _beta_rows,
+    _phi_ext_text: _phi_ext_rows,
+    _psi_ext_text: _psi_ext_rows,
+    _factors_preserved: _factors_preserved_rows,
+}
 
 
 class _Theorem(NamedTuple):
@@ -229,10 +263,51 @@ def _theorem_chunk(texts, spec: _Theorem):
     return len(texts), failures, dist_a, dist_b
 
 
+def _tally(values) -> Counter:
+    """Counts of per-row keys: one int array, or a tuple of them for pairs."""
+    if isinstance(values, tuple):
+        keys, counts = np.unique(np.stack(values, axis=1), axis=0, return_counts=True)
+        return Counter(dict(zip(map(tuple, keys.tolist()), counts.tolist())))
+    keys, counts = np.unique(values, return_counts=True)
+    return Counter(dict(zip(keys.tolist(), counts.tolist())))
+
+
+def _row_chunk(block, spec: _Theorem):
+    """:func:`_theorem_chunk` on the words of one block of
+    :func:`_prefix_blocks`, all at once through the matrix twins."""
+    n, prefixes = block
+    mat = _block_rows(n, spec.path_class == "dyck", prefixes)
+    forward, *rest = (_ROWS_OF[fn] for fn in spec.maps.values())
+    inverse = rest[0] if rest else forward
+    first_trip, *second_trip = spec.round_trips
+    image = forward(mat)
+    failing = {first_trip: (inverse(image) != mat).any(axis=1)}
+    if second_trip:
+        failing[second_trip[0]] = (forward(inverse(mat)) != mat).any(axis=1)
+    s = _scan_rows(mat)
+    si = _scan_rows(image)
+    for name, holds in spec.checks:
+        failing[name] = ~_ROWS_OF.get(holds, holds)(mat, image, s, si)
+    # the first failing row of each check, in lexicographic order
+    failures = {name: mat[rows.argmax()].tobytes().decode("ascii")
+                for name, rows in failing.items() if rows.any()}
+    if not spec.dist_keys:
+        return len(mat), failures, Counter(), Counter()
+    key_a, key_b = spec.dist_keys
+    return len(mat), failures, _tally(key_a(s)), _tally(key_b(s))
+
+
 def _sweep(spec: _Theorem, max_n: int, jobs: int) -> VerificationReport:
-    """Check one theorem over its whole class at every semilength 0..max_n."""
+    """Check one theorem over its whole class at every semilength 0..max_n.
+
+    Default maps run on matrix chunks (:func:`_row_chunk`), any injected
+    map word by word (:func:`_theorem_chunk`); both see the words in
+    lexicographic order, at most ``_CHUNK`` of them per chunk.
+    """
     jobs = _check_jobs(jobs, spec.maps)
-    worker = partial(_theorem_chunk, spec=spec)
+    batched = all(fn in _ROWS_OF for fn in spec.maps.values())
+    dyck = spec.path_class == "dyck"
+    worker = partial(_row_chunk if batched else _theorem_chunk, spec=spec)
     failures = {}  # first counterexample per check name, in stream order
     total = 0
     dist_ok = True
@@ -244,8 +319,11 @@ def _sweep(spec: _Theorem, max_n: int, jobs: int) -> VerificationReport:
             dist_a = Counter()
             dist_b = Counter()
             count_n = 0
-            source = _CLASS_SOURCES[spec.path_class](n)
-            for size, fails, c_a, c_b in imap(worker, _chunks(source, _CHUNK)):
+            if batched:  # workers get prefix blocks and expand them
+                chunks = ((n, block) for block in _prefix_blocks(n, dyck, _CHUNK))
+            else:
+                chunks = _chunks(_CLASS_SOURCES[spec.path_class](n), _CHUNK)
+            for size, fails, c_a, c_b in imap(worker, chunks):
                 count_n += size
                 for name, word in fails.items():
                     failures.setdefault(name, word)
@@ -335,20 +413,20 @@ def verify_theorem2(
 
 # --- involutions and their transports --------------------------------------
 
-def _peak_valley_swap(text, image, s, si) -> bool:
-    return si.peaks == s.valleys and si.valleys == s.peaks
+def _peak_valley_swap(text, image, s, si):
+    return (si.peaks == s.valleys) & (si.valleys == s.peaks)
 
 
-def _parity_swap(text, image, s, si) -> bool:
-    return si.ups_odd == (len(text) - s.ups) - s.downs_odd  # downs at even height
+def _parity_swap(text, image, s, si):
+    return si.ups_odd == s.ups - s.downs_odd  # downs at even height of a balanced word
 
 
-def _odd_to_even_shift(text, image, s, si) -> bool:
+def _odd_to_even_shift(text, image, s, si):
     # vacuous on the empty word, which beta fixes
-    return not text or si.ups - si.ups_odd == s.ups_odd - 1
+    return (s.ups == 0) | (si.ups - si.ups_odd == s.ups_odd - 1)
 
 
-def _peaks_preserved(text, image, s, si) -> bool:
+def _peaks_preserved(text, image, s, si):
     return si.peaks == s.peaks
 
 
@@ -399,14 +477,18 @@ def verify_involutions_and_transport(
 
 # --- randomized / performance ----------------------------------------------
 
-def _time_map(fn, texts, repeats: int = 2) -> float:
-    times = []
+def _time_maps(fn, batches, repeats: int = 2) -> list:
+    """The least time fn takes over each batch of words.  The batches take
+    turns, so that a slowdown of the host that lasts a while falls on every
+    batch alike instead of on the last ones."""
+    best = [float("inf")] * len(batches)
     for _ in range(repeats):
-        start = time.perf_counter()
-        for text in texts:
-            fn(text)
-        times.append(time.perf_counter() - start)
-    return min(times)
+        for i, texts in enumerate(batches):
+            start = time.perf_counter()
+            for text in texts:
+                fn(text)
+            best[i] = min(best[i], time.perf_counter() - start)
+    return best
 
 
 def verify_randomized(
@@ -436,8 +518,7 @@ def verify_randomized(
     report = VerificationReport(_results(spec, (n, n), trials, failures))
     if check_scaling and n >= 64 and trials >= 2:
         doubled = [_random_balanced_text(2 * n, rng) for _ in range(trials)]
-        t_base = _time_map(_phi_ext_text, texts)
-        t_doubled = _time_map(_phi_ext_text, doubled)
+        t_base, t_doubled = _time_maps(_phi_ext_text, (texts, doubled))
         ratio = t_doubled / t_base if t_base > 0 else float("inf")
         report.checks.append(
             CheckResult("random.linear_scaling", "bilateral", (n, 2 * n),

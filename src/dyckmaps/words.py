@@ -63,17 +63,26 @@ class PathClass(Enum):
 HeightProfile = list
 
 
-def _up_and_heights(text: str) -> tuple[np.ndarray, np.ndarray]:
-    """Up-step mask and vertex heights of a canonical word, as numpy arrays."""
-    up = np.frombuffer(text.encode("ascii"), dtype=np.uint8) == 85  # ord('U')
-    return up, np.cumsum(np.where(up, 1, -1))
+def _row(text: str) -> np.ndarray:
+    """A canonical word as a one-row uint8 matrix of its ASCII bytes."""
+    return np.frombuffer(text.encode("ascii"), dtype=np.uint8)[None, :]
+
+
+def _up_and_heights(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Up-step mask and vertex heights of equal-length words, one per row of
+    a uint8 matrix; heights are in the smallest signed type that holds them."""
+    up = mat == 85  # ord('U')
+    width = mat.shape[1]
+    dtype = np.int8 if width < 128 else np.int16 if width < 32768 else np.int32
+    steps = up.view(np.int8) * np.int8(2) - np.int8(1)
+    return up, np.cumsum(steps, axis=1, dtype=dtype)
 
 
 def _extremes_of(text: str) -> tuple[int, int, int]:
     """(final, min, max) vertex height of a canonical word, start vertex included."""
     if len(text) >= _LONG:
-        _, h = _up_and_heights(text)
-        return int(h[-1]), min(0, int(h.min())), max(0, int(h.max()))
+        _, h = _up_and_heights(_row(text))
+        return int(h[0, -1]), min(0, int(h.min())), max(0, int(h.max()))
     h = lo = hi = 0
     for ch in text:
         h = h + 1 if ch == "U" else h - 1
@@ -167,7 +176,7 @@ class PathWord:
         if heights is None:
             text = self.text
             if len(text) >= _LONG:
-                heights = _up_and_heights(text)[1].tolist()
+                heights = _up_and_heights(_row(text))[1][0].tolist()
             else:
                 heights = []
                 h = 0
@@ -249,7 +258,8 @@ def require_dyck(w: PathWord) -> None:
 
 def require_closed(w: PathWord) -> None:
     """Raise NotBilateralError unless the word ends at height 0."""
-    if w.text and w.final_height != 0:
+    text = w.text
+    if 2 * text.count("U") != len(text):
         raise NotBilateralError(
             f"not a bilateral Dyck word: path ends at height {w.final_height}"
         )

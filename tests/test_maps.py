@@ -2,6 +2,8 @@ import pytest
 from hypothesis import given, settings
 
 import dyckmaps.maps
+import dyckmaps.stats
+import dyckmaps.words
 import oracles
 from conftest import balanced_texts, dyck_texts
 from dyckmaps import (
@@ -172,6 +174,29 @@ def test_ext_maps_reject_open_words():
         phi_ext(parse_word("UUD"))
     with pytest.raises(NotBilateralError):
         psi_ext(parse_word("D"))
+
+
+@pytest.mark.parametrize("op", [alpha, phi_ext, psi_ext])
+@pytest.mark.parametrize("text", ["UDDU" * 3, "UUDDDU" * 1000], ids=["short", "long"])
+def test_closure_check_scans_no_heights(monkeypatch, op, text):
+    calls = []
+    for module, name in [(dyckmaps.stats, "_scan_text"), (dyckmaps.words, "_extremes_of")]:
+        original = getattr(module, name)
+        monkeypatch.setattr(
+            module, name, lambda t, f=original, n=name: calls.append(n) or f(t)
+        )
+    op(parse_word(text))
+    assert calls == []
+
+
+@pytest.mark.parametrize("op", [alpha, phi_ext, psi_ext])
+@pytest.mark.parametrize(
+    "text, final", [("UUD", 1), ("D", -1), ("DDUDD", -3), ("UD" * 3000 + "UU", 2)]
+)
+def test_open_words_are_refused_with_their_final_height(op, text, final):
+    with pytest.raises(NotBilateralError) as info:
+        op(parse_word(text))
+    assert str(info.value) == f"not a bilateral Dyck word: path ends at height {final}"
 
 
 def test_ext_maps_match_recursive_transcription_exhaustively():

@@ -3,6 +3,7 @@ import json
 import os
 from functools import partial
 from pathlib import Path
+from types import SimpleNamespace
 from unittest import mock
 
 import pytest
@@ -15,7 +16,7 @@ from dyckmaps import (
     verify_theorem1,
     verify_theorem2,
 )
-from dyckmaps.maps import _alpha_text, _beta_text, _phi_text
+from dyckmaps.maps import _alpha_text, _beta_text, _phi_ext_text, _phi_text
 
 DATA = Path(__file__).parent / "data"
 
@@ -76,6 +77,10 @@ def test_parallel_matches_serial(verify):
 
 def _no_pool(*args, **kwargs):
     raise AssertionError("no worker process may start")
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("this path must not run")
 
 
 @pytest.mark.parametrize("jobs", [0, -1])
@@ -199,6 +204,51 @@ def test_randomized_with_scaling():
     assert "ratio" in scaling.note
 
 
+def _fake_timing(monkeypatch, n, cost, slow_words=0):
+    """Give verify a clock that only its timed map moves: each word costs
+    cost(length).  From the first word of length 4n (the doubled batch) on,
+    the next ``slow_words`` words cost three times as much, as when the host
+    slows down for a while."""
+    state = {"now": 0.0, "slow": None}
+
+    def phi_ext(text):
+        if state["slow"] is None and len(text) == 4 * n:
+            state["slow"] = slow_words
+        factor = 1
+        if state["slow"]:
+            state["slow"] -= 1
+            factor = 3
+        state["now"] += factor * cost(len(text))
+        return _phi_ext_text(text)
+
+    monkeypatch.setattr(dyckmaps.verify, "_phi_ext_text", phi_ext)
+    monkeypatch.setattr(
+        dyckmaps.verify, "time", SimpleNamespace(perf_counter=lambda: state["now"])
+    )
+
+
+def _scaling_check(n, trials):
+    report = verify_randomized(n, trials=trials, seed=5)
+    return next(c for c in report.checks if c.name == "random.linear_scaling")
+
+
+def test_scaling_survives_a_slowdown_over_two_batches(monkeypatch):
+    # the slowdown covers two batches' worth of words from the first doubled
+    # batch on: back to back (base, base, doubled, doubled) that is both
+    # doubled batches and a ratio of 6; taking turns, one of each kind
+    _fake_timing(monkeypatch, 64, cost=float, slow_words=2 * 10)
+    check = _scaling_check(64, 10)
+    assert check.passed, check.note
+    assert check.note == "time ratio for doubled length: 2.00"
+
+
+def test_scaling_still_fails_a_quadratic_map(monkeypatch):
+    _fake_timing(monkeypatch, 64, cost=lambda length: float(length) ** 2)
+    check = _scaling_check(64, 10)
+    assert not check.passed
+    assert check.note == "time ratio for doubled length: 4.00"
+
+
 def test_report_formatting():
     report = verify_theorem1(2)
     text = report.format_text()
@@ -212,9 +262,9 @@ def test_report_formatting():
     assert any(line.startswith("FAIL") and "counterexample=" in line for line in lines)
 
 
-def _cli_verify(fmt):
+def _cli_verify(fmt, max_n=8):
     out = io.StringIO()
-    assert cli.run(["verify", "--max-n", "8", "--format", fmt], stdout=out) == 0
+    assert cli.run(["verify", "--max-n", str(max_n), "--format", fmt], stdout=out) == 0
     return out.getvalue()
 
 
@@ -227,6 +277,7 @@ def _report_json(report):
 _GOLDEN = {
     "verify_max_n_8.txt": lambda: _cli_verify("text"),
     "verify_max_n_8.json": lambda: _cli_verify("json"),
+    "verify_max_n_10.json": lambda: _cli_verify("json", 10),
     "theorem1_broken_phi_n5.json":
         lambda: _report_json(verify_theorem1(5, phi_fn=_broken_phi)),
     "theorem2_contacts_n4.json":
@@ -271,3 +322,71 @@ _GOLDEN.update({
 @pytest.mark.parametrize("fixture", list(_GOLDEN))
 def test_output_matches_golden_fixture(fixture):
     assert _GOLDEN[fixture]() == (DATA / fixture).read_text()
+
+
+# --- the batched path against the per-word path ---------------------------
+
+def _sweeps(n):
+    """to_dict() of all four sweeps at n, with the checks expected to fail."""
+    return [
+        verify_theorem1(n).to_dict(),
+        verify_theorem2(n, include_contact_preservation=True).to_dict(),
+        verify_involutions_and_transport(n, include_beta_peak_preservation=True).to_dict(),
+    ]
+
+
+def test_chunk_boundaries_leave_the_reports_alone(monkeypatch):
+    want = [_sweeps(n) for n in range(7)]
+    monkeypatch.setattr(dyckmaps.verify, "_CHUNK", 7)
+    assert [_sweeps(n) for n in range(7)] == want
+
+
+def test_default_maps_run_batched_in_chunks_of_at_most_chunk_rows(monkeypatch):
+    shapes = []
+    block_rows = dyckmaps.verify._block_rows
+
+    def recording(n, dyck, prefixes):
+        mat = block_rows(n, dyck, prefixes)
+        shapes.append(mat.shape)
+        return mat
+
+    monkeypatch.setattr(dyckmaps.verify, "_block_rows", recording)
+    monkeypatch.setattr(dyckmaps.verify, "_theorem_chunk", _refuse)
+    verify_theorem1(10)
+    verify_theorem2(8)
+    verify_involutions_and_transport(8)
+    # theorem 1 and beta over Dyck words, theorem 2 and alpha over balanced ones
+    assert sum(rows for rows, _ in shapes) == 23714 + 2056 + 2 * 17577
+    assert max(rows for rows, _ in shapes) <= dyckmaps.verify._CHUNK
+    assert len(shapes) > 4 * 11  # the largest classes take several chunks
+
+
+# equal-valued wrappers: any injected map sends a sweep down the per-word path
+def _phi_ext_wrapped(text):
+    return dyckmaps.verify._phi_ext_text(text)
+
+
+def _beta_wrapped(text):
+    return _beta_text(text)
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_expected_failures_agree_on_both_paths(monkeypatch, n):
+    batched = verify_theorem2(n, include_contact_preservation=True).to_dict()
+    beta_batched = verify_involutions_and_transport(
+        n, include_beta_peak_preservation=True).to_dict()
+    with monkeypatch.context() as patched:
+        patched.setattr(dyckmaps.verify, "_row_chunk", _refuse)
+        per_word = verify_theorem2(
+            n, include_contact_preservation=True, phi_ext_fn=_phi_ext_wrapped).to_dict()
+    monkeypatch.setattr(dyckmaps.verify, "_beta_text", _beta_wrapped)  # alpha stays batched
+    beta_per_word = verify_involutions_and_transport(
+        n, include_beta_peak_preservation=True).to_dict()
+    assert per_word == batched
+    assert beta_per_word == beta_batched
+    contacts = next(c for c in batched["checks"]
+                    if c["name"] == "bilateral.contacts_preserved")
+    peaks = next(c for c in beta_batched["checks"]
+                 if c["name"] == "beta.transport.peaks_preserved")
+    if n == 8:  # the comparison covers real counterexamples
+        assert contacts["counterexample"] and peaks["counterexample"]
