@@ -3,6 +3,13 @@
 Words stream one per line on standard input; a blank line is the empty
 word.  Exit codes: 0 success, 1 input or validation error, 2 internal
 error (a bug), 3 verification failure.
+
+``map`` (without ``--trace``) and ``stats`` answer a chunk at a time: a
+chunk ends once it holds at least ``_CHUNK_CHARS`` characters, or at the
+end of the input, and is one line when stdin is a terminal.  Runs of at
+least ``_MIN_ROWS`` equal-length words of a chunk go through the matrix
+twins of the maps or the row scan of the statistics; the output is the
+same as word by word.  The other commands answer line by line.
 """
 
 from __future__ import annotations
@@ -11,13 +18,25 @@ import argparse
 import json
 import sys
 
+import numpy as np
+
 from . import __version__
 from .decompose import crossing_factorize, first_return_split
 from .errors import DyckError
 from .generate import _CLASS_SOURCES, catalan, central_binomial, distribution
-from .maps import alpha, beta, phi, phi_ext, phi_stages, psi, psi_ext, psi_stages
+from .maps import (
+    _ROWS_OF,
+    _alpha_text,
+    _beta_text,
+    _phi_ext_text,
+    _phi_text,
+    _psi_ext_text,
+    _psi_text,
+    phi_stages,
+    psi_stages,
+)
 from .render import render_ascii
-from .stats import stat_record
+from .stats import StatRecord, _require_balanced, _stat_record_text, _stat_records_rows
 from .verify import (
     VerificationReport,
     verify_involutions_and_transport,
@@ -25,20 +44,27 @@ from .verify import (
     verify_theorem1,
     verify_theorem2,
 )
-from .words import classify, parse_word
+from .words import _LONG, classify, parse_word, require_closed, require_dyck
 
 _MAX_N = 30  # the range of --n and --max-n
 # Words one enum or verify command may walk: enum walks one class at one n,
 # verify the words of all its sweeps.  table counts without walking.
 _MAX_WORDS = 10**8
+# map and stats read at least this many characters of input per chunk, so
+# one chunk costs memory in proportion to it plus one line
+_CHUNK_CHARS = 1 << 17
+# Equal-length words of a chunk that go through a matrix twin together; a
+# shorter run goes word by word (the twins break even at 20-30 rows).
+_MIN_ROWS = 32
 
-_PLAIN_OPS = {
-    "phi": phi,
-    "psi": psi,
-    "alpha": alpha,
-    "beta": beta,
-    "phi-ext": phi_ext,
-    "psi-ext": psi_ext,
+# op: (domain check, map on canonical text)
+_MAP_OPS = {
+    "phi": (require_dyck, _phi_text),
+    "psi": (require_dyck, _psi_text),
+    "alpha": (require_closed, _alpha_text),
+    "beta": (require_dyck, _beta_text),
+    "phi-ext": (require_closed, _phi_ext_text),
+    "psi-ext": (require_closed, _psi_ext_text),
 }
 _STAGED_OPS = {"phi": phi_stages, "psi": psi_stages}
 
@@ -59,7 +85,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_map = sub.add_parser("map", help="transform words from stdin")
-    p_map.add_argument("--op", required=True, choices=sorted(_PLAIN_OPS))
+    p_map.add_argument("--op", required=True, choices=sorted(_MAP_OPS))
     p_map.add_argument(
         "--trace", action="store_true",
         help="emit '#'-prefixed bracketed stage lines before each result",
@@ -115,16 +141,104 @@ def _per_line(format_word):
     return command
 
 
-def _map_lines(args, word) -> list:
-    """The image of one word, after its '#'-prefixed trace lines with --trace."""
-    if not args.trace:
-        return [_PLAIN_OPS[args.op](word).text]
+def _chunks(stdin):
+    """Lists of input lines holding at least ``_CHUNK_CHARS`` characters, the
+    last one fewer; from a terminal, one line each."""
+    limit = 1 if stdin.isatty() else _CHUNK_CHARS
+    chunk = []
+    size = 0
+    for line in stdin:
+        chunk.append(line)
+        size += len(line)
+        if size >= limit:
+            yield chunk
+            chunk = []
+            size = 0
+    if chunk:
+        yield chunk
+
+
+def _answers(texts: list, one, many) -> list:
+    """``one(text)`` for every text, in order.  A run of at least
+    ``_MIN_ROWS`` texts of one length below ``_LONG`` goes through
+    ``many`` as one uint8 matrix, which returns the answers of its rows."""
+    by_length = {}
+    for i, text in enumerate(texts):
+        by_length.setdefault(len(text), []).append(i)
+    answers = [None] * len(texts)
+    for size, rows in by_length.items():
+        if len(rows) >= _MIN_ROWS and 0 < size < _LONG:
+            data = "".join([texts[i] for i in rows]).encode("ascii")
+            mat = np.frombuffer(data, dtype=np.uint8).reshape(len(rows), size)
+            for i, answer in zip(rows, many(mat)):
+                answers[i] = answer
+        else:
+            for i in rows:
+                answers[i] = one(texts[i])
+    return answers
+
+
+def _per_chunk(stdin, stdout, check, one, many) -> int:
+    """Print one answer line per input line, a chunk at a time (see
+    :func:`_answers`), after ``check`` on each parsed word; the first
+    DyckError of a chunk ends the command once the lines before it are
+    printed, and names the line it came from."""
+    lineno = 0
+    for chunk in _chunks(stdin):
+        texts = []
+        error = None
+        for line in chunk:
+            lineno += 1
+            try:
+                word = parse_word(line.rstrip("\r\n"))
+                check(word)
+            except DyckError as exc:
+                error = exc
+                break
+            texts.append(word.text)
+        stdout.write("".join([answer + "\n" for answer in _answers(texts, one, many)]))
+        if error is not None:
+            raise _LineError(lineno, str(error)) from error
+    return 0
+
+
+def _row_texts(mat: np.ndarray) -> list:
+    """The rows of a uint8 matrix of steps as words."""
+    size = mat.shape[1]
+    data = mat.tobytes().decode("ascii")
+    return [data[i : i + size] for i in range(0, len(data), size)]
+
+
+def _cmd_map(args, stdin, stdout) -> int:
+    if args.trace:
+        return _per_line(_trace_lines)(args, stdin, stdout)
+    check, text_map = _MAP_OPS[args.op]
+    twin = _ROWS_OF[text_map]
+    return _per_chunk(stdin, stdout, check, text_map, lambda mat: _row_texts(twin(mat)))
+
+
+def _json_line(rec) -> str:
+    return json.dumps(rec.to_dict())
+
+
+def _cmd_stats(args, stdin, stdout) -> int:
+    show = _json_line if args.format == "json" else StatRecord.to_text
+    return _per_chunk(
+        stdin, stdout, lambda word: _require_balanced(word.text),
+        lambda text: show(_stat_record_text(text)),
+        lambda mat: [show(rec) for rec in _stat_records_rows(mat)],
+    )
+
+
+def _trace_lines(args, word) -> list:
+    """The image of one word after its '#'-prefixed trace lines."""
     staged = _STAGED_OPS.get(args.op)
     if staged is not None:
         result, stages = staged(word)
         return [f"# {line}" for line in stages] + [result.text]
-    result = _PLAIN_OPS[args.op](word)
-    return _simple_trace(args.op, word) + [result.text]
+    check, text_map = _MAP_OPS[args.op]
+    check(word)
+    return _simple_trace(args.op, word) + [text_map(word.text)]
 
 
 def _simple_trace(op: str, word) -> list:
@@ -139,11 +253,6 @@ def _simple_trace(op: str, word) -> list:
                 f"U({rest.text})D {head.text[1:-1]}"]
     factors = crossing_factorize(word).factors
     return ["# factors: " + " | ".join(f.text for f in factors)] if factors else []
-
-
-def _stats_lines(args, word) -> list:
-    rec = stat_record(word)
-    return [json.dumps(rec.to_dict()) if args.format == "json" else rec.to_text()]
 
 
 def _check_n(n: int) -> None:
@@ -205,8 +314,8 @@ def _cmd_verify(args, stdin, stdout) -> int:
 
 
 _COMMANDS = {
-    "map": _per_line(_map_lines),
-    "stats": _per_line(_stats_lines),
+    "map": _cmd_map,
+    "stats": _cmd_stats,
     "classify": _per_line(lambda args, word: [classify(word).value]),
     "enum": _cmd_enum,
     "table": _cmd_table,

@@ -372,6 +372,18 @@ def _psi_ext_rows(mat: np.ndarray) -> np.ndarray:
     return np.take_along_axis(out, source, axis=1) ^ flips
 
 
+# The matrix twin of each str-level map: the sweeps and the CLI run a map
+# through its twin on equal-length words.
+_ROWS_OF = {
+    _phi_text: _phi_rows,
+    _psi_text: _psi_rows,
+    _alpha_text: _alpha_rows,
+    _beta_text: _beta_rows,
+    _phi_ext_text: _phi_ext_rows,
+    _psi_ext_text: _psi_ext_rows,
+}
+
+
 def phi(w: PathWord) -> PathWord:
     """Dyck bijection sending k up-steps at odd height to k peaks.
 

@@ -184,14 +184,16 @@ def stat_record(w: PathWord) -> StatRecord:
     return rec
 
 
-def _stat_record_text(text: str) -> StatRecord:
-    """All statistics of a canonical balanced word from one scan."""
-    s = _scan_text(text)
-    if s.final != 0:
+def _require_balanced(text: str) -> None:
+    """Raise NotBilateralError unless a canonical word ends on the axis."""
+    if 2 * text.count("U") != len(text):
         raise NotBilateralError("statistics bundle requires a balanced word")
-    downs = len(text) - s.ups
+
+
+def _record(s: _Scan, size: int) -> StatRecord:
+    """The record of a balanced word of ``size`` steps from its scan."""
     return StatRecord(
-        n=len(text) // 2,
+        n=size // 2,
         peaks=s.peaks,
         valleys=s.valleys,
         contacts=s.contacts,
@@ -199,11 +201,25 @@ def _stat_record_text(text: str) -> StatRecord:
         ups_odd=s.ups_odd,
         ups_even=s.ups - s.ups_odd,
         downs_odd=s.downs_odd,
-        downs_even=downs - s.downs_odd,
+        downs_even=(size - s.ups) - s.downs_odd,
         max_height=s.hi,
         min_height=s.lo,
         is_prime=(s.lo >= 0 and s.contacts == 1),
     )
+
+
+def _stat_record_text(text: str) -> StatRecord:
+    """All statistics of a canonical balanced word from one scan."""
+    _require_balanced(text)
+    return _record(_scan_text(text), len(text))
+
+
+def _stat_records_rows(mat: np.ndarray) -> list:
+    """:func:`_stat_record_text` of balanced words, one per row of a uint8
+    matrix, from one row scan."""
+    size = mat.shape[1]
+    fields = (field.tolist() for field in _scan_rows(mat))
+    return [_record(_Scan(*scan), size) for scan in zip(*fields)]
 
 
 def narayana(n: int, k: int) -> int:

@@ -43,18 +43,13 @@ from .generate import (
     _random_balanced_text,
 )
 from .maps import (
-    _alpha_rows,
+    _ROWS_OF,
     _alpha_text,
-    _beta_rows,
     _beta_text,
     _negative_steps,
-    _phi_ext_rows,
     _phi_ext_text,
-    _phi_rows,
     _phi_text,
-    _psi_ext_rows,
     _psi_ext_text,
-    _psi_rows,
     _psi_text,
 )
 from .stats import _scan_rows, _scan_text
@@ -203,17 +198,9 @@ def _factors_preserved_rows(mat, image, s, si):
     return (_negative_steps(mat) == _negative_steps(image)).all(axis=1)
 
 
-# The matrix twin of each default map, and of the one check that reads the
-# words themselves; a sweep whose maps all have one runs on matrix chunks.
-_ROWS_OF = {
-    _phi_text: _phi_rows,
-    _psi_text: _psi_rows,
-    _alpha_text: _alpha_rows,
-    _beta_text: _beta_rows,
-    _phi_ext_text: _phi_ext_rows,
-    _psi_ext_text: _psi_ext_rows,
-    _factors_preserved: _factors_preserved_rows,
-}
+# The matrix twin of the one check that reads the words themselves; a sweep
+# whose maps all have twins in ``_ROWS_OF`` runs on matrix chunks.
+_CHECK_ROWS = {_factors_preserved: _factors_preserved_rows}
 
 
 class _Theorem(NamedTuple):
@@ -287,7 +274,7 @@ def _row_chunk(block, spec: _Theorem):
     s = _scan_rows(mat)
     si = _scan_rows(image)
     for name, holds in spec.checks:
-        failing[name] = ~_ROWS_OF.get(holds, holds)(mat, image, s, si)
+        failing[name] = ~_CHECK_ROWS.get(holds, holds)(mat, image, s, si)
     # the first failing row of each check, in lexicographic order
     failures = {name: mat[rows.argmax()].tobytes().decode("ascii")
                 for name, rows in failing.items() if rows.any()}

@@ -322,3 +322,193 @@ _TABLE_CASES = {
 def test_table_output_matches_golden_fixture(case):
     expected = (DATA / f"cli_{case}.txt").read_text()
     assert _transcript(_TABLE_CASES[case], "") == expected
+
+
+# --- the chunked per-line path of map and stats ------------------------------
+
+_PUBLIC_MAPS = {
+    "phi": dyckmaps.phi, "psi": dyckmaps.psi, "beta": dyckmaps.beta,
+    "alpha": dyckmaps.alpha, "phi-ext": dyckmaps.phi_ext, "psi-ext": dyckmaps.psi_ext,
+}
+_DYCK_OPS = ("phi", "psi", "beta")
+_PER_LINE_CASES = [["map", "--op", op] for op in _PUBLIC_MAPS] + [
+    ["stats"], ["stats", "--format", "json"]]
+
+
+def _reference(argv, stdin_text):
+    """What the command prints, line by line through the public API."""
+    out = []
+    for line in io.StringIO(stdin_text):
+        word = dyckmaps.parse_word(line.rstrip("\r\n"))
+        if argv[0] == "map":
+            out.append(_PUBLIC_MAPS[argv[2]](word).text)
+        elif argv[1:] == ["--format", "json"]:
+            out.append(json.dumps(dyckmaps.stat_record(word).to_dict()))
+        else:
+            out.append(dyckmaps.stat_record(word).to_text())
+    return "".join(line + "\n" for line in out)
+
+
+def _words(dyck, n, count, seed):
+    sample = dyckmaps.sample_dyck if dyck else dyckmaps.sample_bilateral
+    return [sample(n, seed + i).text for i in range(count)]
+
+
+def _mixed_input(dyck):
+    """Runs of 40, 31, 33 and 32 equal-length words, blank lines, CRLF
+    endings, the u/d and (/) aliases and one word of 2 * _LONG steps."""
+    runs = [_words(dyck, 10, 40, 0), _words(dyck, 12, 31, 100),
+            [""] * 3, _words(dyck, 15, 33, 200),
+            _words(dyck, dyckmaps.words._LONG, 1, 300), _words(dyck, 4, 5, 400),
+            _words(dyck, 9, 32, 500), [""] * 40]
+    lines = [word for run in runs for word in run]
+    lines[3] = lines[3].lower()
+    lines[50] = lines[50].replace("U", "(").replace("D", ")")
+    lines[75] += "\r"
+    lines[140] += "\r"
+    return "".join(line + "\n" for line in lines)
+
+
+class _Writes(io.StringIO):
+    def __init__(self):
+        super().__init__()
+        self.writes = 0
+
+    def write(self, s):
+        self.writes += 1
+        return super().write(s)
+
+
+@pytest.mark.parametrize("argv", _PER_LINE_CASES, ids=" ".join)
+def test_chunked_output_equals_the_per_word_reference(monkeypatch, argv):
+    stdin_text = _mixed_input(argv[-1] in _DYCK_OPS)
+    monkeypatch.setattr(dyckmaps.cli, "_CHUNK_CHARS", 900)
+    out, err = _Writes(), io.StringIO()
+    code = run(argv, stdin=io.StringIO(stdin_text), stdout=out, stderr=err)
+    assert (code, err.getvalue()) == (0, "")
+    assert out.getvalue() == _reference(argv, stdin_text)
+    assert out.writes >= 3  # one write per chunk
+
+
+def _path_spies(monkeypatch, argv, row_fail, word_fail):
+    """Make the row twin of the command raise on matrices for which
+    ``row_fail(mat)`` holds, and its per-word function on texts for which
+    ``word_fail(text)`` holds."""
+
+    def guard(fn, fails):
+        def guarded(arg):
+            if fails(arg):
+                raise AssertionError("took the wrong path")
+            return fn(arg)
+        return guarded
+
+    if argv[0] == "stats":
+        for name, fails in [("_stat_records_rows", row_fail),
+                            ("_stat_record_text", word_fail)]:
+            monkeypatch.setattr(dyckmaps.cli, name,
+                                guard(getattr(dyckmaps.cli, name), fails))
+        return
+    check, text_map = dyckmaps.cli._MAP_OPS[argv[2]]
+    guarded = guard(text_map, word_fail)
+    monkeypatch.setitem(dyckmaps.cli._MAP_OPS, argv[2], (check, guarded))
+    monkeypatch.setitem(dyckmaps.maps._ROWS_OF, guarded,
+                        guard(dyckmaps.maps._ROWS_OF[text_map], row_fail))
+
+
+@pytest.mark.parametrize("argv", _PER_LINE_CASES, ids=" ".join)
+def test_runs_of_32_equal_lengths_take_the_row_twin(monkeypatch, argv):
+    dyck = argv[-1] in _DYCK_OPS
+    long_n = dyckmaps.words._LONG // 2
+    lines = (_words(dyck, 10, 32, 0) + [""] * 32 + _words(dyck, 11, 31, 50)
+             + _words(dyck, long_n, 32, 100))
+    stdin_text = "".join(line + "\n" for line in lines)
+    monkeypatch.setattr(dyckmaps.cli, "_CHUNK_CHARS", len(stdin_text))  # one chunk
+    _path_spies(monkeypatch, argv,
+                row_fail=lambda mat: mat.shape[0] != 32 or mat.shape[1] != 20,
+                word_fail=lambda text: len(text) == 20)
+    code, out, err = _run(argv, stdin_text)
+    assert (code, err) == (0, "")
+    assert out == _reference(argv, stdin_text)
+
+
+_GOOD_LINE = "UUDUDDUDUUUDDDUUDUDD"  # a Dyck word of 20 steps
+
+
+@pytest.mark.parametrize("argv, bad", [
+    (["map", "--op", "phi-ext"], "UUDXDD"),
+    (["map", "--op", "phi-ext"], "UUDUD"),
+    (["map", "--op", "phi"], "UDDUUD"),
+    (["map", "--op", "psi"], "UUDD" * 5 + "U"),
+    (["stats"], "UUDXDD"),
+    (["stats", "--format", "json"], "DUDUDDU"),
+], ids=["invalid-char", "open", "not-dyck", "open-dyck-op", "stats-char", "stats-open"])
+def test_a_bad_line_mid_chunk_ends_the_output_after_the_lines_before_it(
+        monkeypatch, argv, bad):
+    # 21 characters a line: lines 1-96 fill chunk 1, lines 97-192 chunk 2,
+    # and 47 good lines of chunk 2 come before the bad line 144
+    monkeypatch.setattr(dyckmaps.cli, "_CHUNK_CHARS", 2000)
+    lines = [_GOOD_LINE] * 300
+    lines[143] = bad
+    code, out, err = _run(argv, "".join(line + "\n" for line in lines))
+    with pytest.raises(dyckmaps.DyckError) as exc:
+        _reference(argv, bad + "\n")
+    assert code == 1
+    assert out == _reference(argv, "".join(line + "\n" for line in lines[:143]))
+    assert err == f"error: {exc.value} (line 144)\n"
+
+
+class _TerminalLines:
+    """A terminal stdin that refuses to hand out a line before the answers
+    to all earlier lines are on ``stdout``."""
+
+    def __init__(self, lines, stdout):
+        self.lines = lines
+        self.stdout = stdout
+
+    def isatty(self):
+        return True
+
+    def __iter__(self):
+        for i, line in enumerate(self.lines):
+            if self.stdout.getvalue().count("\n") < i:
+                raise AssertionError(f"line {i + 1} read before line {i} was answered")
+            yield line
+
+
+@pytest.mark.parametrize("argv", _PER_LINE_CASES, ids=" ".join)
+def test_a_terminal_gets_each_answer_before_the_next_line_is_read(argv):
+    dyck = argv[-1] in _DYCK_OPS
+    lines = [line + "\n" for line in _words(dyck, 10, 40, 0)]
+    out, err = io.StringIO(), io.StringIO()
+    code = run(argv, stdin=_TerminalLines(lines, out), stdout=out, stderr=err)
+    assert (code, err.getvalue()) == (0, "")
+    assert out.getvalue() == _reference(argv, "".join(lines))
+
+
+def test_a_chunk_holds_at_most_the_character_bound_and_one_line():
+    size = 10**5
+    lines = ["UD" * (size // 2) + "\n", "DU" * (size // 2) + "\n"] * 4
+    read = []
+
+    class Stdin(io.StringIO):
+        def __iter__(self):
+            for line in lines:
+                read.append(len(line))
+                yield line
+
+    class Stdout(io.StringIO):
+        answered = 0
+
+        def write(self, s):
+            chunk = read[self.answered:]
+            assert len(chunk) == s.count("\n")  # nothing read ahead
+            assert sum(chunk) <= dyckmaps.cli._CHUNK_CHARS + size + 1
+            self.answered = len(read)
+            return super().write(s)
+
+    out, err = Stdout(), io.StringIO()
+    code = run(["map", "--op", "alpha"], stdin=Stdin(), stdout=out, stderr=err)
+    assert (code, err.getvalue()) == (0, "")
+    assert out.getvalue() == "".join(line.translate(str.maketrans("UD", "DU"))
+                                     for line in lines)
+    assert out.answered == len(lines)

@@ -1,6 +1,7 @@
 """The matrix fast path of the sweeps against the per-word code it stands for:
 the chunked enumerator, the six matrix maps and the row scan, row by row."""
 
+import json
 from functools import lru_cache
 
 import numpy as np
@@ -21,7 +22,7 @@ from dyckmaps.maps import (
     _psi_rows,
     _psi_text,
 )
-from dyckmaps.stats import _scan_rows, _scan_text
+from dyckmaps.stats import _scan_rows, _scan_text, _stat_record_text, _stat_records_rows
 
 # every Dyck word with n <= 10 and every balanced word with n <= 8
 CASES = [("dyck", n) for n in range(11)] + [("bilateral", n) for n in range(9)]
@@ -79,3 +80,11 @@ def test_row_scan_equals_the_word_scan_in_every_field(path_class, n):
     want = [_scan_text(t) for t in texts]
     for i, field in enumerate(scan._fields):
         assert scan[i].tolist() == [s[i] for s in want], field
+
+
+@pytest.mark.parametrize("path_class, n", CASES)
+def test_row_records_equal_the_word_records(path_class, n):
+    mat, texts = _class(path_class, n)
+    # as JSON, so that a numpy int or an int for a bool shows
+    got = [json.dumps(r.to_dict()) for r in _stat_records_rows(mat)]
+    assert got == [json.dumps(_stat_record_text(t).to_dict()) for t in texts]
