@@ -4,12 +4,14 @@ Words stream one per line on standard input; a blank line is the empty
 word.  Exit codes: 0 success, 1 input or validation error, 2 internal
 error (a bug), 3 verification failure.
 
-``map`` (without ``--trace``) and ``stats`` answer a chunk at a time: a
-chunk ends once it holds at least ``_CHUNK_CHARS`` characters, or at the
-end of the input, and is one line when stdin is a terminal.  Runs of at
+Every command that reads stdin runs one driver, :func:`_per_chunk`, which
+answers a chunk of lines at a time.  ``map`` (without ``--trace``) and
+``stats`` have matrix twins: their chunk ends once it holds at least
+``_CHUNK_CHARS`` characters, or at the end of the input, and runs of at
 least ``_MIN_ROWS`` equal-length words of a chunk go through the matrix
 twins of the maps or the row scan of the statistics; the output is the
-same as word by word.  The other commands answer line by line.
+same as word by word.  ``classify``, ``render`` and ``map --trace`` have no
+twin and read one line per chunk, as every command does on a terminal.
 """
 
 from __future__ import annotations
@@ -17,8 +19,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-
-import numpy as np
 
 from . import __version__
 from .decompose import crossing_factorize, first_return_split
@@ -44,12 +44,23 @@ from .verify import (
     verify_theorem1,
     verify_theorem2,
 )
-from .words import _LONG, classify, parse_word, require_closed, require_dyck
+from .words import (
+    _LONG,
+    _row_texts,
+    _rows,
+    classify,
+    parse_word,
+    require_closed,
+    require_dyck,
+)
 
 _MAX_N = 30  # the range of --n and --max-n
 # Words one enum or verify command may walk: enum walks one class at one n,
 # verify the words of all its sweeps.  table counts without walking.
 _MAX_WORDS = 10**8
+# Steps verify --randomized may sample: trials words of 2 * rand-n steps and
+# as many of 4 * rand-n for the timing check
+_MAX_RANDOM_STEPS = 10**8
 # map and stats read at least this many characters of input per chunk, so
 # one chunk costs memory in proportion to it plus one line
 _CHUNK_CHARS = 1 << 17
@@ -124,27 +135,9 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _per_line(format_word):
-    """A command that prints the lines ``format_word(args, word)`` returns for
-    each input line; any DyckError names the line it came from."""
-
-    def command(args, stdin, stdout) -> int:
-        for lineno, line in enumerate(stdin, 1):
-            try:
-                lines = format_word(args, parse_word(line.rstrip("\r\n")))
-            except DyckError as exc:
-                raise _LineError(lineno, str(exc)) from exc
-            for out in lines:
-                print(out, file=stdout)
-        return 0
-
-    return command
-
-
-def _chunks(stdin):
-    """Lists of input lines holding at least ``_CHUNK_CHARS`` characters, the
-    last one fewer; from a terminal, one line each."""
-    limit = 1 if stdin.isatty() else _CHUNK_CHARS
+def _chunks(stdin, limit: int):
+    """Lists of input lines holding at least ``limit`` characters, the last
+    one fewer."""
     chunk = []
     size = 0
     for line in stdin:
@@ -158,34 +151,34 @@ def _chunks(stdin):
         yield chunk
 
 
-def _answers(texts: list, one, many) -> list:
-    """``one(text)`` for every text, in order.  A run of at least
-    ``_MIN_ROWS`` texts of one length below ``_LONG`` goes through
-    ``many`` as one uint8 matrix, which returns the answers of its rows."""
+def _answers(words: list, one, many) -> list:
+    """``one(word)`` for every word, in order.  A run of at least
+    ``_MIN_ROWS`` words of one length below ``_LONG`` goes through ``many``
+    as one uint8 matrix, which returns the answers of its rows."""
     by_length = {}
-    for i, text in enumerate(texts):
-        by_length.setdefault(len(text), []).append(i)
-    answers = [None] * len(texts)
+    for i, word in enumerate(words):
+        by_length.setdefault(len(word.text), []).append(i)
+    answers = [None] * len(words)
     for size, rows in by_length.items():
         if len(rows) >= _MIN_ROWS and 0 < size < _LONG:
-            data = "".join([texts[i] for i in rows]).encode("ascii")
-            mat = np.frombuffer(data, dtype=np.uint8).reshape(len(rows), size)
-            for i, answer in zip(rows, many(mat)):
+            for i, answer in zip(rows, many(_rows([words[i].text for i in rows]))):
                 answers[i] = answer
         else:
             for i in rows:
-                answers[i] = one(texts[i])
+                answers[i] = one(words[i])
     return answers
 
 
-def _per_chunk(stdin, stdout, check, one, many) -> int:
-    """Print one answer line per input line, a chunk at a time (see
-    :func:`_answers`), after ``check`` on each parsed word; the first
-    DyckError of a chunk ends the command once the lines before it are
-    printed, and names the line it came from."""
+def _per_chunk(stdin, stdout, one, *, many=None, check=lambda word: None) -> int:
+    """Print ``one(word)`` for each input line, after ``check`` on each parsed
+    word, a chunk of lines at a time (see :func:`_answers`).  A chunk is one
+    line without a row twin ``many``, since one answer can reach the render or
+    trace cap, and on a terminal.  The first DyckError ends the command once
+    the answers to the lines before it are printed, and names its line."""
+    limit = 1 if many is None or stdin.isatty() else _CHUNK_CHARS
     lineno = 0
-    for chunk in _chunks(stdin):
-        texts = []
+    for chunk in _chunks(stdin, limit):
+        words = []
         error = None
         for line in chunk:
             lineno += 1
@@ -195,26 +188,24 @@ def _per_chunk(stdin, stdout, check, one, many) -> int:
             except DyckError as exc:
                 error = exc
                 break
-            texts.append(word.text)
-        stdout.write("".join([answer + "\n" for answer in _answers(texts, one, many)]))
+            words.append(word)
+        try:
+            out = "".join([answer + "\n" for answer in _answers(words, one, many)])
+        except DyckError as exc:  # only a one-line chunk answers unchecked words
+            raise _LineError(lineno, str(exc)) from exc
+        stdout.write(out)
         if error is not None:
             raise _LineError(lineno, str(error)) from error
     return 0
 
 
-def _row_texts(mat: np.ndarray) -> list:
-    """The rows of a uint8 matrix of steps as words."""
-    size = mat.shape[1]
-    data = mat.tobytes().decode("ascii")
-    return [data[i : i + size] for i in range(0, len(data), size)]
-
-
 def _cmd_map(args, stdin, stdout) -> int:
     if args.trace:
-        return _per_line(_trace_lines)(args, stdin, stdout)
+        return _per_chunk(stdin, stdout, lambda word: "\n".join(_trace_lines(args, word)))
     check, text_map = _MAP_OPS[args.op]
     twin = _ROWS_OF[text_map]
-    return _per_chunk(stdin, stdout, check, text_map, lambda mat: _row_texts(twin(mat)))
+    return _per_chunk(stdin, stdout, lambda word: text_map(word.text),
+                      many=lambda mat: _row_texts(twin(mat)), check=check)
 
 
 def _json_line(rec) -> str:
@@ -224,9 +215,9 @@ def _json_line(rec) -> str:
 def _cmd_stats(args, stdin, stdout) -> int:
     show = _json_line if args.format == "json" else StatRecord.to_text
     return _per_chunk(
-        stdin, stdout, lambda word: _require_balanced(word.text),
-        lambda text: show(_stat_record_text(text)),
-        lambda mat: [show(rec) for rec in _stat_records_rows(mat)],
+        stdin, stdout, lambda word: show(_stat_record_text(word.text)),
+        many=lambda mat: [show(rec) for rec in _stat_records_rows(mat)],
+        check=lambda word: _require_balanced(word.text),
     )
 
 
@@ -260,18 +251,18 @@ def _check_n(n: int) -> None:
         raise DyckError(f"--n must be between 0 and {_MAX_N}")
 
 
-def _check_words(what: str, words: int) -> None:
-    if words > _MAX_WORDS:
-        raise DyckError(f"{what} = {words} words exceeds the cap of {_MAX_WORDS}")
+def _check_cap(what: str, count: int, cap=_MAX_WORDS, unit="words") -> None:
+    if count > cap:
+        raise DyckError(f"{what} = {count} {unit} exceeds the cap of {cap}")
 
 
 def _cmd_enum(args, stdin, stdout) -> int:
     _check_n(args.n)
     n = args.n
     if args.path_class == "dyck":
-        _check_words(f"Catalan({n})", catalan(n))
+        _check_cap(f"Catalan({n})", catalan(n))
     else:
-        _check_words(f"C({2 * n}, {n})", central_binomial(n))
+        _check_cap(f"C({2 * n}, {n})", central_binomial(n))
     for text in _CLASS_SOURCES[args.path_class](n):
         print(text, file=stdout)
     return 0
@@ -292,10 +283,13 @@ def _cmd_verify(args, stdin, stdout) -> int:
         raise DyckError(f"--max-n must be between 0 and {_MAX_N}")
     # each class is swept twice: theorem 1 and beta over Dyck words,
     # theorem 2 and alpha over balanced words
-    _check_words(
+    _check_cap(
         f"2 * sum over n <= {args.max_n} of (Catalan(n) + C(2n, n))",
         2 * sum(catalan(n) + central_binomial(n) for n in range(args.max_n + 1)),
     )
+    if args.randomized:  # negative sizes are refused by verify_randomized
+        _check_cap("6 * trials * rand-n", 6 * max(args.trials, 0) * max(args.rand_n, 0),
+                     _MAX_RANDOM_STEPS, "steps")
     # run first so that invalid --rand-n/--trials fail before the sweeps
     randomized = (
         verify_randomized(args.rand_n, args.trials, args.seed).checks
@@ -316,12 +310,14 @@ def _cmd_verify(args, stdin, stdout) -> int:
 _COMMANDS = {
     "map": _cmd_map,
     "stats": _cmd_stats,
-    "classify": _per_line(lambda args, word: [classify(word).value]),
+    "classify": lambda args, stdin, stdout: _per_chunk(
+        stdin, stdout, lambda word: classify(word).value),
     "enum": _cmd_enum,
     "table": _cmd_table,
     "verify": _cmd_verify,
     # a blank line after each drawing
-    "render": _per_line(lambda args, word: [render_ascii(word), ""]),
+    "render": lambda args, stdin, stdout: _per_chunk(
+        stdin, stdout, lambda word: render_ascii(word) + "\n"),
 }
 
 

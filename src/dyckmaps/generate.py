@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import UnknownStatisticError
 from .stats import StatRecord
-from .words import PathWord
+from .words import PathWord, _row_texts
 
 # Reference count sequences for cross-checks, embedded rather than computed.
 CATALAN_NUMBERS = (
@@ -171,7 +171,7 @@ def _random_balanced_text(n: int, rng: np.random.Generator) -> str:
     arr[:n] = 85  # 'U'
     arr[n:] = 68  # 'D'
     rng.shuffle(arr)
-    return arr.tobytes().decode("ascii")
+    return _row_texts(arr[None])[0]
 
 
 def _random_dyck_text(n: int, rng: np.random.Generator) -> str:
@@ -191,7 +191,7 @@ def _random_dyck_text(n: int, rng: np.random.Generator) -> str:
     cut = int(np.flatnonzero(sums == sums.min())[-1]) + 1
     rotated = np.concatenate((delta[cut:], delta[:cut]))
     body = rotated[1:]
-    return np.where(body == 1, np.uint8(85), np.uint8(68)).tobytes().decode("ascii")
+    return _row_texts(np.where(body == 1, np.uint8(85), np.uint8(68))[None])[0]
 
 
 def sample_bilateral(n: int, seed: int) -> PathWord:

@@ -14,7 +14,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import NotBilateralError
-from .words import PathWord, _LONG, _row, _up_and_heights
+from .words import PathWord, _LONG, _rows, _up_and_heights
 
 
 class _Scan(NamedTuple):
@@ -69,7 +69,7 @@ def _scan_text(text: str) -> _Scan:
 
 
 def _scan_text_long(text: str) -> _Scan:
-    return _Scan(*(int(field[0]) for field in _scan_rows(_row(text))))
+    return _Scan(*(int(field[0]) for field in _scan_rows(_rows([text]))))
 
 
 def _scan_rows(mat: np.ndarray) -> _Scan:

@@ -4,16 +4,17 @@ Each function sweeps a word class exhaustively (or samples it) and checks
 round trips, statistic transport, and distribution identities, returning a
 :class:`VerificationReport`.
 
-With the default maps a sweep runs batched: each chunk of at most
-``_CHUNK`` words is a ``(rows, 2n)`` uint8 matrix in lexicographic order,
-mapped by the matrix twins of the maps, scanned once, and checked by row
-predicates.  The map arguments of the exhaustive engines are injectable so
-that a deliberately broken map can be shown to produce a counterexample;
-an injected map runs word by word, as does :func:`verify_randomized`.
-On both paths a counterexample is the first failing word of the first
-failing chunk, and chunks are merged in stream order, so it is the
-lexicographically first failing word and reproducible from (check name,
-word) alone.
+A sweep reads each class in chunks of at most ``_CHUNK`` words, the
+blocks of :func:`~dyckmaps.generate._prefix_blocks` in lexicographic
+order.  With the default maps a chunk runs batched: a ``(rows, 2n)`` uint8
+matrix, mapped by the matrix twins of the maps, scanned once, and checked
+by row predicates.  The map arguments of the exhaustive engines are
+injectable so that a deliberately broken map can be shown to produce a
+counterexample; an injected map gets the same blocks and runs word by
+word, as does :func:`verify_randomized`.  On both paths a counterexample
+is the first failing word of the first failing chunk, and chunks are
+merged in stream order, so it is the lexicographically first failing word
+and reproducible from (check name, word) alone.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from collections import Counter
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import chain, islice
+from itertools import chain
 from multiprocessing import Pool
 from operator import attrgetter
 from typing import NamedTuple
@@ -34,7 +35,6 @@ import numpy as np
 
 from .decompose import _crossing_factors
 from .generate import (
-    _CLASS_SOURCES,
     CATALAN_NUMBERS,
     CENTRAL_BINOMIALS,
     _block_rows,
@@ -53,6 +53,7 @@ from .maps import (
     _psi_text,
 )
 from .stats import _scan_rows, _scan_text
+from .words import _row_texts
 
 _CHUNK = 1024  # words per chunk of a sweep
 
@@ -120,14 +121,6 @@ class VerificationReport:
                 for c in self.checks
             ],
         }
-
-
-def _chunks(iterator, size):
-    while True:
-        block = list(islice(iterator, size))
-        if not block:
-            return
-        yield block
 
 
 def _check_jobs(jobs: int, maps: dict) -> int:
@@ -259,11 +252,15 @@ def _tally(values) -> Counter:
     return Counter(dict(zip(keys.tolist(), counts.tolist())))
 
 
+def _word_chunk(block, spec: _Theorem):
+    """:func:`_theorem_chunk` on the words of one block, the arguments of
+    :func:`_block_rows`."""
+    return _theorem_chunk(_row_texts(_block_rows(*block)), spec)
+
+
 def _row_chunk(block, spec: _Theorem):
-    """:func:`_theorem_chunk` on the words of one block of
-    :func:`_prefix_blocks`, all at once through the matrix twins."""
-    n, prefixes = block
-    mat = _block_rows(n, spec.path_class == "dyck", prefixes)
+    """:func:`_word_chunk`, all at once through the matrix twins."""
+    mat = _block_rows(*block)
     forward, *rest = (_ROWS_OF[fn] for fn in spec.maps.values())
     inverse = rest[0] if rest else forward
     first_trip, *second_trip = spec.round_trips
@@ -276,7 +273,7 @@ def _row_chunk(block, spec: _Theorem):
     for name, holds in spec.checks:
         failing[name] = ~_CHECK_ROWS.get(holds, holds)(mat, image, s, si)
     # the first failing row of each check, in lexicographic order
-    failures = {name: mat[rows.argmax()].tobytes().decode("ascii")
+    failures = {name: _row_texts(mat[[rows.argmax()]])[0]
                 for name, rows in failing.items() if rows.any()}
     if not spec.dist_keys:
         return len(mat), failures, Counter(), Counter()
@@ -287,14 +284,14 @@ def _row_chunk(block, spec: _Theorem):
 def _sweep(spec: _Theorem, max_n: int, jobs: int) -> VerificationReport:
     """Check one theorem over its whole class at every semilength 0..max_n.
 
-    Default maps run on matrix chunks (:func:`_row_chunk`), any injected
-    map word by word (:func:`_theorem_chunk`); both see the words in
-    lexicographic order, at most ``_CHUNK`` of them per chunk.
+    Every chunk is a block of :func:`_prefix_blocks` with at most ``_CHUNK``
+    words, in lexicographic order.  Default maps run on it as a matrix
+    (:func:`_row_chunk`), any injected map word by word (:func:`_word_chunk`).
     """
     jobs = _check_jobs(jobs, spec.maps)
     batched = all(fn in _ROWS_OF for fn in spec.maps.values())
     dyck = spec.path_class == "dyck"
-    worker = partial(_row_chunk if batched else _theorem_chunk, spec=spec)
+    worker = partial(_row_chunk if batched else _word_chunk, spec=spec)
     failures = {}  # first counterexample per check name, in stream order
     total = 0
     dist_ok = True
@@ -306,10 +303,7 @@ def _sweep(spec: _Theorem, max_n: int, jobs: int) -> VerificationReport:
             dist_a = Counter()
             dist_b = Counter()
             count_n = 0
-            if batched:  # workers get prefix blocks and expand them
-                chunks = ((n, block) for block in _prefix_blocks(n, dyck, _CHUNK))
-            else:
-                chunks = _chunks(_CLASS_SOURCES[spec.path_class](n), _CHUNK)
+            chunks = ((n, dyck, block) for block in _prefix_blocks(n, dyck, _CHUNK))
             for size, fails, c_a, c_b in imap(worker, chunks):
                 count_n += size
                 for name, word in fails.items():

@@ -20,8 +20,6 @@ _FLIP_TABLE = str.maketrans("UD", "DU")
 # Above this many steps, height scans switch to vectorised numpy passes.
 _LONG = 4096
 
-_UD = frozenset("UD")
-
 
 class Step(Enum):
     """One lattice step; serialized as 'U' or 'D'."""
@@ -63,9 +61,19 @@ class PathClass(Enum):
 HeightProfile = list
 
 
-def _row(text: str) -> np.ndarray:
-    """A canonical word as a one-row uint8 matrix of its ASCII bytes."""
-    return np.frombuffer(text.encode("ascii"), dtype=np.uint8)[None, :]
+def _rows(texts: list) -> np.ndarray:
+    """Equal-length canonical words as the rows of a uint8 matrix of their
+    ASCII bytes; :func:`_row_texts` turns it back."""
+    width = len(texts[0]) if texts else 0
+    data = "".join(texts).encode("ascii")  # a one-word list joins without a copy
+    return np.frombuffer(data, dtype=np.uint8).reshape(len(texts), width)
+
+
+def _row_texts(mat: np.ndarray) -> list:
+    """The rows of a uint8 matrix of steps as words."""
+    width = mat.shape[1]
+    data = mat.tobytes().decode("ascii")
+    return [data[i * width : (i + 1) * width] for i in range(len(mat))]
 
 
 def _up_and_heights(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -81,7 +89,7 @@ def _up_and_heights(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _extremes_of(text: str) -> tuple[int, int, int]:
     """(final, min, max) vertex height of a canonical word, start vertex included."""
     if len(text) >= _LONG:
-        _, h = _up_and_heights(_row(text))
+        _, h = _up_and_heights(_rows([text]))
         return int(h[0, -1]), min(0, int(h.min())), max(0, int(h.max()))
     h = lo = hi = 0
     for ch in text:
@@ -105,8 +113,8 @@ class PathWord:
     __slots__ = ("text", "_extremes", "_heights", "_stats")
 
     def __init__(self, text: str = ""):
-        if not _UD.issuperset(text):
-            bad = next(i for i, ch in enumerate(text) if ch not in _UD)
+        if text.count("U") + text.count("D") != len(text):
+            bad = next(i for i, ch in enumerate(text) if ch not in "UD")
             raise InvalidCharacterError(text[bad], bad + 1)
         object.__setattr__(self, "text", text)
         object.__setattr__(self, "_extremes", None)
@@ -176,7 +184,7 @@ class PathWord:
         if heights is None:
             text = self.text
             if len(text) >= _LONG:
-                heights = _up_and_heights(_row(text))[1][0].tolist()
+                heights = _up_and_heights(_rows([text]))[1][0].tolist()
             else:
                 heights = []
                 h = 0

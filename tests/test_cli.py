@@ -10,6 +10,7 @@ import pytest
 import dyckmaps.cli
 import dyckmaps.generate
 import dyckmaps.maps
+import dyckmaps.render
 import dyckmaps.verify
 from dyckmaps.cli import run
 
@@ -143,6 +144,7 @@ def _refuse_enumeration(monkeypatch):
     for path_class in ("dyck", "bilateral"):
         monkeypatch.setitem(dyckmaps.generate._CLASS_SOURCES, path_class, boom)
     monkeypatch.setattr(dyckmaps.verify, "_dyck_texts", boom)
+    monkeypatch.setattr(dyckmaps.verify, "_prefix_blocks", boom)
 
 
 @pytest.mark.parametrize("path_class, n, message", [
@@ -166,6 +168,25 @@ def test_verify_refuses_sweeps_over_the_word_cap(monkeypatch):
     )
     assert 2 * sum(dyckmaps.generate.catalan(n) + dyckmaps.generate.central_binomial(n)
                    for n in range(14)) <= dyckmaps.cli._MAX_WORDS
+
+
+@pytest.mark.parametrize("rand_n, trials, steps", [
+    (10**8, 1, 6 * 10**8), (16666667, 1, 100000002), (1, 10**8, 6 * 10**8),
+])
+def test_verify_refuses_randomized_steps_over_the_cap(monkeypatch, rand_n, trials, steps):
+    def boom(*args, **kwargs):
+        raise AssertionError("sampled a word")
+
+    monkeypatch.setattr(dyckmaps.verify, "_random_balanced_text", boom)
+    code, out, err = _run(["verify", "--max-n", "0", "--randomized",
+                           "--rand-n", str(rand_n), "--trials", str(trials)])
+    assert (code, out) == (1, "")
+    assert err == (f"error: 6 * trials * rand-n = {steps} steps exceeds the cap"
+                   " of 100000000\n")
+    # 99,999,996 steps, under the cap, get as far as sampling
+    code, _, err = _run(["verify", "--max-n", "0", "--randomized",
+                         "--rand-n", "16666666", "--trials", "1"])
+    assert code == 2 and "sampled a word" in err
 
 
 def test_table_at_n30_counts_the_whole_class():
@@ -459,56 +480,102 @@ def test_a_bad_line_mid_chunk_ends_the_output_after_the_lines_before_it(
 
 class _TerminalLines:
     """A terminal stdin that refuses to hand out a line before the answers
-    to all earlier lines are on ``stdout``."""
+    to all earlier lines, and nothing more, are on ``stdout``."""
 
-    def __init__(self, lines, stdout):
+    def __init__(self, lines, stdout, answered):
         self.lines = lines
         self.stdout = stdout
+        self.answered = answered  # the output after each number of lines
 
     def isatty(self):
         return True
 
     def __iter__(self):
         for i, line in enumerate(self.lines):
-            if self.stdout.getvalue().count("\n") < i:
+            if self.stdout.getvalue() != self.answered[i]:
                 raise AssertionError(f"line {i + 1} read before line {i} was answered")
             yield line
 
 
-@pytest.mark.parametrize("argv", _PER_LINE_CASES, ids=" ".join)
+_NO_TWIN_CASES = [["classify"], ["render"], ["map", "--op", "phi", "--trace"]]
+
+
+@pytest.mark.parametrize("argv", _PER_LINE_CASES + _NO_TWIN_CASES, ids=" ".join)
 def test_a_terminal_gets_each_answer_before_the_next_line_is_read(argv):
-    dyck = argv[-1] in _DYCK_OPS
+    dyck = argv[-1] in _DYCK_OPS or "--trace" in argv
     lines = [line + "\n" for line in _words(dyck, 10, 40, 0)]
+    answered = [""]
+    for line in lines:
+        answered.append(answered[-1] + _run(argv, line)[1])
     out, err = io.StringIO(), io.StringIO()
-    code = run(argv, stdin=_TerminalLines(lines, out), stdout=out, stderr=err)
+    code = run(argv, stdin=_TerminalLines(lines, out, answered), stdout=out, stderr=err)
     assert (code, err.getvalue()) == (0, "")
-    assert out.getvalue() == _reference(argv, "".join(lines))
+    assert out.getvalue() == answered[-1]
+    if argv in _PER_LINE_CASES:
+        assert out.getvalue() == _reference(argv, "".join(lines))
+
+
+def _spied_run(argv, lines):
+    """Run a command on a non-terminal stdin of ``lines``; also return, for
+    each write to stdout, the lines read since the write before it and the
+    text written."""
+    read = []
+    writes = []
+
+    class Stdin(io.StringIO):
+        def __iter__(self):
+            for line in lines:
+                read.append(line)
+                yield line
+
+    class Stdout(io.StringIO):
+        def write(self, s):
+            done = sum(len(chunk) for chunk, _ in writes)
+            writes.append((read[done:], s))
+            return super().write(s)
+
+    out, err = Stdout(), io.StringIO()
+    code = run(argv, stdin=Stdin(), stdout=out, stderr=err)
+    return code, out.getvalue(), err.getvalue(), writes
 
 
 def test_a_chunk_holds_at_most_the_character_bound_and_one_line():
     size = 10**5
     lines = ["UD" * (size // 2) + "\n", "DU" * (size // 2) + "\n"] * 4
-    read = []
+    code, out, err, writes = _spied_run(["map", "--op", "alpha"], lines)
+    assert (code, err) == (0, "")
+    assert out == "".join(line.translate(str.maketrans("UD", "DU")) for line in lines)
+    for chunk, s in writes:
+        assert len(chunk) == s.count("\n")  # nothing read ahead
+        assert sum(map(len, chunk)) <= dyckmaps.cli._CHUNK_CHARS + size + 1
+    assert sum(len(chunk) for chunk, _ in writes) == len(lines)
 
-    class Stdin(io.StringIO):
-        def __iter__(self):
-            for line in lines:
-                read.append(len(line))
-                yield line
 
-    class Stdout(io.StringIO):
-        answered = 0
+@pytest.mark.parametrize("argv", _NO_TWIN_CASES, ids=" ".join)
+def test_a_command_without_a_twin_answers_each_line_before_reading_the_next(argv):
+    lines = [line + "\n" for line in _words(True, 10, 40, 0)]
+    code, out, err, writes = _spied_run(argv, lines)
+    assert (code, err) == (0, "")
+    assert [chunk for chunk, _ in writes] == [[line] for line in lines]
+    assert [s for _, s in writes] == [_run(argv, line)[1] for line in lines]
 
-        def write(self, s):
-            chunk = read[self.answered:]
-            assert len(chunk) == s.count("\n")  # nothing read ahead
-            assert sum(chunk) <= dyckmaps.cli._CHUNK_CHARS + size + 1
-            self.answered = len(read)
-            return super().write(s)
 
-    out, err = Stdout(), io.StringIO()
-    code = run(["map", "--op", "alpha"], stdin=Stdin(), stdout=out, stderr=err)
-    assert (code, err.getvalue()) == (0, "")
-    assert out.getvalue() == "".join(line.translate(str.maketrans("UD", "DU"))
-                                     for line in lines)
-    assert out.answered == len(lines)
+@pytest.mark.parametrize("argv, over_cap", [
+    (["render"], "U" * 50 + "D" * 50),  # 100 steps x 50 rows
+    (["map", "--op", "phi", "--trace"], "UD" * 100),
+], ids=" ".join)
+def test_a_line_over_the_cap_ends_the_output_after_the_lines_before_it(
+        monkeypatch, argv, over_cap):
+    monkeypatch.setattr(dyckmaps.render, "_MAX_CELLS", 1000)
+    monkeypatch.setattr(dyckmaps.maps, "_MAX_CELLS", 1000)
+    good = [line + "\n" for line in _words(True, 10, 5, 0)]
+    code, out, err = _run(argv, "".join(good) + over_cap + "\n" + good[0])
+    with pytest.raises(dyckmaps.DyckError) as exc:
+        if argv[0] == "render":
+            dyckmaps.render_ascii(dyckmaps.parse_word(over_cap))
+        else:
+            dyckmaps.phi_stages(dyckmaps.parse_word(over_cap))
+    assert code == 1
+    assert out == "".join(_run(argv, line)[1] for line in good)
+    assert out.count("\n") > 5  # each good line answered
+    assert err == f"error: {exc.value} (line 6)\n"

@@ -370,6 +370,26 @@ def _beta_wrapped(text):
     return _beta_text(text)
 
 
+def test_injected_maps_give_the_same_report_in_a_pool(monkeypatch):
+    # a pool of two workers whatever the host's CPU count
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    pools = []
+    pool = dyckmaps.verify.Pool
+
+    def counted_pool(jobs):
+        pools.append(jobs)
+        return pool(jobs)
+
+    monkeypatch.setattr(dyckmaps.verify, "Pool", counted_pool)
+    broken = verify_theorem1(6, phi_fn=_broken_phi, jobs=1).to_dict()
+    wrapped = verify_theorem2(6, phi_ext_fn=_phi_ext_wrapped, jobs=1).to_dict()
+    assert pools == []
+    assert verify_theorem1(6, phi_fn=_broken_phi, jobs=2).to_dict() == broken
+    assert verify_theorem2(6, phi_ext_fn=_phi_ext_wrapped, jobs=2).to_dict() == wrapped
+    assert pools == [2, 2]
+    assert not broken["ok"] and wrapped["ok"]
+
+
 @pytest.mark.parametrize("n", range(9))
 def test_expected_failures_agree_on_both_paths(monkeypatch, n):
     batched = verify_theorem2(n, include_contact_preservation=True).to_dict()

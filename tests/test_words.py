@@ -40,6 +40,17 @@ def test_parse_invalid_character_reports_position():
     assert err.value.char == "X"
 
 
+@pytest.mark.parametrize("text, position, char", [
+    ("x", 1, "x"), ("UDU D", 4, " "), ("UUDD\n", 5, "\n"), ("UDUDé", 5, "é"),
+    ("U" * 10**6 + "DxD", 10**6 + 2, "x"), ("DU" * 3000 + "UD\0", 6003, "\0"),
+])
+def test_an_invalid_character_is_reported_at_its_first_position(text, position, char):
+    with pytest.raises(InvalidCharacterError) as err:
+        PathWord(text)
+    assert (err.value.position, err.value.char) == (position, char)
+    assert str(err.value) == f"invalid character {char!r} at position {position}"
+
+
 @pytest.mark.parametrize(
     "alias,canonical",
     [("uudd", "UUDD"), ("(())", "UUDD"), ("Ud()", "UDUD"), ("((", "UU")],
