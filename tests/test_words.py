@@ -43,7 +43,7 @@ def test_parse_invalid_character_reports_position():
 @pytest.mark.parametrize("text, position, char", [
     ("x", 1, "x"), ("UDU D", 4, " "), ("UUDD\n", 5, "\n"), ("UDUDé", 5, "é"),
     ("U" * 10**6 + "DxD", 10**6 + 2, "x"), ("DU" * 3000 + "UD\0", 6003, "\0"),
-])
+], ids=["first", "space", "newline", "non-ascii", "long", "nul"])
 def test_an_invalid_character_is_reported_at_its_first_position(text, position, char):
     with pytest.raises(InvalidCharacterError) as err:
         PathWord(text)
