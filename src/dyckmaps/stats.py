@@ -112,15 +112,13 @@ class StatRecord(NamedTuple):
 
     def to_text(self) -> str:
         """Flat key:value form, fields in declaration order."""
-        parts = []
-        for name, value in zip(self._fields, self):
-            if isinstance(value, bool):
-                value = "true" if value else "false"
-            parts.append(f"{name}:{value}")
-        return " ".join(parts)
+        return _TEXT_TEMPLATE.format(*self[:-1], "true" if self.is_prime else "false")
 
     def to_dict(self) -> dict:
         return dict(zip(self._fields, self))
+
+
+_TEXT_TEMPLATE = " ".join(f"{name}:{{}}" for name in StatRecord._fields)
 
 
 def semilength(w: PathWord) -> int:

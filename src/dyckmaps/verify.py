@@ -1,8 +1,11 @@
 """Brute-force verification engine for the library's central claims.
 
 Each function sweeps a word class exhaustively (or samples it) and checks
-round trips, statistic transport, and distribution identities, returning a
-:class:`VerificationReport`.
+round trips and statistic transport, returning a
+:class:`VerificationReport`.  The theorems' distribution identities are
+counted exactly, once per semilength, by the dynamic program of
+:func:`~dyckmaps.generate.distribution`; the sweep only checks that it saw
+the whole class.
 
 A sweep reads each class in chunks of at most ``_CHUNK`` words, the
 blocks of :func:`~dyckmaps.generate._prefix_blocks` in lexicographic
@@ -22,13 +25,11 @@ from __future__ import annotations
 import os
 import pickle
 import time
-from collections import Counter
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import chain
 from multiprocessing import Pool
-from operator import attrgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -41,6 +42,7 @@ from .generate import (
     _dyck_texts,
     _prefix_blocks,
     _random_balanced_text,
+    distribution,
 )
 from .maps import (
     _ROWS_OF,
@@ -202,9 +204,9 @@ class _Theorem(NamedTuple):
     ``maps`` maps a name for each map (that of the argument injecting it,
     where one does) to the map: forward then inverse, or an involution's
     one map, which has one round-trip check.  ``checks`` holds (name,
-    predicate) pairs.  The distributions of the ``dist_keys`` (two functions
-    of a scan, or none) must agree at every semilength; ``dist_check`` holds
-    that check's name and the noun of its failure note.
+    predicate) pairs.  The exact distributions of the ``dist_keys`` (two
+    tuples of statistic names, or none) must agree at every semilength;
+    ``dist_check`` holds that check's name and the noun of its failure note.
     """
 
     path_class: str
@@ -221,9 +223,6 @@ def _theorem_chunk(texts, spec: _Theorem):
     inverse = rest[0] if rest else forward
     failures = {}
     first_trip, *second_trip = spec.round_trips  # an involution has no second trip
-    key_a, key_b = spec.dist_keys or (None, None)
-    dist_a = Counter()
-    dist_b = Counter()
     for text in texts:
         image = _try(forward, text)
         if image is None or _try(inverse, image) != text:
@@ -237,19 +236,7 @@ def _theorem_chunk(texts, spec: _Theorem):
         for name, holds in spec.checks:
             if si is None or not holds(text, image, s, si):
                 failures.setdefault(name, text)
-        if key_a:
-            dist_a[key_a(s)] += 1
-            dist_b[key_b(s)] += 1
-    return len(texts), failures, dist_a, dist_b
-
-
-def _tally(values) -> Counter:
-    """Counts of per-row keys: one int array, or a tuple of them for pairs."""
-    if isinstance(values, tuple):
-        keys, counts = np.unique(np.stack(values, axis=1), axis=0, return_counts=True)
-        return Counter(dict(zip(map(tuple, keys.tolist()), counts.tolist())))
-    keys, counts = np.unique(values, return_counts=True)
-    return Counter(dict(zip(keys.tolist(), counts.tolist())))
+    return len(texts), failures
 
 
 def _word_chunk(block, spec: _Theorem):
@@ -275,10 +262,7 @@ def _row_chunk(block, spec: _Theorem):
     # the first failing row of each check, in lexicographic order
     failures = {name: _row_texts(mat[[rows.argmax()]])[0]
                 for name, rows in failing.items() if rows.any()}
-    if not spec.dist_keys:
-        return len(mat), failures, Counter(), Counter()
-    key_a, key_b = spec.dist_keys
-    return len(mat), failures, _tally(key_a(s)), _tally(key_b(s))
+    return len(mat), failures
 
 
 def _sweep(spec: _Theorem, max_n: int, jobs: int) -> VerificationReport:
@@ -287,6 +271,8 @@ def _sweep(spec: _Theorem, max_n: int, jobs: int) -> VerificationReport:
     Every chunk is a block of :func:`_prefix_blocks` with at most ``_CHUNK``
     words, in lexicographic order.  Default maps run on it as a matrix
     (:func:`_row_chunk`), any injected map word by word (:func:`_word_chunk`).
+    The distribution identity reads only the swept words' own statistics,
+    which no map changes, so it is counted exactly in this process.
     """
     jobs = _check_jobs(jobs, spec.maps)
     batched = all(fn in _ROWS_OF for fn in spec.maps.values())
@@ -300,25 +286,24 @@ def _sweep(spec: _Theorem, max_n: int, jobs: int) -> VerificationReport:
     with (Pool(jobs) if jobs > 1 else nullcontext()) as pool:
         imap = map if pool is None else pool.imap
         for n in range(max_n + 1):
-            dist_a = Counter()
-            dist_b = Counter()
             count_n = 0
             chunks = ((n, dyck, block) for block in _prefix_blocks(n, dyck, _CHUNK))
-            for size, fails, c_a, c_b in imap(worker, chunks):
+            for size, fails in imap(worker, chunks):
                 count_n += size
                 for name, word in fails.items():
                     failures.setdefault(name, word)
-                dist_a.update(c_a)
-                dist_b.update(c_b)
             total += count_n
             if n < len(spec.sizes) and count_n != spec.sizes[n]:
                 dist_ok = False
                 dist_note = f"class size mismatch at n={n}: {count_n}"
-            if dist_ok and dist_a != dist_b:
-                dist_ok = False
-                diff = next(k for k in dist_a.keys() | dist_b.keys()
-                            if dist_a[k] != dist_b[k])
-                dist_note = f"{spec.dist_check[1]} differ at n={n}, key={diff}"
+            if dist_ok and spec.dist_keys:
+                dist_a, dist_b = (distribution(spec.path_class, n, *keys).counts
+                                  for keys in spec.dist_keys)
+                if dist_a != dist_b:
+                    dist_ok = False
+                    diff = min(k for k in dist_a.keys() | dist_b.keys()
+                               if dist_a.get(k) != dist_b.get(k))
+                    dist_note = f"{spec.dist_check[1]} differ at n={n}, key={diff}"
     rng = (0, max_n)
     report = VerificationReport(_results(spec, rng, total, failures))
     if spec.dist_keys:
@@ -347,7 +332,7 @@ def verify_theorem1(
             ("dyck.transport.peaks_from_ups_odd", _peaks_from_ups_odd),
             ("dyck.transport.contacts_preserved", _contacts_preserved),
         ),
-        (attrgetter("contacts", "ups_odd"), attrgetter("contacts", "peaks")),
+        (("contacts", "ups_odd"), ("contacts", "peaks")),
         ("dyck.joint_distribution.contacts_x_stats", "joint distributions"),
     )
     return _sweep(theorem, max_n, jobs)
@@ -386,7 +371,7 @@ def verify_theorem2(
         },
         ("bilateral.round_trip.psi_after_phi", "bilateral.round_trip.phi_after_psi"),
         checks,
-        (attrgetter("ups_odd"), attrgetter("peaks")),
+        (("ups_odd",), ("peaks",)),
         ("bilateral.distribution.peaks_eq_ups_odd", "distributions"),
     )
     return _sweep(theorem, max_n, jobs)
@@ -495,7 +480,7 @@ def verify_randomized(
         (("random.transport.peaks_from_ups_odd", _peaks_from_ups_odd),),
         (), (),
     )
-    _, failures, _, _ = _theorem_chunk(texts, spec)
+    _, failures = _theorem_chunk(texts, spec)
     report = VerificationReport(_results(spec, (n, n), trials, failures))
     if check_scaling and n >= 64 and trials >= 2:
         doubled = [_random_balanced_text(2 * n, rng) for _ in range(trials)]

@@ -3,6 +3,7 @@ from collections import Counter
 from operator import attrgetter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import oracles
@@ -20,8 +21,8 @@ from dyckmaps import (
     sample_bilateral,
     sample_dyck,
 )
-from dyckmaps.generate import _texts
-from dyckmaps.stats import _stat_record_text
+from dyckmaps.generate import _block_rows, _prefix_blocks, _texts
+from dyckmaps.stats import _scan_rows, _stat_record_text
 from dyckmaps.words import classify
 
 DATA = Path(__file__).parent / "data"
@@ -177,6 +178,34 @@ def test_distribution_equals_enumeration_for_every_field_and_pair(path_class, ma
             expected = Counter(map(attrgetter(*stats), records))
             got = distribution(path_class, n, *stats).counts
             assert got == dict(expected), (path_class, n, stats)
+
+
+def _tally(values) -> Counter:
+    """Counts of per-row keys: one int array, or a tuple of them for pairs."""
+    if isinstance(values, tuple):
+        keys, counts = np.unique(np.stack(values, axis=1), axis=0, return_counts=True)
+        return Counter(dict(zip(map(tuple, keys.tolist()), counts.tolist())))
+    keys, counts = np.unique(values, return_counts=True)
+    return Counter(dict(zip(keys.tolist(), counts.tolist())))
+
+
+# the keys of the theorems' distribution checks, over the whole range of the
+# exhaustive sweeps that the tests run
+@pytest.mark.parametrize("path_class, max_n, keys", [
+    ("dyck", 12, [("contacts", "ups_odd"), ("contacts", "peaks")]),
+    ("bilateral", 10, [("ups_odd",), ("peaks",)]),
+], ids=["dyck", "bilateral"])
+def test_theorem_distributions_equal_a_tally_of_the_swept_rows(path_class, max_n, keys):
+    dyck = path_class == "dyck"
+    for n in range(max_n + 1):
+        tallies = {stats: Counter() for stats in keys}
+        for block in _prefix_blocks(n, dyck, 1024):
+            scan = _scan_rows(_block_rows(n, dyck, block))
+            for stats, tally in tallies.items():
+                tally.update(_tally(attrgetter(*stats)(scan)))
+        for stats, tally in tallies.items():
+            got = distribution(path_class, n, *stats).counts
+            assert got == dict(tally), (path_class, n, stats)
 
 
 # --- sampling -------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import io
 import json
 import os
+from dataclasses import replace
 from functools import partial
 from pathlib import Path
 from types import SimpleNamespace
@@ -10,7 +11,9 @@ import pytest
 
 import dyckmaps.verify
 from dyckmaps import (
+    CATALAN_NUMBERS,
     cli,
+    distribution,
     verify_involutions_and_transport,
     verify_randomized,
     verify_theorem1,
@@ -154,6 +157,65 @@ def test_theorem2_contact_preservation_is_a_negative_control():
     assert all(
         c.passed for c in report.checks if c.name != "bilateral.contacts_preserved"
     )
+
+
+# --- the two failure branches of the distribution check -------------------
+
+_DIST_CHECKS = {
+    verify_theorem1: ("dyck.joint_distribution.contacts_x_stats",
+                      "joint distributions differ at n=3, key=(1, 1)"),
+    verify_theorem2: ("bilateral.distribution.peaks_eq_ups_odd",
+                      "distributions differ at n=3, key=0"),
+}
+
+
+def _skewed_distribution(path_class, n, *stats):
+    """The exact table, but at n = 3 the peak table counts its least key once
+    more than it should."""
+    table = distribution(path_class, n, *stats)
+    if n != 3 or "peaks" not in stats:
+        return table
+    counts = dict(table.counts)
+    counts[min(counts)] += 1
+    return replace(table, counts=counts)
+
+
+def _only_distribution_fails(report, expected, name, note):
+    """Every check of report as in expected, but name failed with note."""
+    want = expected.to_dict()
+    for check in want["checks"]:
+        if check["name"] == name:
+            check.update(passed=False, note=note)
+    want["ok"] = False
+    assert report.to_dict() == want
+
+
+@pytest.mark.parametrize("verify", list(_DIST_CHECKS), ids=lambda f: f.__name__)
+def test_a_distribution_mismatch_fails_only_the_distribution_check(monkeypatch, verify):
+    expected = verify(5)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(dyckmaps.verify, "distribution", _skewed_distribution)
+    serial = verify(5)
+    _only_distribution_fails(serial, expected, *_DIST_CHECKS[verify])
+    # the tables are counted in the parent, so workers change nothing
+    assert verify(5, jobs=2).to_dict() == serial.to_dict()
+
+
+def test_a_class_size_mismatch_is_reported_and_ends_the_comparison(monkeypatch):
+    expected = verify_theorem1(5)
+    name = "dyck.joint_distribution.contacts_x_stats"
+    wrong = list(CATALAN_NUMBERS)
+    wrong[4] += 1
+    monkeypatch.setattr(dyckmaps.verify, "CATALAN_NUMBERS", tuple(wrong))
+    _only_distribution_fails(verify_theorem1(5), expected, name,
+                             "class size mismatch at n=4: 14")
+    # a size mismatch at n = 2 ends the comparison before the skewed n = 3
+    wrong = list(CATALAN_NUMBERS)
+    wrong[2] += 1
+    monkeypatch.setattr(dyckmaps.verify, "CATALAN_NUMBERS", tuple(wrong))
+    monkeypatch.setattr(dyckmaps.verify, "distribution", _skewed_distribution)
+    _only_distribution_fails(verify_theorem1(5), expected, name,
+                             "class size mismatch at n=2: 2")
 
 
 def test_involutions_pass():
