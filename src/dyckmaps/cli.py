@@ -46,6 +46,7 @@ from .verify import (
 )
 from .words import (
     _LONG,
+    _dyck_rows,
     _row_texts,
     _rows,
     classify,
@@ -78,6 +79,8 @@ _MAP_OPS = {
     "psi-ext": (require_closed, _psi_ext_text),
 }
 _STAGED_OPS = {"phi": phi_stages, "psi": psi_stages}
+# a domain check and its form on a uint8 matrix, which passes the same rows
+_ROW_CHECKS = {require_dyck: _dyck_rows}
 
 
 class _LineError(Exception):
@@ -176,26 +179,37 @@ def _per_chunk(stdin, stdout, one, *, many=None, check=lambda word: None) -> int
     trace cap, and on a terminal.  The first DyckError ends the command once
     the answers to the lines before it are printed, and names its line."""
     limit = 1 if many is None or stdin.isatty() else _CHUNK_CHARS
-    lineno = 0
+    lineno = 0  # the lines before the chunk
     for chunk in _chunks(stdin, limit):
         words = []
         error = None
         for line in chunk:
-            lineno += 1
             try:
-                word = parse_word(line.rstrip("\r\n"))
-                check(word)
+                words.append(parse_word(line.rstrip("\r\n")))
             except DyckError as exc:
                 error = exc
                 break
-            words.append(word)
+        # a run for a twin is checked as a matrix where the check has a row form
+        rows_check = _ROW_CHECKS.get(check)
+        passed = (_answers(words, lambda word: False, rows_check) if rows_check
+                  else [False] * len(words))
+        for i, (word, ok) in enumerate(zip(words, passed)):
+            if ok:
+                continue
+            try:
+                check(word)
+            except DyckError as exc:
+                error = exc
+                del words[i:]
+                break
         try:
             out = "".join([answer + "\n" for answer in _answers(words, one, many)])
         except DyckError as exc:  # only a one-line chunk answers unchecked words
-            raise _LineError(lineno, str(exc)) from exc
+            raise _LineError(lineno + 1, str(exc)) from exc
         stdout.write(out)
         if error is not None:
-            raise _LineError(lineno, str(error)) from error
+            raise _LineError(lineno + len(words) + 1, str(error)) from error
+        lineno += len(chunk)
     return 0
 
 

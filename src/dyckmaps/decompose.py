@@ -28,8 +28,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import EmptyWordError, NotADyckWordError, NotBilateralError
-from .words import PathWord, require_dyck
+from .words import _LONG, PathWord, _rows, _up_and_heights, require_dyck
 
 
 _UP = 85  # ord('U'); the factorization cores work on ASCII bytes
@@ -174,8 +176,23 @@ def psi_parse(w: PathWord) -> PsiDecomposition:
     return PsiDecomposition(tuple(PathWord(t) for t in inner), PathWord(tail))
 
 
+def _negative_steps(mat: np.ndarray, h=None) -> np.ndarray:
+    """Where the steps of each row of a uint8 matrix of balanced words run
+    below the axis, which is where their negative crossing factors lie;
+    ``h`` holds the rows' heights if known."""
+    if h is None:
+        h = _up_and_heights(mat)[1]
+    return (h < 0) | ((h == 0) & (mat == _UP))
+
+
 def _crossing_factors(data: bytes) -> list:
-    """Factor boundaries as (start, end, is_negative), in word order."""
+    """Factor boundaries as (start, end, is_negative), in word order; on a
+    long balanced word, wherever the sign of the steps changes."""
+    if len(data) >= _LONG:
+        negative = _negative_steps(_rows([data.decode("ascii")]))[0]
+        start = np.flatnonzero(negative[1:] != negative[:-1]) + 1
+        start = [0] + start.tolist()
+        return list(zip(start, start[1:] + [len(data)], negative[start].tolist()))
     factors = []
     h = 0
     fact_start = 0

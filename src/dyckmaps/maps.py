@@ -10,11 +10,11 @@ phi_ext /     extensions of phi / psi to all balanced words, factor by
 psi_ext       factor across crossings, exchanging odd-height up-steps with
               peaks on the whole bilateral class.
 
-phi and psi are implemented as single left-to-right stack transducers, so
-cost is O(length) with no recursion; words of millions of steps and height
-in the hundreds of thousands are fine.  psi runs the mirrored transducer on
-the reversed-and-flipped word (the two parses are mirror images of each
-other).
+phi and psi run in O(length) with no recursion: a left-to-right stack
+transducer on a word under ``words._LONG`` steps (psi the mirrored one on the
+reversed-and-flipped word), a column loop over a matrix of equal-length
+words, and on a longer word one stable argsort of its vertex heights (see
+the rank cores), about 12 bytes per step at the peak, 15 for the extensions.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ import numpy as np
 from .decompose import (
     _crossing_factors,
     _first_return_len,
+    _negative_steps,
     _phi_bracketing_text,
     _phi_parse_text,
     _psi_bracketing_text,
@@ -31,7 +32,8 @@ from .decompose import (
 )
 from .errors import DyckError
 from .render import _MAX_CELLS
-from .words import PathWord, _up_and_heights, require_closed, require_dyck
+from .words import (_LONG, PathWord, _row_texts, _rows, _up_and_heights,
+                    require_closed, require_dyck)
 
 _U, _D = 85, 68  # ord('U'), ord('D'); the cores run on ASCII bytes
 _FLIP_B = bytes.maketrans(b"UD", b"DU")
@@ -149,13 +151,18 @@ def _ext_b(data: bytes, core, negative_core) -> bytes:
     return b"".join(parts)
 
 
-# str-level wrappers used by the verification engine and the public maps
+# str-level wrappers used by the verification engine and the public maps;
+# a word of at least _LONG steps goes through the matrix twin as one row
 
 def _phi_text(text: str) -> str:
+    if len(text) >= _LONG:
+        return _row_texts(_phi_rows(_rows([text])))[0]
     return _phi_b(text.encode("ascii")).decode("ascii")
 
 
 def _psi_text(text: str) -> str:
+    if len(text) >= _LONG:
+        return _row_texts(_psi_rows(_rows([text])))[0]
     return _psi_b(text.encode("ascii")).decode("ascii")
 
 
@@ -168,10 +175,14 @@ def _beta_text(text: str) -> str:
 
 
 def _phi_ext_text(text: str) -> str:
+    if len(text) >= _LONG:
+        return _row_texts(_phi_ext_rows(_rows([text])))[0]
     return _ext_b(text.encode("ascii"), _phi_b, _phi_beta_b).decode("ascii")
 
 
 def _psi_ext_text(text: str) -> str:
+    if len(text) >= _LONG:
+        return _row_texts(_psi_ext_rows(_rows([text])))[0]
     return _ext_b(text.encode("ascii"), _psi_b, _beta_psi_b).decode("ascii")
 
 
@@ -200,11 +211,14 @@ def _phi_rows(mat: np.ndarray) -> np.ndarray:
     even k counts a block of the node at k-1 and emits U; a U ending at odd
     k opens a node at k with no blocks; a D leaving odd k emits UD D^c,
     with c that node's count.  One column loop carries the counters; a
-    cumsum of the emitted lengths places the U's into rows of D's.
+    cumsum of the emitted lengths places the U's into rows of D's.  Rows
+    of at least ``_LONG`` steps go through :func:`_phi_rank` one by one.
     """
     rows, size = mat.shape
     if not size:
         return mat.copy()
+    if size >= _LONG:
+        return np.array([_phi_rank(row) for row in mat], dtype=np.uint8).reshape(mat.shape)
     up, h = _up_and_heights(mat)
     up, h = np.ascontiguousarray(up.T), np.ascontiguousarray(h.T)  # (size, rows)
     even = (h & 1) == 0
@@ -244,11 +258,14 @@ def _psi_rows(mat: np.ndarray) -> np.ndarray:
     s+1, U then U (pushing s) or D (s = 0); after another D, D then U or D,
     as the top count, less one, stays above zero or runs out and is popped.
     The loop runs over the n D's of all rows at once, each row with its
-    own depth into a ``(rows, n+1)`` stack.
+    own depth into a ``(rows, n+1)`` stack.  Rows of at least ``_LONG``
+    steps go through :func:`_psi_rank` one by one.
     """
     rows, size = mat.shape
     if not size:
         return mat.copy()
+    if size >= _LONG:
+        return np.array([_psi_rank(row) for row in mat], dtype=np.uint8).reshape(mat.shape)
     n = size // 2
     # the U-run before a mirrored D is the D-run after its U in the row
     ups = np.flatnonzero(mat == _U).astype(_AT).reshape(rows, n)
@@ -278,69 +295,43 @@ def _alpha_rows(mat: np.ndarray) -> np.ndarray:
     return mat ^ np.uint8(_FLIP_BITS)
 
 
-def _columns(size: int) -> np.ndarray:
-    """Column numbers in the smallest type that holds twice the width,
-    which keeps the position matrices of a chunk small."""
-    return np.arange(size, dtype=np.int16 if size < 1 << 14 else _AT)
+def _beta_in_factors(words: np.ndarray, returns, negative) -> np.ndarray:
+    """The rows of ``words`` with beta on their negative crossing factors.
+    ``negative`` marks the steps of those factors, which are Dyck up to a
+    flip, and ``returns`` lists the flat positions of their steps that end
+    on the axis.
 
-
-def _beta_source(first, start, end, cols) -> np.ndarray:
-    """Where each byte of beta comes from: U W1 D W2 -> U W2 D W1, on the
-    Dyck words that run from ``start`` to ``end`` of each row and return to
-    the axis first after step ``first``."""
-    d = cols - end + (first - start)  # past W2 in W2 D W1: the D at 0
-    source = (d < 0) * (end - start)
-    source += d
-    source += (d == 0) * (first - start)
-    source *= cols > start  # the U stays
-    source += start
-    return source
+    Beta, U W1 D W2 -> U W2 D W1, moves the pieces U, W2, D and W1 of a
+    factor as blocks, so a step's source less its position is constant on
+    each piece: a cumsum of its changes at the piece boundaries gives it.
+    The sources are intp, which the gather reads without a conversion.
+    """
+    rows, size = words.shape
+    edges = negative.copy()
+    edges[:, 1:] &= ~negative[:, :-1]
+    start = np.flatnonzero(edges)
+    edges[:] = negative
+    edges[:, :-1] &= ~negative[:, 1:]
+    end = np.flatnonzero(edges) + 1
+    del edges
+    first = returns[np.searchsorted(returns, start)]  # the step that ends U W1 D
+    r, m = first - start + 1, end - first - 1  # the lengths of U W1 D and of W2
+    shift = np.ones(rows * size + 1, dtype=np.intp)  # the cumsum counts the position
+    shift[0] = 0
+    shift[start + 1] += r - 1  # W2 comes from r - 1 steps on
+    shift[start + m + 1] -= m + 1  # the D from r - m - 2 steps on
+    shift[start + m + 2] += 1 - r  # W1 from m + 1 steps back
+    shift[end] += m + 1
+    source = np.cumsum(shift[:-1], out=shift[:-1])
+    return words.ravel()[source].reshape(words.shape)
 
 
 def _beta_rows(mat: np.ndarray) -> np.ndarray:
-    """:func:`_beta_b` on Dyck words, one per row."""
-    rows, size = mat.shape
-    if not size:
+    """:func:`_beta_b` on Dyck words, one per row: each row is one factor."""
+    if not mat.shape[1]:
         return mat.copy()
-    cols = _columns(size)
-    first = np.argmax(_up_and_heights(mat)[1] == 0, axis=1).astype(cols.dtype)
-    return np.take_along_axis(mat, _beta_source(first[:, None], 0, size, cols), axis=1)
-
-
-def _negative_steps(mat: np.ndarray, h=None) -> np.ndarray:
-    """Where the steps of each row run below the axis, which is where its
-    negative crossing factors lie; ``h`` holds the rows' heights if known."""
-    if h is None:
-        h = _up_and_heights(mat)[1]
-    return (h < 0) | ((h == 0) & (mat == _U))
-
-
-def _negative_factors(mat: np.ndarray, h: np.ndarray) -> tuple:
-    """(negative, start, end) of the crossing factor holding each step; the
-    bounds are of use on negative factors only."""
-    size = h.shape[1]
-    cols = _columns(size)
-    negative = _negative_steps(mat, h)
-    starts = np.empty_like(negative)
-    starts[:, 0] = True
-    np.not_equal(negative[:, 1:], negative[:, :-1], out=starts[:, 1:])
-    start = np.maximum.accumulate(starts * cols, axis=1)
-    later = np.full(h.shape, size, dtype=cols.dtype)  # the next start, if any
-    later[:, :-1] -= starts[:, 1:] * (size - cols[1:])
-    return negative, start, np.minimum.accumulate(later[:, ::-1], axis=1)[:, ::-1]
-
-
-def _beta_in_factors(h: np.ndarray, negative, start, end) -> np.ndarray:
-    """Gather indices that apply beta to the negative factors of each row
-    (heights ``h``, Dyck there up to a flip) and fix every other step."""
-    size = h.shape[1]
-    cols = _columns(size)
-    zeros = (h == 0) * (cols - size)
-    zeros += size
-    next_zero = np.minimum.accumulate(zeros[:, ::-1], axis=1)[:, ::-1]
-    source = _beta_source(np.take_along_axis(next_zero, start, axis=1), start, end, cols)
-    np.copyto(source, cols, where=~negative)
-    return source
+    returns = np.flatnonzero(_up_and_heights(mat)[1] == 0)
+    return _beta_in_factors(mat, returns, np.ones(mat.shape, dtype=bool))
 
 
 def _phi_ext_rows(mat: np.ndarray) -> np.ndarray:
@@ -353,10 +344,11 @@ def _phi_ext_rows(mat: np.ndarray) -> np.ndarray:
     if not mat.shape[1]:
         return mat.copy()
     _, h = _up_and_heights(mat)
-    negative, start, end = _negative_factors(mat, h)
+    negative = _negative_steps(mat, h)
+    returns = np.flatnonzero((h == 0) & negative)
+    del h  # freed before the next array, which keeps long words lean
     flips = _flips(negative)
-    source = _beta_in_factors(h, negative, start, end)
-    return _phi_rows(np.take_along_axis(mat, source, axis=1) ^ flips) ^ flips
+    return _phi_rows(_beta_in_factors(mat, returns, negative) ^ flips) ^ flips
 
 
 def _psi_ext_rows(mat: np.ndarray) -> np.ndarray:
@@ -364,12 +356,84 @@ def _psi_ext_rows(mat: np.ndarray) -> np.ndarray:
     negative factors, psi, beta on the negative factors, flip them back."""
     if not mat.shape[1]:
         return mat.copy()
-    _, h = _up_and_heights(mat)
-    negative, start, end = _negative_factors(mat, h)
+    negative = _negative_steps(mat)
     flips = _flips(negative)
     out = _psi_rows(mat ^ flips)
-    source = _beta_in_factors(_up_and_heights(out)[1], negative, start, end)
-    return np.take_along_axis(out, source, axis=1) ^ flips
+    returns = np.flatnonzero((_up_and_heights(out)[1] == 0) & negative)
+    return _beta_in_factors(out, returns, negative) ^ flips
+
+
+# --- rank cores --------------------------------------------------------------
+#
+# phi and psi on one long Dyck word of uint8 steps.  A stable argsort of the
+# vertex heights lists the vertices level by level, each level in word order.
+# A vertex's height has the parity of its position, so each parity sorts apart.
+
+def _key_type(h: np.ndarray) -> type:
+    """uint16 keys where the heights fit, which numpy sorts by radix, else int32."""
+    return np.uint16 if h.max(initial=0) < 1 << 16 else np.int32
+
+
+def _phi_rank(row: np.ndarray) -> np.ndarray:
+    """:func:`_phi_b` on one Dyck word.
+
+    The step leaving odd vertex 2j+1, at height k, emits U if it is a U and
+    UD D^c if it is a D; no other step emits.  c counts the vertices at
+    height k since the last one that an up-step reached (the blocks of that
+    node, see :func:`_phi_rows`): in level order, a vertex's rank less the
+    rank of that one.  The emissions fill the output in word order, so a
+    cumsum of their lengths places the U's into a row of D's.
+    """
+    up, h = _up_and_heights(row[None])
+    up = up[0]
+    keys = h[0, 0::2].astype(_key_type(h))  # vertex 2j+1 follows step 2j
+    del h
+    order = np.argsort(keys, kind="stable").astype(_AT)
+    rank = np.arange(len(order), dtype=_AT)
+    count = up[0::2][order] * rank
+    np.maximum.accumulate(count, out=count)
+    np.subtract(rank, count, out=count)
+    emit = rank  # its buffer takes c in word order, then the emitted lengths
+    emit[order] = count
+    del order, count
+    emit += 2
+    np.copyto(emit, 1, where=up[1::2])
+    np.cumsum(emit, dtype=_AT, out=emit)  # where each emission ends
+    out = np.full(len(row), _D, dtype=np.uint8)
+    out[0] = _U
+    out[emit[:-1]] = _U
+    return out
+
+
+def _psi_rank(row: np.ndarray) -> np.ndarray:
+    """:func:`_psi_b` on one Dyck word.
+
+    The j-th U gives output bytes 2j and 2j+1: UD if one D follows it and
+    DD if more do.  If a U follows it, they are UU if a U or the end of the
+    word follows its matching D, and DU if a D does; that D ends at the
+    next vertex of the U's height in level order.
+    """
+    size = len(row)
+    up, h = _up_and_heights(row[None])
+    after = np.ones(size + 2, dtype=bool)  # the step after each vertex; U past the end
+    after[:size] = up[0]
+    up = after[:size]
+    keys = np.zeros(size + 1, dtype=_key_type(h))  # every vertex, the start included
+    keys[1:] = h[0]
+    del h
+    then_up = np.empty(size + 1, dtype=bool)  # the step after the level's next vertex
+    for parity in (0, 1):
+        vertex = np.argsort(keys[parity::2], kind="stable").astype(_AT)
+        vertex *= 2
+        vertex += parity
+        then_up[vertex[:-1]] = after[vertex[1:]]
+        del vertex
+    one = ~after[1:-1]  # a D follows the step
+    first = np.where(one, after[2:], then_up[:-1])  # the first byte is a U
+    out = np.empty(size, dtype=np.uint8)
+    out[0::2] = _U - _flips(~first[up])
+    out[1::2] = _U - _flips(one[up])
+    return out
 
 
 # The matrix twin of each str-level map: the sweeps and the CLI run a map

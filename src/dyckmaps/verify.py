@@ -34,7 +34,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .decompose import _crossing_factors
+from .decompose import _crossing_factors, _negative_steps
 from .generate import (
     CATALAN_NUMBERS,
     CENTRAL_BINOMIALS,
@@ -48,7 +48,6 @@ from .maps import (
     _ROWS_OF,
     _alpha_text,
     _beta_text,
-    _negative_steps,
     _phi_ext_text,
     _phi_text,
     _psi_ext_text,
@@ -293,7 +292,7 @@ def _sweep(spec: _Theorem, max_n: int, jobs: int) -> VerificationReport:
                 for name, word in fails.items():
                     failures.setdefault(name, word)
             total += count_n
-            if n < len(spec.sizes) and count_n != spec.sizes[n]:
+            if dist_ok and n < len(spec.sizes) and count_n != spec.sizes[n]:
                 dist_ok = False
                 dist_note = f"class size mismatch at n={n}: {count_n}"
             if dist_ok and spec.dist_keys:

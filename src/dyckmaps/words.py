@@ -264,6 +264,12 @@ def require_dyck(w: PathWord) -> None:
         )
 
 
+def _dyck_rows(mat: np.ndarray) -> np.ndarray:
+    """Which rows of a uint8 matrix of steps, at least one wide, are Dyck."""
+    h = _up_and_heights(mat)[1]
+    return (h.min(axis=1) >= 0) & (h[:, -1] == 0)
+
+
 def require_closed(w: PathWord) -> None:
     """Raise NotBilateralError unless the word ends at height 0."""
     text = w.text

@@ -35,6 +35,7 @@ from dyckmaps.maps import (
     _psi_text,
 )
 from dyckmaps.stats import _scan_text
+from dyckmaps.verify import _time_maps
 
 GOLDEN_TOP = "UUUUDDDUUUUDDUDDDD"
 GOLDEN_BOTTOM = "UUUDDUUUDUUDDDUDDD"
@@ -248,8 +249,8 @@ def test_scale_and_performance():
             break
 
     half = [_random_balanced_text(250_000, rng) for _ in range(10)]
-    t_half = min(_timed_batch(_phi_ext_text, half) for _ in range(3))
-    t_full = min(_timed_batch(_phi_ext_text, big) for _ in range(3))
+    # the batches take turns, so that a slow stretch of the host falls on both
+    t_half, t_full = _time_maps(_phi_ext_text, (half, big), repeats=3)
     ratio = t_full / t_half
     ok_linear = ratio <= 2.5
 
@@ -269,9 +270,3 @@ def test_scale_and_performance():
         f"doubling ratio {ratio:.2f}",
     )
 
-
-def _timed_batch(fn, texts) -> float:
-    start = time.perf_counter()
-    for text in texts:
-        fn(text)
-    return time.perf_counter() - start

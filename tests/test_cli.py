@@ -12,6 +12,7 @@ import dyckmaps.generate
 import dyckmaps.maps
 import dyckmaps.render
 import dyckmaps.verify
+import dyckmaps.words
 from dyckmaps.cli import run
 
 GOLDEN_TOP = "UUUUDDDUUUUDDUDDDD"
@@ -476,6 +477,35 @@ def test_a_bad_line_mid_chunk_ends_the_output_after_the_lines_before_it(
     assert code == 1
     assert out == _reference(argv, "".join(line + "\n" for line in lines[:143]))
     assert err == f"error: {exc.value} (line 144)\n"
+
+
+@pytest.mark.parametrize("op", _DYCK_OPS)
+@pytest.mark.parametrize("bad, message", [
+    ("UDDU" + "UD" * 8, "not a Dyck word: vertex below axis at step 3"),
+    ("UU" + "UD" * 9, "not a Dyck word: path ends at height 2 instead of 0"),
+], ids=["below", "open"])
+def test_a_bad_word_in_a_run_is_checked_by_matrix_with_the_same_output(
+        monkeypatch, op, bad, message):
+    # 64 words of 20 steps, one run for the twin: a word that is not Dyck at
+    # line 33, an invalid character at line 40, another bad word at line 50
+    lines = _words(True, 10, 64, 0)
+    lines[32] = bad
+    lines[39] = "UD" * 9 + "UX"
+    lines[49] = "DU" * 10
+    checked = []
+
+    def spy(word):
+        checked.append(word.text)
+        dyckmaps.words.require_dyck(word)
+
+    monkeypatch.setitem(dyckmaps.cli._ROW_CHECKS, spy, dyckmaps.words._dyck_rows)
+    monkeypatch.setitem(dyckmaps.cli._MAP_OPS, op, (spy, dyckmaps.cli._MAP_OPS[op][1]))
+    argv = ["map", "--op", op]
+    code, out, err = _run(argv, "".join(line + "\n" for line in lines))
+    assert code == 1
+    assert out == _reference(argv, "".join(line + "\n" for line in lines[:32]))
+    assert err == f"error: {message} (line 33)\n"
+    assert checked == [bad]  # the rows the matrix passed are not checked again
 
 
 class _TerminalLines:

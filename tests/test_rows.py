@@ -1,27 +1,46 @@
 """The matrix fast path of the sweeps against the per-word code it stands for:
-the chunked enumerator, the six matrix maps and the row scan, row by row."""
+the chunked enumerator, the six matrix maps and the row scan, row by row;
+and the rank cores of long words against the stack transducers."""
 
 import json
+import tracemalloc
 from functools import lru_cache
 
 import numpy as np
 import pytest
 
-from dyckmaps.generate import _block_rows, _prefix_blocks, _texts
+import dyckmaps.decompose
+import dyckmaps.maps
+from dyckmaps.decompose import _crossing_factors
+from dyckmaps.generate import (
+    _block_rows,
+    _prefix_blocks,
+    _random_balanced_text,
+    _random_dyck_text,
+    _texts,
+)
 from dyckmaps.maps import (
     _alpha_rows,
     _alpha_text,
+    _beta_psi_b,
     _beta_rows,
     _beta_text,
+    _ext_b,
+    _phi_b,
+    _phi_beta_b,
     _phi_ext_rows,
     _phi_ext_text,
+    _phi_rank,
     _phi_rows,
     _phi_text,
+    _psi_b,
     _psi_ext_rows,
     _psi_ext_text,
+    _psi_rank,
     _psi_rows,
     _psi_text,
 )
+from dyckmaps.words import _LONG
 from dyckmaps.stats import _scan_rows, _scan_text, _stat_record_text, _stat_records_rows
 
 # every Dyck word with n <= 10 and every balanced word with n <= 8
@@ -88,3 +107,87 @@ def test_row_records_equal_the_word_records(path_class, n):
     # as JSON, so that a numpy int or an int for a bool shows
     got = [json.dumps(r.to_dict()) for r in _stat_records_rows(mat)]
     assert got == [json.dumps(_stat_record_text(t).to_dict()) for t in texts]
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_rank_cores_equal_the_transducers_on_every_dyck_word(n):
+    mat, texts = _class("dyck", n)
+    for row, text in zip(mat, texts):
+        data = text.encode("ascii")
+        assert _phi_rank(row).tobytes() == _phi_b(data), text
+        assert _psi_rank(row).tobytes() == _psi_b(data), text
+
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_the_long_ext_path_equals_the_factor_loop_on_every_balanced_word(monkeypatch, n):
+    monkeypatch.setattr(dyckmaps.maps, "_LONG", 1)  # every word takes the long path
+    for text in _class("bilateral", n)[1]:
+        data = text.encode("ascii")
+        assert _phi_ext_text(text) == _ext_b(data, _phi_b, _phi_beta_b).decode("ascii"), text
+        assert _psi_ext_text(text) == _ext_b(data, _psi_b, _beta_psi_b).decode("ascii"), text
+
+
+def _alternating_factors(count, rng):
+    """A balanced word of ``count`` crossing factors, the first negative."""
+    flip = str.maketrans("UD", "DU")
+    factors = [_random_dyck_text(int(rng.integers(1, 40)), rng) for _ in range(count)]
+    return "".join(f.translate(flip) if i % 2 == 0 else f for i, f in enumerate(factors))
+
+
+def _long_words():
+    """(word, is Dyck) of at least _LONG steps; heights of 2^16 and above
+    need int32 sort keys."""
+    rng = np.random.default_rng(11)
+    k = 1 << 15
+    return {
+        "random-dyck": (_random_dyck_text(k, rng), True),
+        "U^k-D^k": ("U" * k + "D" * k, True),
+        "U^2k-D^2k": ("U" * (2 * k + 99) + "D" * (2 * k + 99), True),
+        "(UD)^k": ("UD" * k, True),
+        # five climbs of 16,384 steps, each with a random Dyck word on top
+        "tall-interleaved": ("".join("U" * (k // 2) + _random_dyck_text(2048, rng)
+                                     for _ in range(5)) + "D" * (5 * k // 2), True),
+        "random-balanced": (_random_balanced_text(k, rng), False),
+        "negative-factors": (_alternating_factors(600, rng), False),
+    }
+
+
+LONG_WORDS = _long_words()
+
+
+@pytest.mark.parametrize("name", LONG_WORDS)
+def test_text_maps_equal_the_transducers_on_long_words(name):
+    text, dyck = LONG_WORDS[name]
+    assert len(text) >= _LONG
+    data = text.encode("ascii")
+    want = {_phi_ext_text: _ext_b(data, _phi_b, _phi_beta_b),
+            _psi_ext_text: _ext_b(data, _psi_b, _beta_psi_b)}
+    if dyck:
+        want.update({_phi_text: _phi_b(data), _psi_text: _psi_b(data)})
+    for fn, image in want.items():
+        assert fn(text) == image.decode("ascii"), fn.__name__
+
+
+@pytest.mark.parametrize("name", LONG_WORDS)
+def test_crossing_factors_of_long_words_equal_the_loop(monkeypatch, name):
+    data = LONG_WORDS[name][0].encode("ascii")
+    fast = _crossing_factors(data)
+    monkeypatch.setattr(dyckmaps.decompose, "_LONG", len(data) + 1)
+    assert fast == _crossing_factors(data)
+    if name == "negative-factors":
+        assert len(fast) == 600 and fast[0][2] is True
+
+
+@pytest.mark.parametrize("fn", [_phi_ext_text, _psi_ext_text])
+def test_long_ext_maps_peak_under_40_bytes_per_step(fn):
+    size = 1 << 20
+    text = _random_balanced_text(size // 2, np.random.default_rng(5))
+    fn(text)  # numpy's one-time set-up is not the map's
+    tracemalloc.start()
+    try:
+        fn(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 * size, peak / size

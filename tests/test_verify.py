@@ -216,6 +216,15 @@ def test_a_class_size_mismatch_is_reported_and_ends_the_comparison(monkeypatch):
     monkeypatch.setattr(dyckmaps.verify, "distribution", _skewed_distribution)
     _only_distribution_fails(verify_theorem1(5), expected, name,
                              "class size mismatch at n=2: 2")
+    # the first mismatch names the note, not the last
+    wrong[4] += 1
+    monkeypatch.setattr(dyckmaps.verify, "CATALAN_NUMBERS", tuple(wrong))
+    _only_distribution_fails(verify_theorem1(5), expected, name,
+                             "class size mismatch at n=2: 2")
+    # and a size mismatch at n = 4 leaves the table difference at n = 3 named
+    wrong[2] -= 1
+    monkeypatch.setattr(dyckmaps.verify, "CATALAN_NUMBERS", tuple(wrong))
+    _only_distribution_fails(verify_theorem1(5), expected, *_DIST_CHECKS[verify_theorem1])
 
 
 def test_involutions_pass():
