@@ -304,7 +304,10 @@ def _beta_in_factors(words: np.ndarray, returns, negative) -> np.ndarray:
     Beta, U W1 D W2 -> U W2 D W1, moves the pieces U, W2, D and W1 of a
     factor as blocks, so a step's source less its position is constant on
     each piece: a cumsum of its changes at the piece boundaries gives it.
-    The sources are intp, which the gather reads without a conversion.
+    The sources are intp, which the gather reads without a conversion; on a
+    long word they are also the largest block, which keeps the working set
+    under twice that size, so glibc keeps the freed heap for the next call
+    instead of returning it to be faulted in again.
     """
     rows, size = words.shape
     edges = negative.copy()
