@@ -269,4 +269,3 @@ def test_scale_and_performance():
         ok,
         f"doubling ratio {ratio:.2f}",
     )
-
