@@ -10,11 +10,13 @@ phi_ext /     extensions of phi / psi to all balanced words, factor by
 psi_ext       factor across crossings, exchanging odd-height up-steps with
               peaks on the whole bilateral class.
 
-phi and psi run in O(length) with no recursion: a left-to-right stack
-transducer on a word under ``words._LONG`` steps (psi the mirrored one on the
-reversed-and-flipped word), a column loop over a matrix of equal-length
-words, and on a longer word one stable argsort of its vertex heights (see
-the rank cores), about 12 bytes per step at the peak, 15 for the extensions.
+phi and psi run in O(length) with no recursion, in three forms: a
+left-to-right stack transducer on a word under ``words._LONG`` = 4,096 steps
+(psi runs the mirrored one on the reversed-and-flipped word); a column loop
+over a matrix of equal-length words (the twins); and on a longer word a rank
+core, one stable argsort of the vertex heights per parity, with uint16 keys
+(a radix sort) below height 2^16 and int32 keys above.  A rank core peaks at
+about 12 bytes per step, an extension on a long word at about 15.
 """
 
 from __future__ import annotations
