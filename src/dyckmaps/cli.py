@@ -23,7 +23,7 @@ import sys
 from . import __version__
 from .decompose import crossing_factorize, first_return_split
 from .errors import DyckError
-from .generate import _CLASS_SOURCES, catalan, central_binomial, distribution
+from .generate import _text_blocks, catalan, central_binomial, distribution
 from .maps import (
     _ROWS_OF,
     _alpha_text,
@@ -277,8 +277,8 @@ def _cmd_enum(args, stdin, stdout) -> int:
         _check_cap(f"Catalan({n})", catalan(n))
     else:
         _check_cap(f"C({2 * n}, {n})", central_binomial(n))
-    for text in _CLASS_SOURCES[args.path_class](n):
-        print(text, file=stdout)
+    for texts in _text_blocks(n, args.path_class == "dyck"):
+        stdout.write("\n".join(texts) + "\n")
     return 0
 
 

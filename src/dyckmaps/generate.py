@@ -1,16 +1,17 @@
 """Exhaustive generation, uniform sampling, and exact distribution tables.
 
-Words are generated in lexicographic order with U < D by an in-place
-successor algorithm, so enumeration is deterministic and restartable; the
-verification sweeps get the same order as blocks of uint8 matrix rows,
-grown column by column from common prefixes.
+Words are enumerated in lexicographic order with U < D by unranking: a
+block is a range of ranks, and its words are built column by column as the
+rows of a uint8 matrix, so enumeration is deterministic, restartable at any
+rank, and bounded in memory by one block.  The text streams, ``enum`` and
+the verification sweeps all read these blocks.
 Counts are exact Python integers throughout.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from itertools import chain
 from math import comb
 from typing import Iterator
 
@@ -29,63 +30,25 @@ CENTRAL_BINOMIALS = (
     1, 2, 6, 20, 70, 252, 924, 3432, 12870, 48620, 184756, 705432,
     2704156, 10400600, 40116600, 155117520, 601080390,
 )
+_MAX_RANK_N = 33  # the largest n whose C(2n, n) ranks fit in int64
+_TEXT_STEPS = 1 << 18  # steps per block of the text streams
+
+
+def _check_semilength(n: int) -> None:
+    if n < 0:
+        raise ValueError("semilength must be nonnegative")
 
 
 def catalan(n: int) -> int:
     """Number of Dyck words of semilength n, exactly."""
-    if n < 0:
-        raise ValueError("semilength must be nonnegative")
+    _check_semilength(n)
     return comb(2 * n, n) // (n + 1)
 
 
 def central_binomial(n: int) -> int:
     """Number of balanced words of semilength n, exactly."""
-    if n < 0:
-        raise ValueError("semilength must be nonnegative")
+    _check_semilength(n)
     return comb(2 * n, n)
-
-
-def _next_word(buf: list, floor: int) -> bool:
-    """Advance a balanced word buffer to its lexicographic successor (U < D).
-
-    Flips the rightmost U whose prefix height h before it exceeds ``floor``
-    (so the flipped prefix ends at or above it) and after which the suffix
-    can still return to the axis, then fills the suffix minimally (all U's
-    first).  ``floor`` is 0 for Dyck words and -2n, below any reachable
-    height, for balanced words.  Returns False at the last word.
-    """
-    size = len(buf)
-    h = 0  # height before the position being examined, built right to left
-    for i in range(size - 1, -1, -1):
-        if buf[i] == "U":
-            h -= 1
-            if h > floor:
-                rest = size - i - 1
-                u = (rest - h + 1) // 2
-                if 0 <= u <= rest:
-                    buf[i] = "D"
-                    buf[i + 1 : i + 1 + u] = "U" * u
-                    buf[i + 1 + u :] = "D" * (rest - u)
-                    return True
-        else:
-            h += 1
-    return False
-
-
-def _texts(n: int, dyck: bool) -> Iterator[str]:
-    """All Dyck (``dyck``) or all balanced words of semilength n, in
-    lexicographic order."""
-    if n < 0:
-        raise ValueError("semilength must be nonnegative")
-    if n == 0:
-        yield ""
-        return
-    floor = 0 if dyck else -2 * n
-    buf = list("U" * n + "D" * n)
-    while True:
-        yield "".join(buf)
-        if not _next_word(buf, floor):
-            return
 
 
 def _endings(n: int, dyck: bool) -> np.ndarray:
@@ -101,72 +64,78 @@ def _endings(n: int, dyck: bool) -> np.ndarray:
     return ends
 
 
-def _grow(prefixes: np.ndarray, ends: np.ndarray, stop: int) -> np.ndarray:
-    """Extend prefix rows column by column to ``stop`` steps, each row's U
-    child before its D child, so that lexicographic order is kept."""
-    rows, start = prefixes.shape
-    n = ends.shape[0] // 2
-    mat = np.empty((rows, stop), dtype=np.uint8)
-    mat[:, :start] = prefixes
-    h = np.count_nonzero(prefixes == 85, axis=1) * 2 - start + n + 1  # offset heights
-    for col in range(start, stop):
-        left = ends[2 * n - col - 1]
-        child = np.flatnonzero(np.stack((left[h + 1], left[h - 1]), axis=1))
-        parent, down = child >> 1, child & 1
-        mat = mat[parent]
+def _rank_blocks(n: int, dyck: bool, rows: int) -> Iterator[tuple]:
+    """All Dyck (``dyck``) or balanced words of semilength n, in lexicographic
+    order (U < D), as consecutive rank ranges ``(n, dyck, start, stop)`` of
+    at most ``rows`` words; :func:`_rank_rows` builds a range's words.
+
+    The ranks are int64, which holds C(2n, n) up to n = 33 only.
+    """
+    _check_semilength(n)
+    if n > _MAX_RANK_N:
+        raise ValueError(f"semilength must be at most {_MAX_RANK_N} for int64 ranks")
+    size = int(_endings(n, dyck)[2 * n, n + 1])
+    for start in range(0, size, rows):
+        yield n, dyck, start, min(start + rows, size)
+
+
+def _rank_rows(n: int, dyck: bool, start: int, stop: int) -> np.ndarray:
+    """The words of ranks start..stop-1 of a class of :func:`_rank_blocks`,
+    one per row of a ``(rows, 2n)`` uint8 matrix.
+
+    Unranks column by column against the completion counts of
+    :func:`_endings` (Kreher & Stinson, *Combinatorial Algorithms*, ch. 2):
+    a word steps D where its rank is at least the number of completions
+    after a U, and then drops those completions from its rank.
+    """
+    ends = _endings(n, dyck)
+    rank = np.arange(start, stop, dtype=np.int64)
+    h = np.full(len(rank), n + 2)  # column of ends: the height after a U
+    mat = np.empty((len(rank), 2 * n), dtype=np.uint8)
+    for col in range(2 * n):
+        after_up = ends[2 * n - col - 1].take(h)
+        down = rank >= after_up
+        np.subtract(rank, after_up, out=rank, where=down)
         mat[:, col] = np.where(down, 68, 85)
-        h = h[parent] + 1 - 2 * down
+        h += 1 - 2 * down
     return mat
 
 
-def _prefix_blocks(n: int, dyck: bool, rows: int) -> Iterator[np.ndarray]:
-    """All Dyck (``dyck``) or balanced words of semilength n, in lexicographic
-    order, as blocks of common prefixes with at most ``rows`` words between
-    them; :func:`_block_rows` expands a block.
-
-    The prefixes all have the least length at which none has more than
-    rows // 4 endings, and consecutive prefixes are grouped greedily, so a
-    block holds more than 3/4 of ``rows`` words unless it is the last.
-    """
-    if n < 0:
-        raise ValueError("semilength must be nonnegative")
-    ends = _endings(n, dyck)
-    most = max(rows // 4, 1)
-    depth = next(d for d in range(2 * n + 1)  # heights within d of the axis
-                 if ends[2 * n - d, max(n + 1 - d, 0) : n + 2 + d].max() <= most)
-    prefixes = _grow(np.empty((1, 0), dtype=np.uint8), ends, depth)
-    heights = np.count_nonzero(prefixes == 85, axis=1) * 2 - depth + n + 1
-    done = np.cumsum(ends[2 * n - depth, heights])  # words up to each prefix
-    a = 0
-    while a < len(prefixes):
-        b = int(np.searchsorted(done, (done[a - 1] if a else 0) + rows, "right"))
-        yield prefixes[a:b]
-        a = b
+def _text_blocks(n: int, dyck: bool) -> Iterator[list]:
+    """The words of :func:`_rank_blocks` as lists of text, at most
+    ``_TEXT_STEPS`` steps each."""
+    for block in _rank_blocks(n, dyck, _TEXT_STEPS // max(2 * n, 1)):
+        yield _row_texts(_rank_rows(*block))
 
 
-def _block_rows(n: int, dyck: bool, prefixes: np.ndarray) -> np.ndarray:
-    """The words of a block of :func:`_prefix_blocks`, one per row of a
-    ``(rows, 2n)`` uint8 matrix, in lexicographic order."""
-    return _grow(prefixes, _endings(n, dyck), 2 * n)
+def _dyck_texts(n: int) -> Iterator[str]:
+    """All Dyck words of semilength n, in lexicographic order."""
+    return chain.from_iterable(_text_blocks(n, True))
 
 
-_dyck_texts = partial(_texts, dyck=True)
-_balanced_texts = partial(_texts, dyck=False)
+def _balanced_texts(n: int) -> Iterator[str]:
+    """All balanced words of semilength n, in lexicographic order."""
+    return chain.from_iterable(_text_blocks(n, False))
 
 
 def generate_dyck(n: int) -> Iterator[PathWord]:
-    """All Dyck words of semilength n, lexicographically (U < D), Catalan(n) many."""
+    """All Dyck words of semilength n, lexicographically (U < D), Catalan(n) many.
+
+    Raises ``ValueError`` for n > 33, beyond the int64 ranks of the
+    enumerator.
+    """
     return (PathWord(t) for t in _dyck_texts(n))
 
 
 def generate_bilateral(n: int) -> Iterator[PathWord]:
-    """All balanced words of semilength n, lexicographically, C(2n, n) many."""
+    """All balanced words of semilength n, lexicographically, C(2n, n) many.
+
+    Raises ``ValueError`` for n > 33, where C(2n, n) passes 2^63.
+    """
     return (PathWord(t) for t in _balanced_texts(n))
 
 
 def _random_balanced_text(n: int, rng: np.random.Generator) -> str:
-    if n == 0:
-        return ""
     arr = np.empty(2 * n, dtype=np.uint8)
     arr[:n] = 85  # 'U'
     arr[n:] = 68  # 'D'
@@ -182,8 +151,6 @@ def _random_dyck_text(n: int, rng: np.random.Generator) -> str:
     right after the last minimum of the prefix sums.  Dropping its leading
     up-step leaves a uniform Dyck word of semilength n.
     """
-    if n == 0:
-        return ""
     delta = np.ones(2 * n + 1, dtype=np.int64)
     delta[n + 1 :] = -1
     rng.shuffle(delta)
@@ -196,11 +163,13 @@ def _random_dyck_text(n: int, rng: np.random.Generator) -> str:
 
 def sample_bilateral(n: int, seed: int) -> PathWord:
     """Uniform balanced word of semilength n; deterministic in the seed."""
+    _check_semilength(n)
     return PathWord(_random_balanced_text(n, np.random.default_rng(seed)))
 
 
 def sample_dyck(n: int, seed: int) -> PathWord:
     """Uniform Dyck word of semilength n; deterministic in the seed."""
+    _check_semilength(n)
     return PathWord(_random_dyck_text(n, np.random.default_rng(seed)))
 
 
@@ -243,9 +212,6 @@ class DistributionTable:
             "stats": list(self.stats),
             "counts": entries,
         }
-
-
-_CLASS_SOURCES = {"dyck": _dyck_texts, "bilateral": _balanced_texts}
 
 
 def _check_stat_name(name: str) -> str:
@@ -353,12 +319,11 @@ def distribution(
     cost is polynomial in n (well under a second at n = 30).
     """
     cls = path_class.lower()
-    if cls not in _CLASS_SOURCES:
+    if cls not in ("dyck", "bilateral"):
         raise ValueError(f"unknown word class {path_class!r}")
     _check_stat_name(stat1)
     if stat2 is not None:
         _check_stat_name(stat2)
-    if n < 0:
-        raise ValueError("semilength must be nonnegative")
+    _check_semilength(n)
     stats = (stat1,) if stat2 is None else (stat1, stat2)
     return DistributionTable(cls, n, stats, _transfer_counts(n, cls == "dyck", stats))

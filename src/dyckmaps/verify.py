@@ -8,7 +8,7 @@ counted exactly, once per semilength, by the dynamic program of
 the whole class.
 
 A sweep reads each class in chunks of at most ``_CHUNK`` words, the
-blocks of :func:`~dyckmaps.generate._prefix_blocks` in lexicographic
+rank ranges of :func:`~dyckmaps.generate._rank_blocks` in lexicographic
 order.  With the default maps a chunk runs batched: a ``(rows, 2n)`` uint8
 matrix, mapped by the matrix twins of the maps, scanned once, and checked
 by row predicates.  The map arguments of the exhaustive engines are
@@ -38,10 +38,10 @@ from .decompose import _crossing_factors, _negative_steps
 from .generate import (
     CATALAN_NUMBERS,
     CENTRAL_BINOMIALS,
-    _block_rows,
     _dyck_texts,
-    _prefix_blocks,
     _random_balanced_text,
+    _rank_blocks,
+    _rank_rows,
     distribution,
 )
 from .maps import (
@@ -239,14 +239,14 @@ def _theorem_chunk(texts, spec: _Theorem):
 
 
 def _word_chunk(block, spec: _Theorem):
-    """:func:`_theorem_chunk` on the words of one block, the arguments of
-    :func:`_block_rows`."""
-    return _theorem_chunk(_row_texts(_block_rows(*block)), spec)
+    """:func:`_theorem_chunk` on the words of one rank range, the arguments
+    of :func:`_rank_rows`."""
+    return _theorem_chunk(_row_texts(_rank_rows(*block)), spec)
 
 
 def _row_chunk(block, spec: _Theorem):
     """:func:`_word_chunk`, all at once through the matrix twins."""
-    mat = _block_rows(*block)
+    mat = _rank_rows(*block)
     forward, *rest = (_ROWS_OF[fn] for fn in spec.maps.values())
     inverse = rest[0] if rest else forward
     first_trip, *second_trip = spec.round_trips
@@ -267,9 +267,10 @@ def _row_chunk(block, spec: _Theorem):
 def _sweep(spec: _Theorem, max_n: int, jobs: int) -> VerificationReport:
     """Check one theorem over its whole class at every semilength 0..max_n.
 
-    Every chunk is a block of :func:`_prefix_blocks` with at most ``_CHUNK``
-    words, in lexicographic order.  Default maps run on it as a matrix
-    (:func:`_row_chunk`), any injected map word by word (:func:`_word_chunk`).
+    Every chunk is a rank range of :func:`_rank_blocks` with at most
+    ``_CHUNK`` words, in lexicographic order.  Default maps run on it as a
+    matrix (:func:`_row_chunk`), any injected map word by word
+    (:func:`_word_chunk`).
     The distribution identity reads only the swept words' own statistics,
     which no map changes, so it is counted exactly in this process.
     """
@@ -286,8 +287,7 @@ def _sweep(spec: _Theorem, max_n: int, jobs: int) -> VerificationReport:
         imap = map if pool is None else pool.imap
         for n in range(max_n + 1):
             count_n = 0
-            chunks = ((n, dyck, block) for block in _prefix_blocks(n, dyck, _CHUNK))
-            for size, fails in imap(worker, chunks):
+            for size, fails in imap(worker, _rank_blocks(n, dyck, _CHUNK)):
                 count_n += size
                 for name, word in fails.items():
                     failures.setdefault(name, word)

@@ -13,6 +13,7 @@ import dyckmaps.maps
 import dyckmaps.render
 import dyckmaps.verify
 import dyckmaps.words
+import oracles
 from dyckmaps.cli import run
 
 GOLDEN_TOP = "UUUUDDDUUUUDDUDDDD"
@@ -116,6 +117,35 @@ def test_enum_rejects_oversized_n():
     assert "30" in err
 
 
+@pytest.mark.parametrize("path_class, n", [("bilateral", 9), ("bilateral", 0), ("dyck", 0)])
+def test_enum_writes_the_brute_force_class_one_block_per_write(path_class, n):
+    out = _Writes()
+    code = run(["enum", "--class", path_class, "--n", str(n)], stdout=out)
+    words = sorted(oracles.all_dyck(n) if path_class == "dyck" else oracles.all_balanced(n),
+                   key=oracles.lex_key)
+    assert code == 0
+    assert out.getvalue() == "".join(word + "\n" for word in words)
+    rows = dyckmaps.generate._TEXT_STEPS // max(2 * n, 1)
+    assert out.writes == -(-len(words) // rows)  # 48,620 words of 18 steps: 4 blocks
+
+
+def test_enum_builds_one_block_when_the_pipe_breaks(monkeypatch):
+    built = []
+    rank_rows = dyckmaps.generate._rank_rows
+
+    def recording(*block):
+        built.append(block)
+        return rank_rows(*block)
+
+    class BrokenPipe:
+        def write(self, text):
+            raise BrokenPipeError
+
+    monkeypatch.setattr(dyckmaps.generate, "_rank_rows", recording)
+    code = run(["enum", "--class", "bilateral", "--n", "12"], stdout=BrokenPipe())
+    assert (code, len(built)) == (0, 1)
+
+
 def test_table_csv():
     code, out, _ = _run(
         ["table", "--class", "dyck", "--n", "3", "--stat", "peaks"]
@@ -141,11 +171,8 @@ def _refuse_enumeration(monkeypatch):
     def boom(*args, **kwargs):
         raise AssertionError("enumerated a class")
 
-    monkeypatch.setattr(dyckmaps.generate, "_texts", boom)
-    for path_class in ("dyck", "bilateral"):
-        monkeypatch.setitem(dyckmaps.generate._CLASS_SOURCES, path_class, boom)
-    monkeypatch.setattr(dyckmaps.verify, "_dyck_texts", boom)
-    monkeypatch.setattr(dyckmaps.verify, "_prefix_blocks", boom)
+    monkeypatch.setattr(dyckmaps.generate, "_rank_blocks", boom)
+    monkeypatch.setattr(dyckmaps.verify, "_rank_blocks", boom)
 
 
 @pytest.mark.parametrize("path_class, n, message", [

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from collections import Counter
 from operator import attrgetter
 from pathlib import Path
@@ -21,7 +22,7 @@ from dyckmaps import (
     sample_bilateral,
     sample_dyck,
 )
-from dyckmaps.generate import _block_rows, _prefix_blocks, _texts
+from dyckmaps.generate import _balanced_texts, _dyck_texts, _rank_blocks, _rank_rows
 from dyckmaps.stats import _scan_rows, _stat_record_text
 from dyckmaps.words import classify
 
@@ -79,6 +80,28 @@ def test_generator_counts_to_reference():
         assert sum(1 for _ in generate_dyck(n)) == CATALAN_NUMBERS[n]
     for n in range(9):
         assert sum(1 for _ in generate_bilateral(n)) == CENTRAL_BINOMIALS[n]
+
+
+@pytest.mark.parametrize("generate", [generate_dyck, generate_bilateral])
+def test_generators_refuse_semilengths_past_the_int64_ranks(generate):
+    # C(68, 34) = 28,453,041,475,240,576,740 is past 2^63
+    assert next(generate(33)).text == "U" * 33 + "D" * 33
+    with pytest.raises(ValueError, match="semilength must be at most 33"):
+        next(generate(34))
+    with pytest.raises(ValueError, match="semilength must be nonnegative"):
+        next(generate(-1))
+
+
+def test_the_first_word_costs_one_block_of_memory():
+    # a tree of every prefix of a few dozen steps would take gigabytes
+    tracemalloc.start()
+    try:
+        first = next(generate_bilateral(33))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert first.text == "U" * 33 + "D" * 33
+    assert peak < 2_000_000
 
 
 # --- distributions --------------------------------------------------------------
@@ -173,7 +196,8 @@ def test_distribution_equals_enumeration_for_every_field_and_pair(path_class, ma
     fields = StatRecord._fields
     keys = [(a,) for a in fields] + [(a, b) for a in fields for b in fields]
     for n in range(max_n + 1):
-        records = [_stat_record_text(t) for t in _texts(n, path_class == "dyck")]
+        texts = _dyck_texts(n) if path_class == "dyck" else _balanced_texts(n)
+        records = [_stat_record_text(t) for t in texts]
         for stats in keys:
             expected = Counter(map(attrgetter(*stats), records))
             got = distribution(path_class, n, *stats).counts
@@ -199,8 +223,8 @@ def test_theorem_distributions_equal_a_tally_of_the_swept_rows(path_class, max_n
     dyck = path_class == "dyck"
     for n in range(max_n + 1):
         tallies = {stats: Counter() for stats in keys}
-        for block in _prefix_blocks(n, dyck, 1024):
-            scan = _scan_rows(_block_rows(n, dyck, block))
+        for block in _rank_blocks(n, dyck, 1024):
+            scan = _scan_rows(_rank_rows(*block))
             for stats, tally in tallies.items():
                 tally.update(_tally(attrgetter(*stats)(scan)))
         for stats, tally in tallies.items():
@@ -209,6 +233,12 @@ def test_theorem_distributions_equal_a_tally_of_the_swept_rows(path_class, max_n
 
 
 # --- sampling -------------------------------------------------------------------
+
+@pytest.mark.parametrize("sample", [sample_dyck, sample_bilateral])
+def test_samplers_refuse_negative_semilengths(sample):
+    with pytest.raises(ValueError, match="semilength must be nonnegative"):
+        sample(-1, seed=7)
+
 
 def test_samplers_trivial_sizes():
     assert sample_dyck(0, seed=7).text == ""

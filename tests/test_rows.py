@@ -11,13 +11,13 @@ import pytest
 
 import dyckmaps.decompose
 import dyckmaps.maps
+import oracles
 from dyckmaps.decompose import _crossing_factors
 from dyckmaps.generate import (
-    _block_rows,
-    _prefix_blocks,
     _random_balanced_text,
     _random_dyck_text,
-    _texts,
+    _rank_blocks,
+    _rank_rows,
 )
 from dyckmaps.maps import (
     _alpha_rows,
@@ -55,10 +55,12 @@ MAPS = {
 
 @lru_cache(maxsize=None)
 def _class(path_class, n):
-    """(matrix of the whole class from 1,024-row blocks, its words per word)."""
+    """(matrix of the whole class from 1,024-row blocks, its words sorted by
+    the brute-force oracle)."""
     dyck = path_class == "dyck"
-    blocks = [_block_rows(n, dyck, b) for b in _prefix_blocks(n, dyck, 1024)]
-    return np.concatenate(blocks), list(_texts(n, dyck))
+    blocks = [_rank_rows(*b) for b in _rank_blocks(n, dyck, 1024)]
+    words = oracles.all_dyck(n) if dyck else oracles.all_balanced(n)
+    return np.concatenate(blocks), sorted(words, key=oracles.lex_key)
 
 
 def _texts_of(mat):
@@ -76,7 +78,7 @@ def test_blocks_enumerate_the_class_in_order(path_class, n):
 @pytest.mark.parametrize("path_class, n", [("dyck", 10), ("bilateral", 8), ("dyck", 0)])
 def test_every_block_holds_at_most_the_chunk(path_class, n, rows):
     dyck = path_class == "dyck"
-    sizes = [len(_block_rows(n, dyck, b)) for b in _prefix_blocks(n, dyck, rows)]
+    sizes = [len(_rank_rows(*b)) for b in _rank_blocks(n, dyck, rows)]
     assert max(sizes) <= rows
     assert sum(sizes) == len(_class(path_class, n)[1])
     if rows >= 4:  # all but the last block are more than 3/4 full

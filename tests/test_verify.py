@@ -414,14 +414,14 @@ def test_chunk_boundaries_leave_the_reports_alone(monkeypatch):
 
 def test_default_maps_run_batched_in_chunks_of_at_most_chunk_rows(monkeypatch):
     shapes = []
-    block_rows = dyckmaps.verify._block_rows
+    rank_rows = dyckmaps.verify._rank_rows
 
-    def recording(n, dyck, prefixes):
-        mat = block_rows(n, dyck, prefixes)
+    def recording(n, dyck, start, stop):
+        mat = rank_rows(n, dyck, start, stop)
         shapes.append(mat.shape)
         return mat
 
-    monkeypatch.setattr(dyckmaps.verify, "_block_rows", recording)
+    monkeypatch.setattr(dyckmaps.verify, "_rank_rows", recording)
     monkeypatch.setattr(dyckmaps.verify, "_theorem_chunk", _refuse)
     verify_theorem1(10)
     verify_theorem2(8)
