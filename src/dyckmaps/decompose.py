@@ -177,9 +177,9 @@ def psi_parse(w: PathWord) -> PsiDecomposition:
 
 
 def _negative_steps(mat: np.ndarray, h=None) -> np.ndarray:
-    """Where the steps of each row of a uint8 matrix of balanced words run
-    below the axis, which is where their negative crossing factors lie;
-    ``h`` holds the rows' heights if known."""
+    """Where the steps of balanced words, one per column of a ``(steps,
+    words)`` uint8 matrix, run below the axis, which is where their negative
+    crossing factors lie; ``h`` holds the words' heights if known."""
     if h is None:
         h = _up_and_heights(mat)[1]
     return (h < 0) | ((h == 0) & (mat == _UP))
@@ -189,7 +189,7 @@ def _crossing_factors(data: bytes) -> list:
     """Factor boundaries as (start, end, is_negative), in word order; on a
     long balanced word, wherever the sign of the steps changes."""
     if len(data) >= _LONG:
-        negative = _negative_steps(_rows([data.decode("ascii")]))[0]
+        negative = _negative_steps(_rows([data.decode("ascii")]))[:, 0]
         start = np.flatnonzero(negative[1:] != negative[:-1]) + 1
         start = [0] + start.tolist()
         return list(zip(start, start[1:] + [len(data)], negative[start].tolist()))

@@ -1,9 +1,9 @@
 """Exhaustive generation, uniform sampling, and exact distribution tables.
 
 Words are enumerated in lexicographic order with U < D by unranking: a
-block is a range of ranks, and its words are built column by column as the
-rows of a uint8 matrix, so enumeration is deterministic, restartable at any
-rank, and bounded in memory by one block.  The text streams, ``enum`` and
+block is a range of ranks, and its words are built step by step as the
+columns of a uint8 matrix, so enumeration is deterministic, restartable at
+any rank, and bounded in memory by one block.  The text streams, ``enum`` and
 the verification sweeps all read these blocks.
 Counts are exact Python integers throughout.
 """
@@ -11,6 +11,7 @@ Counts are exact Python integers throughout.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import chain
 from math import comb
 from typing import Iterator
@@ -51,9 +52,13 @@ def central_binomial(n: int) -> int:
     return comb(2 * n, n)
 
 
+@lru_cache(maxsize=None)  # at most two classes of each n <= _MAX_RANK_N
 def _endings(n: int, dyck: bool) -> np.ndarray:
     """``ends[r, h + n + 1]``: the number of r-step walks from height h back
-    to the axis (never below it for Dyck words), for 0 <= r <= 2n."""
+    to the axis (never below it for Dyck words), for 0 <= r <= 2n.
+
+    Cached, so the table is read-only: every block of a class reads the same
+    one."""
     off = n + 1
     ends = np.zeros((2 * n + 1, 2 * n + 3), dtype=np.int64)
     ends[0, off] = 1
@@ -61,6 +66,7 @@ def _endings(n: int, dyck: bool) -> np.ndarray:
         ends[r, 1:-1] = ends[r - 1, 2:] + ends[r - 1, :-2]
         if dyck:
             ends[r, :off] = 0
+    ends.setflags(write=False)
     return ends
 
 
@@ -81,22 +87,23 @@ def _rank_blocks(n: int, dyck: bool, rows: int) -> Iterator[tuple]:
 
 def _rank_rows(n: int, dyck: bool, start: int, stop: int) -> np.ndarray:
     """The words of ranks start..stop-1 of a class of :func:`_rank_blocks`,
-    one per row of a ``(rows, 2n)`` uint8 matrix.
+    one per column of a C-contiguous ``(2n, words)`` uint8 matrix.
 
-    Unranks column by column against the completion counts of
-    :func:`_endings` (Kreher & Stinson, *Combinatorial Algorithms*, ch. 2):
-    a word steps D where its rank is at least the number of completions
-    after a U, and then drops those completions from its rank.
+    Unranks step by step, each step one contiguous row of the matrix,
+    against the completion counts of :func:`_endings` (Kreher & Stinson,
+    *Combinatorial Algorithms*, ch. 2): a word steps D where its rank is at
+    least the number of completions after a U, and then drops those
+    completions from its rank.
     """
     ends = _endings(n, dyck)
     rank = np.arange(start, stop, dtype=np.int64)
     h = np.full(len(rank), n + 2)  # column of ends: the height after a U
-    mat = np.empty((len(rank), 2 * n), dtype=np.uint8)
-    for col in range(2 * n):
-        after_up = ends[2 * n - col - 1].take(h)
+    mat = np.empty((2 * n, len(rank)), dtype=np.uint8)
+    for step in range(2 * n):
+        after_up = ends[2 * n - step - 1].take(h)
         down = rank >= after_up
         np.subtract(rank, after_up, out=rank, where=down)
-        mat[:, col] = np.where(down, 68, 85)
+        mat[step] = np.where(down, 68, 85)
         h += 1 - 2 * down
     return mat
 
@@ -140,7 +147,7 @@ def _random_balanced_text(n: int, rng: np.random.Generator) -> str:
     arr[:n] = 85  # 'U'
     arr[n:] = 68  # 'D'
     rng.shuffle(arr)
-    return _row_texts(arr[None])[0]
+    return _row_texts(arr[:, None])[0]
 
 
 def _random_dyck_text(n: int, rng: np.random.Generator) -> str:
@@ -158,7 +165,7 @@ def _random_dyck_text(n: int, rng: np.random.Generator) -> str:
     cut = int(np.flatnonzero(sums == sums.min())[-1]) + 1
     rotated = np.concatenate((delta[cut:], delta[:cut]))
     body = rotated[1:]
-    return _row_texts(np.where(body == 1, np.uint8(85), np.uint8(68))[None])[0]
+    return _row_texts(np.where(body == 1, np.uint8(85), np.uint8(68))[:, None])[0]
 
 
 def sample_bilateral(n: int, seed: int) -> PathWord:

@@ -34,8 +34,8 @@ from .decompose import (
 )
 from .errors import DyckError
 from .render import _MAX_CELLS
-from .words import (_LONG, PathWord, _row_texts, _rows, _up_and_heights,
-                    require_closed, require_dyck)
+from .words import (_LONG, PathWord, _cumsum_down, _row_texts, _rows,
+                    _up_and_heights, require_closed, require_dyck)
 
 _U, _D = 85, 68  # ord('U'), ord('D'); the cores run on ASCII bytes
 _FLIP_B = bytes.maketrans(b"UD", b"DU")
@@ -154,7 +154,7 @@ def _ext_b(data: bytes, core, negative_core) -> bytes:
 
 
 # str-level wrappers used by the verification engine and the public maps;
-# a word of at least _LONG steps goes through the matrix twin as one row
+# a word of at least _LONG steps goes through the matrix twin as one column
 
 def _phi_text(text: str) -> str:
     if len(text) >= _LONG:
@@ -190,11 +190,15 @@ def _psi_ext_text(text: str) -> str:
 
 # --- matrix twins ----------------------------------------------------------
 #
-# The str-level maps on equal-length words, one per row of a uint8 matrix,
-# computed for all rows at once; the verification sweeps run them on chunks of
-# a class.  Loops run over columns or over the n steps of one kind, never over
-# rows.  Masks become bytes by arithmetic: np.where is an order of magnitude
-# slower on matrices this small.
+# The str-level maps on equal-length words, one per column of a C-contiguous
+# ``(steps, words)`` uint8 matrix, computed for all words at once; the
+# verification sweeps run them on chunks of a class.  Steps run down axis 0,
+# so each loop pass, cumsum and reduction reads contiguous rows that hold one
+# step of every word.  Loops run over the steps or over the n steps of one
+# kind, never over words.  Every twin takes the words' heights ``h`` where the
+# caller has them (see :func:`~dyckmaps.words._up_and_heights`); a twin that
+# needs none ignores them.  Masks become bytes by arithmetic: np.where is an
+# order of magnitude slower on matrices this small.
 
 _FLIP_BITS = _U ^ _D  # byte ^ _FLIP_BITS turns U into D and D into U
 _AT = np.int32  # positions in a chunk; half the memory of the default int64
@@ -205,74 +209,83 @@ def _flips(mask: np.ndarray) -> np.ndarray:
     return mask.view(np.uint8) * np.uint8(_FLIP_BITS)
 
 
-def _phi_rows(mat: np.ndarray) -> np.ndarray:
-    """:func:`_phi_b` on Dyck words, one per row.
+def _phi_rows(mat: np.ndarray, h=None) -> np.ndarray:
+    """:func:`_phi_b` on Dyck words, one per column.
 
     The frame at depth k of ``_phi_b`` is a node for odd k and a block for
     even k, so its stack reduces to one counter per height: a U ending at
     even k counts a block of the node at k-1 and emits U; a U ending at odd
     k opens a node at k with no blocks; a D leaving odd k emits UD D^c,
-    with c that node's count.  One column loop carries the counters; a
-    cumsum of the emitted lengths places the U's into rows of D's.  Rows
-    of at least ``_LONG`` steps go through :func:`_phi_rank` one by one.
+    with c that node's count.  One loop over the steps carries the
+    counters; a cumsum of the emitted lengths places the U's into words of
+    D's.  Words of at least ``_LONG`` steps go through :func:`_phi_rank`
+    one by one.
     """
-    rows, size = mat.shape
-    if not size:
+    size, rows = mat.shape
+    if not mat.size:
         return mat.copy()
     if size >= _LONG:
-        return np.array([_phi_rank(row) for row in mat], dtype=np.uint8).reshape(mat.shape)
-    up, h = _up_and_heights(mat)
-    up, h = np.ascontiguousarray(up.T), np.ascontiguousarray(h.T)  # (size, rows)
+        return np.stack([_phi_rank(mat[:, j]) for j in range(rows)], axis=1)
+    up = mat == _U
+    if h is None:
+        h = _up_and_heights(mat)[1]
     even = (h & 1) == 0
     # the counter each step reads: a U to even height reads its node one
     # below and adds a block, a U to odd height zeroes its own, a D reads
     # the node it closes
     width = size // 2 + 2
-    flat = (h + 1 - up.view(np.int8) * (even.view(np.int8) + 1)).astype(_AT)
-    flat += np.arange(0, rows * width, width, dtype=_AT)
+    # intp, which the loop's gathers and scatters read without a conversion
+    flat = (h + 1 - up.view(np.int8) * (even.view(np.int8) + 1)).astype(np.intp)
+    flat += np.arange(0, rows * width, width)
     add = (up & even).view(np.int8)
     keep = ~(up & ~even)
     counts = np.zeros(rows * width, dtype=np.int16)
     seen = np.empty((size, rows), dtype=np.int16)
-    for col in range(size):
-        at = flat[col]
+    for step in range(size):
+        at = flat[step]
         c = counts[at]
-        seen[col] = c
-        counts[at] = (c + add[col]) * keep[col]
+        seen[step] = c
+        counts[at] = (c + add[step]) * keep[step]
     # U to even height emits U, D to even height UD D^c, all else nothing
     seen += 2
     seen *= ~up
     seen |= up
     seen *= even
-    emit_at = np.cumsum(seen, axis=0, dtype=_AT)
+    emit_at = _cumsum_down(seen, _AT)
     emit_at -= seen
-    emit_at += np.arange(0, rows * size, size, dtype=_AT)
-    out = np.full(rows * size, _D, dtype=np.uint8)
+    emit_at *= rows  # a step down a word moves a whole row of the matrix
+    emit_at += np.arange(rows, dtype=_AT)
+    out = np.full(size * rows, _D, dtype=np.uint8)
     out[emit_at[even]] = _U
-    return out.reshape(rows, size)
+    return out.reshape(size, rows)
 
 
-def _psi_rows(mat: np.ndarray) -> np.ndarray:
-    """:func:`_psi_b` on Dyck words, one per row.
+def _psi_rows(mat: np.ndarray, h=None) -> np.ndarray:
+    """:func:`_psi_b` on Dyck words, one per column.
 
-    The flipped and reversed rows have their D's where the rows have U's.
+    The flipped and reversed words have their D's where the words have U's.
     ``_psi_mirror_b`` emits two bytes per such D: after a U-run of length
     s+1, U then U (pushing s) or D (s = 0); after another D, D then U or D,
     as the top count, less one, stays above zero or runs out and is popped.
-    The loop runs over the n D's of all rows at once, each row with its
-    own depth into a ``(rows, n+1)`` stack.  Rows of at least ``_LONG``
+    The loop runs over the n D's of all words at once, each word with its
+    own depth into a ``(words, n+1)`` stack.  Words of at least ``_LONG``
     steps go through :func:`_psi_rank` one by one.
     """
-    rows, size = mat.shape
-    if not size:
+    size, rows = mat.shape
+    if not mat.size:
         return mat.copy()
     if size >= _LONG:
-        return np.array([_psi_rank(row) for row in mat], dtype=np.uint8).reshape(mat.shape)
+        return np.stack([_psi_rank(mat[:, j]) for j in range(rows)], axis=1)
     n = size // 2
-    # the U-run before a mirrored D is the D-run after its U in the row
-    ups = np.flatnonzero(mat == _U).astype(_AT).reshape(rows, n)
-    run = np.diff(ups, axis=1, append=np.arange(size, rows * size + 1, size, dtype=_AT)[:, None])
-    run = np.ascontiguousarray(run[:, ::-1].T) - 1
+    if h is None:
+        h = _up_and_heights(mat)[1]
+    # the U-run before a mirrored D is the D-run after its U in the word;
+    # (steps + height) / 2 counts the U's so far, so a U and the D's after
+    # it share a bin of the count, word by word
+    last_up = (h + np.arange(1, size + 1)[:, None]) >> 1
+    last_up = last_up * rows + np.arange(rows)
+    run = np.bincount(last_up.ravel(), minlength=(n + 1) * rows).reshape(n + 1, rows)
+    run = run[:0:-1] - 1  # mirrored: the last U first
     peak = run > 0
     push = run > 1
     spine = (run - 1).astype(np.int16)
@@ -287,85 +300,116 @@ def _psi_rows(mat: np.ndarray) -> np.ndarray:
         stack[top_at + p] = np.where(p, spine[k], top - lone)
         top_at += p
         top_at -= lone & (top == 1)
-    out = np.empty((size, rows), dtype=np.uint8)  # mirrored, transposed
+    out = np.empty((size, rows), dtype=np.uint8)  # mirrored
     out[0::2] = _U - _flips(~peak)
     out[1::2] = _U - _flips(~second_up)
-    return np.ascontiguousarray(out[::-1].T ^ np.uint8(_FLIP_BITS))
+    return out[::-1] ^ np.uint8(_FLIP_BITS)
 
 
-def _alpha_rows(mat: np.ndarray) -> np.ndarray:
+def _alpha_rows(mat: np.ndarray, h=None) -> np.ndarray:
     return mat ^ np.uint8(_FLIP_BITS)
 
 
+def _in_word_order(flat: np.ndarray, rows: int, size: int) -> np.ndarray:
+    """Flat positions of a ``(size, rows)`` matrix as ``word * (size + 1) +
+    step``, which orders them word by word."""
+    step, word = np.divmod(flat, rows)
+    word *= size + 1
+    word += step
+    return word
+
+
 def _beta_in_factors(words: np.ndarray, returns, negative) -> np.ndarray:
-    """The rows of ``words`` with beta on their negative crossing factors.
-    ``negative`` marks the steps of those factors, which are Dyck up to a
-    flip, and ``returns`` lists the flat positions of their steps that end
-    on the axis.
+    """The words of a ``(steps, words)`` matrix with beta on their negative
+    crossing factors.  ``negative`` marks the steps of those factors, which
+    are Dyck up to a flip, and ``returns`` lists the flat positions of their
+    steps that end on the axis.
 
     Beta, U W1 D W2 -> U W2 D W1, moves the pieces U, W2, D and W1 of a
     factor as blocks, so a step's source less its position is constant on
-    each piece: a cumsum of its changes at the piece boundaries gives it.
+    each piece: a cumsum down each word of its changes at the piece
+    boundaries gives it.  A factor's first return and last step are the
+    next ones of its word, which a search finds in word order.
     The sources are intp, which the gather reads without a conversion; on a
     long word they are also the largest block, which keeps the working set
     under twice that size, so glibc keeps the freed heap for the next call
     instead of returning it to be faulted in again.
     """
-    rows, size = words.shape
+    size, rows = words.shape
     edges = negative.copy()
-    edges[:, 1:] &= ~negative[:, :-1]
+    edges[1:] &= ~negative[:-1]
     start = np.flatnonzero(edges)
     edges[:] = negative
-    edges[:, :-1] &= ~negative[:, 1:]
-    end = np.flatnonzero(edges) + 1
+    edges[:-1] &= ~negative[1:]
+    last = np.flatnonzero(edges)
     del edges
-    first = returns[np.searchsorted(returns, start)]  # the step that ends U W1 D
-    r, m = first - start + 1, end - first - 1  # the lengths of U W1 D and of W2
-    shift = np.ones(rows * size + 1, dtype=np.intp)  # the cumsum counts the position
-    shift[0] = 0
-    shift[start + 1] += r - 1  # W2 comes from r - 1 steps on
-    shift[start + m + 1] -= m + 1  # the D from r - m - 2 steps on
-    shift[start + m + 2] += 1 - r  # W1 from m + 1 steps back
-    shift[end] += m + 1
-    source = np.cumsum(shift[:-1], out=shift[:-1])
-    return words.ravel()[source].reshape(words.shape)
+    at = _in_word_order(start, rows, size)
+    first = np.sort(_in_word_order(returns, rows, size))
+    first = first[np.searchsorted(first, at)]  # the step that ends U W1 D
+    end = np.sort(_in_word_order(last, rows, size))
+    end = end[np.searchsorted(end, at)] + 1
+    # the flat lengths of U W1 and of D W2: a step moves a whole row
+    r = (first - at) * rows
+    m = (end - first) * rows
+    shift = np.full((size + 1) * rows, rows, dtype=np.intp)  # the cumsum counts the position
+    shift[:rows] = np.arange(rows)
+    shift[start + rows] += r  # W2 comes from |U W1| steps on
+    shift[start + m] -= m  # the D from |W1| - |W2| steps on
+    shift[start + m + rows] -= r  # W1 from |D W2| steps back
+    shift[start + r + m] += m
+    source = shift.reshape(size + 1, rows)[:-1]
+    _cumsum_down(source, np.intp, out=source)
+    # a 1-D gather: on a long word a 2-D one faults its pages in on every call
+    return words.ravel()[source.ravel()].reshape(words.shape)
 
 
-def _beta_rows(mat: np.ndarray) -> np.ndarray:
-    """:func:`_beta_b` on Dyck words, one per row: each row is one factor."""
-    if not mat.shape[1]:
+def _beta_rows(mat: np.ndarray, h=None) -> np.ndarray:
+    """:func:`_beta_b` on Dyck words, one per column: each word is one factor."""
+    if not mat.size:
         return mat.copy()
-    returns = np.flatnonzero(_up_and_heights(mat)[1] == 0)
+    if h is None:
+        h = _up_and_heights(mat)[1]
+    returns = np.flatnonzero(h == 0)
     return _beta_in_factors(mat, returns, np.ones(mat.shape, dtype=bool))
 
 
-def _phi_ext_rows(mat: np.ndarray) -> np.ndarray:
-    """:func:`_phi_ext_text` on balanced words, one per row.
+def _negative_factors(mat: np.ndarray, h=None) -> tuple:
+    """The steps of the negative crossing factors of balanced words, one per
+    column, and the flat positions of those that end on the axis, the
+    arguments of :func:`_beta_in_factors`.  The heights are freed on return,
+    before the maps' next arrays, which keeps long words lean."""
+    if h is None:
+        h = _up_and_heights(mat)[1]
+    negative = _negative_steps(mat, h)
+    return negative, np.flatnonzero((h == 0) & negative)
+
+
+def _phi_ext_rows(mat: np.ndarray, h=None) -> np.ndarray:
+    """:func:`_phi_ext_text` on balanced words, one per column.
 
     One gather takes every negative factor through beta after a flip, which
     leaves a Dyck word; phi maps it prime by prime, so factor by factor;
     the negative factors flip back.
     """
-    if not mat.shape[1]:
+    if not mat.size:
         return mat.copy()
-    _, h = _up_and_heights(mat)
-    negative = _negative_steps(mat, h)
-    returns = np.flatnonzero((h == 0) & negative)
-    del h  # freed before the next array, which keeps long words lean
+    negative, returns = _negative_factors(mat, h)
     flips = _flips(negative)
     return _phi_rows(_beta_in_factors(mat, returns, negative) ^ flips) ^ flips
 
 
-def _psi_ext_rows(mat: np.ndarray) -> np.ndarray:
-    """:func:`_psi_ext_text` on balanced words, one per row: flip the
-    negative factors, psi, beta on the negative factors, flip them back."""
-    if not mat.shape[1]:
+def _psi_ext_rows(mat: np.ndarray, h=None) -> np.ndarray:
+    """:func:`_psi_ext_text` on balanced words, one per column: flip the
+    negative factors, psi, beta on the negative factors, flip them back.
+
+    psi maps a Dyck word prime by prime, each to a prime of its length, so
+    its image returns to the axis where the flipped words do.
+    """
+    if not mat.size:
         return mat.copy()
-    negative = _negative_steps(mat)
+    negative, returns = _negative_factors(mat, h)
     flips = _flips(negative)
-    out = _psi_rows(mat ^ flips)
-    returns = np.flatnonzero((_up_and_heights(out)[1] == 0) & negative)
-    return _beta_in_factors(out, returns, negative) ^ flips
+    return _beta_in_factors(_psi_rows(mat ^ flips), returns, negative) ^ flips
 
 
 # --- rank cores --------------------------------------------------------------
@@ -389,9 +433,9 @@ def _phi_rank(row: np.ndarray) -> np.ndarray:
     rank of that one.  The emissions fill the output in word order, so a
     cumsum of their lengths places the U's into a row of D's.
     """
-    up, h = _up_and_heights(row[None])
-    up = up[0]
-    keys = h[0, 0::2].astype(_key_type(h))  # vertex 2j+1 follows step 2j
+    up, h = _up_and_heights(row[:, None])
+    up = up[:, 0]
+    keys = h[0::2, 0].astype(_key_type(h))  # vertex 2j+1 follows step 2j
     del h
     order = np.argsort(keys, kind="stable").astype(_AT)
     rank = np.arange(len(order), dtype=_AT)
@@ -419,12 +463,12 @@ def _psi_rank(row: np.ndarray) -> np.ndarray:
     next vertex of the U's height in level order.
     """
     size = len(row)
-    up, h = _up_and_heights(row[None])
+    up, h = _up_and_heights(row[:, None])
     after = np.ones(size + 2, dtype=bool)  # the step after each vertex; U past the end
-    after[:size] = up[0]
+    after[:size] = up[:, 0]
     up = after[:size]
     keys = np.zeros(size + 1, dtype=_key_type(h))  # every vertex, the start included
-    keys[1:] = h[0]
+    keys[1:] = h[:, 0]
     del h
     then_up = np.empty(size + 1, dtype=bool)  # the step after the level's next vertex
     for parity in (0, 1):

@@ -72,25 +72,34 @@ def _scan_text_long(text: str) -> _Scan:
     return _Scan(*(int(field[0]) for field in _scan_rows(_rows([text]))))
 
 
-def _scan_rows(mat: np.ndarray) -> _Scan:
-    """The fields of :func:`_scan_text` for equal-length words, one per row of
-    a uint8 matrix, as int arrays from one height scan."""
-    up, h = _up_and_heights(mat)
+def _count(mask: np.ndarray) -> np.ndarray:
+    """The True entries of each column of a mask, as int32, which holds any
+    word length."""
+    return np.add.reduce(mask, axis=0, dtype=np.int32)
+
+
+def _scan_rows(mat: np.ndarray, h=None) -> _Scan:
+    """The fields of :func:`_scan_text` for equal-length words, one per column
+    of a ``(steps, words)`` uint8 matrix, as int arrays from one height scan
+    down axis 0; ``h`` holds the words' heights if known."""
+    up = mat == 85  # ord('U')
+    if h is None:
+        h = _up_and_heights(mat)[1]
     down = ~up
     odd = (h & 1).astype(bool)
-    same = up[:, :-1] == up[:, 1:]
-    ups = np.count_nonzero(up, axis=1)
+    same = up[:-1] == up[1:]
+    ups = _count(up)
     return _Scan(
-        2 * ups - mat.shape[1],
-        h.min(axis=1, initial=0),
-        h.max(axis=1, initial=0),
-        np.count_nonzero(up[:, :-1] & down[:, 1:], axis=1),
-        np.count_nonzero(down[:, :-1] & up[:, 1:], axis=1),
-        np.count_nonzero(h == 0, axis=1),
-        np.count_nonzero((h[:, :-1] == 0) & same, axis=1),
+        2 * ups - mat.shape[0],
+        h.min(axis=0, initial=0),
+        h.max(axis=0, initial=0),
+        _count(up[:-1] & down[1:]),
+        _count(down[:-1] & up[1:]),
+        _count(h == 0),
+        _count((h[:-1] == 0) & same),
         ups,
-        np.count_nonzero(up & odd, axis=1),
-        np.count_nonzero(down & ~odd, axis=1),  # a down-step ending even starts odd
+        _count(up & odd),
+        _count(down & ~odd),  # a down-step ending even starts odd
     )
 
 
@@ -213,9 +222,9 @@ def _stat_record_text(text: str) -> StatRecord:
 
 
 def _stat_records_rows(mat: np.ndarray) -> list:
-    """:func:`_stat_record_text` of balanced words, one per row of a uint8
-    matrix, from one row scan."""
-    size = mat.shape[1]
+    """:func:`_stat_record_text` of balanced words, one per column of a
+    ``(steps, words)`` uint8 matrix, from one scan."""
+    size = mat.shape[0]
     fields = (field.tolist() for field in _scan_rows(mat))
     return [_record(_Scan(*scan), size) for scan in zip(*fields)]
 

@@ -9,11 +9,11 @@ the whole class.
 
 A sweep reads each class in chunks of at most ``_CHUNK`` words, the
 rank ranges of :func:`~dyckmaps.generate._rank_blocks` in lexicographic
-order.  With the default maps a chunk runs batched: a ``(rows, 2n)`` uint8
-matrix, mapped by the matrix twins of the maps, scanned once, and checked
-by row predicates.  The map arguments of the exhaustive engines are
-injectable so that a deliberately broken map can be shown to produce a
-counterexample; an injected map gets the same blocks and runs word by
+order.  With the default maps a chunk runs batched: a ``(2n, words)`` uint8
+matrix whose steps run down axis 0, mapped by the matrix twins of the maps,
+scanned once, and checked by predicates on whole columns.  The map
+arguments of the exhaustive engines are injectable so that a deliberately
+broken map can be shown to produce a counterexample; an injected map gets the same blocks and runs word by
 word, as does :func:`verify_randomized`.  On both paths a counterexample
 is the first failing word of the first failing chunk, and chunks are
 merged in stream order, so it is the lexicographically first failing word
@@ -54,7 +54,7 @@ from .maps import (
     _psi_text,
 )
 from .stats import _scan_rows, _scan_text
-from .words import _row_texts
+from .words import _row_texts, _up_and_heights
 
 _CHUNK = 1024  # words per chunk of a sweep
 
@@ -168,8 +168,8 @@ def _try(fn, arg):
 
 # Per-word checks: predicate(text, image, s, si) on a word, its image under
 # the forward map, and the scans of both; True when the check holds.  Written
-# as array expressions, each also holds row by row on a chunk: words and
-# images as uint8 matrices, scans of int arrays.
+# as array expressions, each also holds word by word on a chunk: words and
+# images as uint8 matrices, one word per column, scans of int arrays.
 
 def _peaks_from_ups_odd(text, image, s, si):
     return si.peaks == s.ups_odd
@@ -187,13 +187,14 @@ def _factors_preserved(text, image, s, si) -> bool:
     return _crossing_factors(text.encode()) == _crossing_factors(image.encode())
 
 
-def _factors_preserved_rows(mat, image, s, si):
+def _factors_preserved_rows(mat, image, h, hi):
     # factors alternate in sign, so the steps below the axis fix them all
-    return (_negative_steps(mat) == _negative_steps(image)).all(axis=1)
+    return (_negative_steps(mat, h) == _negative_steps(image, hi)).all(axis=0)
 
 
-# The matrix twin of the one check that reads the words themselves; a sweep
-# whose maps all have twins in ``_ROWS_OF`` runs on matrix chunks.
+# The matrix twin of the one check that reads the words themselves; it takes
+# the heights of the words and of the images in place of their scans.  A
+# sweep whose maps all have twins in ``_ROWS_OF`` runs on matrix chunks.
 _CHECK_ROWS = {_factors_preserved: _factors_preserved_rows}
 
 
@@ -245,23 +246,30 @@ def _word_chunk(block, spec: _Theorem):
 
 
 def _row_chunk(block, spec: _Theorem):
-    """:func:`_word_chunk`, all at once through the matrix twins."""
+    """:func:`_word_chunk`, all at once through the matrix twins: one word
+    per column.  The words and their images are scanned for heights once
+    each, and the twins, the scans and the checks share those heights."""
     mat = _rank_rows(*block)
     forward, *rest = (_ROWS_OF[fn] for fn in spec.maps.values())
     inverse = rest[0] if rest else forward
     first_trip, *second_trip = spec.round_trips
-    image = forward(mat)
-    failing = {first_trip: (inverse(image) != mat).any(axis=1)}
+    h = _up_and_heights(mat)[1]
+    image = forward(mat, h)
+    hi = _up_and_heights(image)[1]
+    failing = {first_trip: (inverse(image, hi) != mat).any(axis=0)}
     if second_trip:
-        failing[second_trip[0]] = (forward(inverse(mat)) != mat).any(axis=1)
-    s = _scan_rows(mat)
-    si = _scan_rows(image)
+        failing[second_trip[0]] = (forward(inverse(mat, h)) != mat).any(axis=0)
+    s = _scan_rows(mat, h)
+    si = _scan_rows(image, hi)
     for name, holds in spec.checks:
-        failing[name] = ~_CHECK_ROWS.get(holds, holds)(mat, image, s, si)
-    # the first failing row of each check, in lexicographic order
-    failures = {name: _row_texts(mat[[rows.argmax()]])[0]
-                for name, rows in failing.items() if rows.any()}
-    return len(mat), failures
+        if holds in _CHECK_ROWS:
+            failing[name] = ~_CHECK_ROWS[holds](mat, image, h, hi)
+        else:
+            failing[name] = ~holds(mat, image, s, si)
+    # the first failing word of each check, in lexicographic order
+    failures = {name: _row_texts(mat[:, [words.argmax()]])[0]
+                for name, words in failing.items() if words.any()}
+    return mat.shape[1], failures
 
 
 def _sweep(spec: _Theorem, max_n: int, jobs: int) -> VerificationReport:

@@ -473,7 +473,7 @@ def test_runs_of_32_equal_lengths_take_the_row_twin(monkeypatch, argv):
     stdin_text = "".join(line + "\n" for line in lines)
     monkeypatch.setattr(dyckmaps.cli, "_CHUNK_CHARS", len(stdin_text))  # one chunk
     _path_spies(monkeypatch, argv,
-                row_fail=lambda mat: mat.shape[0] != 32 or mat.shape[1] != 20,
+                row_fail=lambda mat: mat.shape[1] != 32 or mat.shape[0] != 20,
                 word_fail=lambda text: len(text) == 20)
     code, out, err = _run(argv, stdin_text)
     assert (code, err) == (0, "")

@@ -22,7 +22,7 @@ from dyckmaps import (
     sample_bilateral,
     sample_dyck,
 )
-from dyckmaps.generate import _balanced_texts, _dyck_texts, _rank_blocks, _rank_rows
+from dyckmaps.generate import _balanced_texts, _dyck_texts, _endings, _rank_blocks, _rank_rows
 from dyckmaps.stats import _scan_rows, _stat_record_text
 from dyckmaps.words import classify
 
@@ -90,6 +90,14 @@ def test_generators_refuse_semilengths_past_the_int64_ranks(generate):
         next(generate(34))
     with pytest.raises(ValueError, match="semilength must be nonnegative"):
         next(generate(-1))
+
+
+@pytest.mark.parametrize("dyck", [True, False], ids=["dyck", "bilateral"])
+def test_the_cached_completion_table_is_read_only(dyck):
+    ends = _endings(5, dyck)
+    assert ends is _endings(5, dyck)  # every block of the class shares it
+    with pytest.raises(ValueError, match="read-only"):
+        ends[0, 0] = 1
 
 
 def test_the_first_word_costs_one_block_of_memory():

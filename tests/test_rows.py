@@ -40,7 +40,7 @@ from dyckmaps.maps import (
     _psi_rows,
     _psi_text,
 )
-from dyckmaps.words import _LONG
+from dyckmaps.words import _LONG, _up_and_heights
 from dyckmaps.stats import _scan_rows, _scan_text, _stat_record_text, _stat_records_rows
 
 # every Dyck word with n <= 10 and every balanced word with n <= 8
@@ -60,17 +60,17 @@ def _class(path_class, n):
     dyck = path_class == "dyck"
     blocks = [_rank_rows(*b) for b in _rank_blocks(n, dyck, 1024)]
     words = oracles.all_dyck(n) if dyck else oracles.all_balanced(n)
-    return np.concatenate(blocks), sorted(words, key=oracles.lex_key)
+    return np.concatenate(blocks, axis=1), sorted(words, key=oracles.lex_key)
 
 
 def _texts_of(mat):
-    return [row.tobytes().decode("ascii") for row in mat]
+    return [col.tobytes().decode("ascii") for col in mat.T]
 
 
 @pytest.mark.parametrize("path_class, n", CASES)
 def test_blocks_enumerate_the_class_in_order(path_class, n):
     mat, texts = _class(path_class, n)
-    assert mat.dtype == np.uint8 and mat.shape == (len(texts), 2 * n)
+    assert mat.dtype == np.uint8 and mat.shape == (2 * n, len(texts))
     assert _texts_of(mat) == texts
 
 
@@ -78,7 +78,7 @@ def test_blocks_enumerate_the_class_in_order(path_class, n):
 @pytest.mark.parametrize("path_class, n", [("dyck", 10), ("bilateral", 8), ("dyck", 0)])
 def test_every_block_holds_at_most_the_chunk(path_class, n, rows):
     dyck = path_class == "dyck"
-    sizes = [len(_rank_rows(*b)) for b in _rank_blocks(n, dyck, rows)]
+    sizes = [_rank_rows(*b).shape[1] for b in _rank_blocks(n, dyck, rows)]
     assert max(sizes) <= rows
     assert sum(sizes) == len(_class(path_class, n)[1])
     if rows >= 4:  # all but the last block are more than 3/4 full
@@ -86,12 +86,23 @@ def test_every_block_holds_at_most_the_chunk(path_class, n, rows):
 
 
 @pytest.mark.parametrize("path_class, n", CASES)
+def test_blocks_and_twins_are_c_contiguous_steps_by_words(path_class, n):
+    for block in _rank_blocks(n, path_class == "dyck", 1024):
+        mat = _rank_rows(*block)
+        for image in [mat] + [rows_fn(mat) for rows_fn, _ in MAPS[path_class]]:
+            assert image.dtype == np.uint8 and image.flags.c_contiguous
+            assert image.shape == (2 * n, block[3] - block[2])
+
+
+@pytest.mark.parametrize("path_class, n", CASES)
 def test_matrix_maps_equal_the_word_maps(path_class, n):
     mat, texts = _class(path_class, n)
+    h = _up_and_heights(mat)[1]
     for rows_fn, text_fn in MAPS[path_class]:
         image = rows_fn(mat)
         assert image.dtype == np.uint8 and image.shape == mat.shape
         assert _texts_of(image) == [text_fn(t) for t in texts], rows_fn.__name__
+        assert np.array_equal(rows_fn(mat, h), image), rows_fn.__name__  # heights given
 
 
 @pytest.mark.parametrize("path_class, n", CASES)
@@ -101,6 +112,8 @@ def test_row_scan_equals_the_word_scan_in_every_field(path_class, n):
     want = [_scan_text(t) for t in texts]
     for i, field in enumerate(scan._fields):
         assert scan[i].tolist() == [s[i] for s in want], field
+    given = _scan_rows(mat, _up_and_heights(mat)[1])
+    assert [f.tolist() for f in given] == [f.tolist() for f in scan]
 
 
 @pytest.mark.parametrize("path_class, n", CASES)
@@ -114,7 +127,7 @@ def test_row_records_equal_the_word_records(path_class, n):
 @pytest.mark.parametrize("n", range(1, 11))
 def test_rank_cores_equal_the_transducers_on_every_dyck_word(n):
     mat, texts = _class("dyck", n)
-    for row, text in zip(mat, texts):
+    for row, text in zip(mat.T, texts):
         data = text.encode("ascii")
         assert _phi_rank(row).tobytes() == _phi_b(data), text
         assert _psi_rank(row).tobytes() == _psi_b(data), text

@@ -179,6 +179,32 @@ def test_long_words_use_same_definitions(monkeypatch):
     assert downs_at_odd_height(w) == oracles.downs_odd(text)
 
 
+# words whose counts pass 2^16 (a uint16 count wraps) or whose heights pass
+# 2^15 (an int16 count wraps), with their scans in closed form
+_WIDE_SCANS = {
+    "(UD)^70000": ("UD" * 70_000, dyckmaps.stats._Scan(
+        final=0, lo=0, hi=1, peaks=70_000, valleys=69_999, contacts=70_000,
+        crossings=0, ups=70_000, ups_odd=70_000, downs_odd=70_000)),
+    "U^40000 D^40000": ("U" * 40_000 + "D" * 40_000, dyckmaps.stats._Scan(
+        final=0, lo=0, hi=40_000, peaks=1, valleys=0, contacts=1,
+        crossings=0, ups=40_000, ups_odd=20_000, downs_odd=20_000)),
+}
+
+
+@pytest.mark.parametrize("name", _WIDE_SCANS)
+def test_scan_counts_of_long_words_do_not_wrap(name):
+    text, want = _WIDE_SCANS[name]
+    scan = dyckmaps.stats._scan_rows(dyckmaps.words._rows([text]))
+    assert [field.tolist() for field in scan] == [[value] for value in want]
+    assert dyckmaps.stats._scan_text(text) == want
+    size = len(text)
+    assert stat_record(PathWord(text)) == (
+        size // 2, want.peaks, want.valleys, want.contacts, want.crossings,
+        want.ups_odd, want.ups - want.ups_odd, want.downs_odd,
+        size - want.ups - want.downs_odd, want.hi, want.lo, want.contacts == 1,
+    )
+
+
 def _threshold_word(length, closed):
     """A seeded open word of ``length`` steps that starts with D, or a closed
     one of the largest even length not above ``length``."""

@@ -427,8 +427,8 @@ def test_default_maps_run_batched_in_chunks_of_at_most_chunk_rows(monkeypatch):
     verify_theorem2(8)
     verify_involutions_and_transport(8)
     # theorem 1 and beta over Dyck words, theorem 2 and alpha over balanced ones
-    assert sum(rows for rows, _ in shapes) == 23714 + 2056 + 2 * 17577
-    assert max(rows for rows, _ in shapes) <= dyckmaps.verify._CHUNK
+    assert sum(rows for _, rows in shapes) == 23714 + 2056 + 2 * 17577
+    assert max(rows for _, rows in shapes) <= dyckmaps.verify._CHUNK
     assert len(shapes) > 4 * 11  # the largest classes take several chunks
 
 
