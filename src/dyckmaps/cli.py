@@ -9,7 +9,7 @@ answers a chunk of lines at a time.  ``map`` (without ``--trace``) and
 ``stats`` have matrix twins: their chunk ends once it holds at least
 ``_CHUNK_CHARS`` characters, or at the end of the input, and runs of at
 least ``_MIN_ROWS`` equal-length words of a chunk go through the matrix
-twins of the maps or the row scan of the statistics; the output is the
+twins of the maps or the matrix scan of the statistics; the output is the
 same as word by word.  ``classify``, ``render`` and ``map --trace`` have no
 twin and read one line per chunk, as every command does on a terminal.
 """
@@ -66,7 +66,7 @@ _MAX_RANDOM_STEPS = 10**8
 # one chunk costs memory in proportion to it plus one line
 _CHUNK_CHARS = 1 << 17
 # Equal-length words of a chunk that go through a matrix twin together; a
-# shorter run goes word by word (the twins break even at 20-30 rows).
+# shorter run goes word by word (the twins break even at 20-30 words).
 _MIN_ROWS = 32
 
 # op: (domain check, map on canonical text)
@@ -79,7 +79,7 @@ _MAP_OPS = {
     "psi-ext": (require_closed, _psi_ext_text),
 }
 _STAGED_OPS = {"phi": phi_stages, "psi": psi_stages}
-# a domain check and its form on a uint8 matrix, which passes the same rows
+# a domain check and its form on a uint8 matrix, which passes the same words
 _ROW_CHECKS = {require_dyck: _dyck_rows}
 
 
@@ -157,7 +157,7 @@ def _chunks(stdin, limit: int):
 def _answers(words: list, one, many) -> list:
     """``one(word)`` for every word, in order.  A run of at least
     ``_MIN_ROWS`` words of one length below ``_LONG`` goes through ``many``
-    as one uint8 matrix, which returns the answers of its rows."""
+    as one uint8 matrix, which returns the answers of its words."""
     by_length = {}
     for i, word in enumerate(words):
         by_length.setdefault(len(word.text), []).append(i)
@@ -175,7 +175,7 @@ def _answers(words: list, one, many) -> list:
 def _per_chunk(stdin, stdout, one, *, many=None, check=lambda word: None) -> int:
     """Print ``one(word)`` for each input line, after ``check`` on each parsed
     word, a chunk of lines at a time (see :func:`_answers`).  A chunk is one
-    line without a row twin ``many``, since one answer can reach the render or
+    line without a matrix twin ``many``, since one answer can reach the render or
     trace cap, and on a terminal.  The first DyckError ends the command once
     the answers to the lines before it are printed, and names its line."""
     limit = 1 if many is None or stdin.isatty() else _CHUNK_CHARS
@@ -189,7 +189,7 @@ def _per_chunk(stdin, stdout, one, *, many=None, check=lambda word: None) -> int
             except DyckError as exc:
                 error = exc
                 break
-        # a run for a twin is checked as a matrix where the check has a row form
+        # a run for a twin is checked as a matrix where the check has a matrix form
         rows_check = _ROW_CHECKS.get(check)
         passed = (_answers(words, lambda word: False, rows_check) if rows_check
                   else [False] * len(words))

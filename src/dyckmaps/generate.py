@@ -3,8 +3,8 @@
 Words are enumerated in lexicographic order with U < D by unranking: a
 block is a range of ranks, and its words are built step by step as the
 columns of a uint8 matrix, so enumeration is deterministic, restartable at
-any rank, and bounded in memory by one block.  The text streams, ``enum`` and
-the verification sweeps all read these blocks.
+any rank, and bounded in memory by one block.  The text streams, ``enum``
+and the verification sweeps all read these blocks.
 Counts are exact Python integers throughout.
 """
 

@@ -12,11 +12,12 @@ psi_ext       factor across crossings, exchanging odd-height up-steps with
 
 phi and psi run in O(length) with no recursion, in three forms: a
 left-to-right stack transducer on a word under ``words._LONG`` = 4,096 steps
-(psi runs the mirrored one on the reversed-and-flipped word); a column loop
-over a matrix of equal-length words (the twins); and on a longer word a rank
-core, one stable argsort of the vertex heights per parity, with uint16 keys
-(a radix sort) below height 2^16 and int32 keys above.  A rank core peaks at
-about 12 bytes per step, an extension on a long word at about 15.
+(psi runs the mirrored one on the reversed-and-flipped word); a loop over
+the steps of a matrix of equal-length words, one per column (the twins); and
+on a longer word a rank core, one stable argsort of the vertex heights per
+parity, with uint16 keys (a radix sort) below height 2^16 and int32 keys
+above.  A rank core peaks at about 12 bytes per step, an extension on a long
+word at about 15.
 """
 
 from __future__ import annotations
@@ -351,7 +352,8 @@ def _beta_in_factors(words: np.ndarray, returns, negative) -> np.ndarray:
     # the flat lengths of U W1 and of D W2: a step moves a whole row
     r = (first - at) * rows
     m = (end - first) * rows
-    shift = np.full((size + 1) * rows, rows, dtype=np.intp)  # the cumsum counts the position
+    # the cumsum counts the flat position: the word's column, plus a row a step
+    shift = np.full((size + 1) * rows, rows, dtype=np.intp)
     shift[:rows] = np.arange(rows)
     shift[start + rows] += r  # W2 comes from |U W1| steps on
     shift[start + m] -= m  # the D from |W1| - |W2| steps on

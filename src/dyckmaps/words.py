@@ -70,8 +70,9 @@ def _rows(texts: list) -> np.ndarray:
     conversions between words and matrices."""
     width = len(texts[0]) if texts else 0
     data = "".join(texts).encode("ascii")  # a one-word list joins without a copy
+    by_word = np.frombuffer(data, dtype=np.uint8).reshape(len(texts), width)
     # a one-word (steps, 1) column has the bytes of the word and is no copy
-    return np.ascontiguousarray(np.frombuffer(data, dtype=np.uint8).reshape(len(texts), width).T)
+    return np.ascontiguousarray(by_word.T)
 
 
 def _row_texts(mat: np.ndarray) -> list:

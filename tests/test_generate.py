@@ -22,7 +22,13 @@ from dyckmaps import (
     sample_bilateral,
     sample_dyck,
 )
-from dyckmaps.generate import _balanced_texts, _dyck_texts, _endings, _rank_blocks, _rank_rows
+from dyckmaps.generate import (
+    _balanced_texts,
+    _dyck_texts,
+    _endings,
+    _rank_blocks,
+    _rank_rows,
+)
 from dyckmaps.stats import _scan_rows, _stat_record_text
 from dyckmaps.words import classify
 
