@@ -14,10 +14,11 @@ matrix whose steps run down axis 0, mapped by the matrix twins of the maps,
 scanned once, and checked by predicates on whole columns.  The map
 arguments of the exhaustive engines are injectable so that a deliberately
 broken map can be shown to produce a counterexample; an injected map gets
-the same blocks and runs word by word, as does :func:`verify_randomized`.  On both paths a counterexample
-is the first failing word of the first failing chunk, and chunks are
-merged in stream order, so it is the lexicographically first failing word
-and reproducible from (check name, word) alone.
+the same blocks and runs word by word, as does :func:`verify_randomized`.
+On both paths a counterexample is the first failing word of the first
+failing chunk, and chunks are merged in stream order, so it is the
+lexicographically first failing word and reproducible from (check name,
+word) alone.
 """
 
 from __future__ import annotations
