@@ -10,14 +10,17 @@ phi_ext /     extensions of phi / psi to all balanced words, factor by
 psi_ext       factor across crossings, exchanging odd-height up-steps with
               peaks on the whole bilateral class.
 
-phi and psi run in O(length) with no recursion, in three forms: a
-left-to-right stack transducer on a word under ``words._LONG`` = 4,096 steps
-(psi runs the mirrored one on the reversed-and-flipped word); a loop over
-the steps of a matrix of equal-length words, one per column (the twins); and
-on a longer word a rank core, one stable argsort of the vertex heights per
-parity, with uint16 keys (a radix sort) below height 2^16 and int32 keys
-above.  A rank core peaks at about 12 bytes per step, an extension on a long
-word at about 15.
+phi and psi run in O(length) with no recursion.  Both have a left-to-right
+stack transducer for a word under ``words._LONG`` = 4,096 steps (psi runs
+the mirrored one on the reversed-and-flipped word) and a twin on a matrix of
+equal-length words, one per column, which also takes a longer word as one
+column.  phi's twin is a rank core: one stable argsort of the odd vertices,
+keyed by word and height.  psi's twin loops over the steps of a matrix of
+words under ``_LONG`` steps and runs its own rank core, one stable argsort
+of the vertex heights per parity, on each longer word.  The sort keys are
+uint16 (a radix sort) while the words times the heights fit in 2^16 and
+int32 above.  A rank core peaks at about 12 bytes per step, an extension on
+a long word at about 15.
 """
 
 from __future__ import annotations
@@ -210,55 +213,58 @@ def _flips(mask: np.ndarray) -> np.ndarray:
     return mask.view(np.uint8) * np.uint8(_FLIP_BITS)
 
 
-def _phi_rows(mat: np.ndarray, h=None) -> np.ndarray:
-    """:func:`_phi_b` on Dyck words, one per column.
+def _key_type(top: int, words: int) -> type:
+    """The type of the sort keys ``word * (top + 1) + height`` of ``words``
+    words of heights up to ``top``: uint16 where they fit, which numpy
+    sorts by radix, else int32."""
+    return np.uint16 if words * (top + 1) <= 1 << 16 else np.int32
 
-    The frame at depth k of ``_phi_b`` is a node for odd k and a block for
-    even k, so its stack reduces to one counter per height: a U ending at
-    even k counts a block of the node at k-1 and emits U; a U ending at odd
-    k opens a node at k with no blocks; a D leaving odd k emits UD D^c,
-    with c that node's count.  One loop over the steps carries the
-    counters; a cumsum of the emitted lengths places the U's into words of
-    D's.  Words of at least ``_LONG`` steps go through :func:`_phi_rank`
-    one by one.
+
+def _phi_rows(mat: np.ndarray, h=None) -> np.ndarray:
+    """:func:`_phi_b` on Dyck words, one per column, by one stable argsort.
+
+    The frames of ``_phi_b`` at odd depth k are nodes, those at even depth
+    blocks.  So the step leaving odd vertex 2j+1, at height k, emits U if it
+    is a U and UD D^c if it is a D, with c the blocks of the node it closes;
+    no other step emits.  c counts the vertices at height k since the last
+    one that an up-step reached.  Keyed by word and then height, the odd
+    vertices sort word by word, level by level, each level in word order,
+    so c is a vertex's rank less the rank of that one; the first vertex of
+    each level of a word is reached by an up-step, which resets the count.
+    The emissions fill each word in order, so a cumsum of their lengths
+    down the words places the U's into a matrix of D's.
     """
-    size, rows = mat.shape
+    size, words = mat.shape
     if not mat.size:
         return mat.copy()
-    if size >= _LONG:
-        return np.stack([_phi_rank(mat[:, j]) for j in range(rows)], axis=1)
-    up = mat == _U
     if h is None:
-        h = _up_and_heights(mat)[1]
-    even = (h & 1) == 0
-    # the counter each step reads: a U to even height reads its node one
-    # below and adds a block, a U to odd height zeroes its own, a D reads
-    # the node it closes
-    width = size // 2 + 2
-    # intp, which the loop's gathers and scatters read without a conversion
-    flat = (h + 1 - up.view(np.int8) * (even.view(np.int8) + 1)).astype(np.intp)
-    flat += np.arange(0, rows * width, width)
-    add = (up & even).view(np.int8)
-    keep = ~(up & ~even)
-    counts = np.zeros(rows * width, dtype=np.int16)
-    seen = np.empty((size, rows), dtype=np.int16)
-    for step in range(size):
-        at = flat[step]
-        c = counts[at]
-        seen[step] = c
-        counts[at] = (c + add[step]) * keep[step]
-    # U to even height emits U, D to even height UD D^c, all else nothing
-    seen += 2
-    seen *= ~up
-    seen |= up
-    seen *= even
-    emit_at = _cumsum_down(seen, _AT)
-    emit_at -= seen
-    emit_at *= rows  # a step down a word moves a whole row of the matrix
-    emit_at += np.arange(rows, dtype=_AT)
-    out = np.full(size * rows, _D, dtype=np.uint8)
-    out[emit_at[even]] = _U
-    return out.reshape(size, rows)
+        up, h = _up_and_heights(mat)
+    else:
+        up = mat == _U
+    top = int(h[0::2].max())
+    key = _key_type(top, words)
+    keys = h[0::2].astype(key)  # vertex 2j+1 follows step 2j
+    del h
+    keys += np.arange(0, words * (top + 1), top + 1, dtype=key)
+    order = np.argsort(keys, axis=None, kind="stable").astype(_AT)
+    del keys
+    rank = np.arange(len(order), dtype=_AT)
+    count = up[0::2].ravel()[order] * rank
+    np.maximum.accumulate(count, out=count)
+    np.subtract(rank, count, out=count)
+    emit = rank  # its buffer takes c in word order, then the emitted lengths
+    emit[order] = count
+    del order, count
+    emit += 2
+    emit = emit.reshape(size // 2, words)
+    np.copyto(emit, 1, where=up[1::2])
+    _cumsum_down(emit, _AT, out=emit)  # where each emission ends
+    emit *= words  # a step down a word moves a whole row of the matrix
+    emit += np.arange(words, dtype=_AT)
+    out = np.full((size, words), _D, dtype=np.uint8)
+    out[0] = _U
+    out.ravel()[emit[:-1].ravel()] = _U
+    return out
 
 
 def _psi_rows(mat: np.ndarray, h=None) -> np.ndarray:
@@ -414,47 +420,12 @@ def _psi_ext_rows(mat: np.ndarray, h=None) -> np.ndarray:
     return _beta_in_factors(_psi_rows(mat ^ flips), returns, negative) ^ flips
 
 
-# --- rank cores --------------------------------------------------------------
+# --- the rank core of psi ----------------------------------------------------
 #
-# phi and psi on one long Dyck word of uint8 steps.  A stable argsort of the
-# vertex heights lists the vertices level by level, each level in word order.
-# A vertex's height has the parity of its position, so each parity sorts apart.
-
-def _key_type(h: np.ndarray) -> type:
-    """uint16 keys where the heights fit, which numpy sorts by radix, else int32."""
-    return np.uint16 if h.max(initial=0) < 1 << 16 else np.int32
-
-
-def _phi_rank(row: np.ndarray) -> np.ndarray:
-    """:func:`_phi_b` on one Dyck word.
-
-    The step leaving odd vertex 2j+1, at height k, emits U if it is a U and
-    UD D^c if it is a D; no other step emits.  c counts the vertices at
-    height k since the last one that an up-step reached (the blocks of that
-    node, see :func:`_phi_rows`): in level order, a vertex's rank less the
-    rank of that one.  The emissions fill the output in word order, so a
-    cumsum of their lengths places the U's into a row of D's.
-    """
-    up, h = _up_and_heights(row[:, None])
-    up = up[:, 0]
-    keys = h[0::2, 0].astype(_key_type(h))  # vertex 2j+1 follows step 2j
-    del h
-    order = np.argsort(keys, kind="stable").astype(_AT)
-    rank = np.arange(len(order), dtype=_AT)
-    count = up[0::2][order] * rank
-    np.maximum.accumulate(count, out=count)
-    np.subtract(rank, count, out=count)
-    emit = rank  # its buffer takes c in word order, then the emitted lengths
-    emit[order] = count
-    del order, count
-    emit += 2
-    np.copyto(emit, 1, where=up[1::2])
-    np.cumsum(emit, dtype=_AT, out=emit)  # where each emission ends
-    out = np.full(len(row), _D, dtype=np.uint8)
-    out[0] = _U
-    out[emit[:-1]] = _U
-    return out
-
+# psi on one long Dyck word of uint8 steps.  A stable argsort of the vertex
+# heights lists the vertices level by level, each level in word order, as in
+# :func:`_phi_rows`.  A vertex's height has the parity of its position, so
+# each parity sorts apart.
 
 def _psi_rank(row: np.ndarray) -> np.ndarray:
     """:func:`_psi_b` on one Dyck word.
@@ -469,7 +440,8 @@ def _psi_rank(row: np.ndarray) -> np.ndarray:
     after = np.ones(size + 2, dtype=bool)  # the step after each vertex; U past the end
     after[:size] = up[:, 0]
     up = after[:size]
-    keys = np.zeros(size + 1, dtype=_key_type(h))  # every vertex, the start included
+    key = _key_type(int(h.max(initial=0)), 1)
+    keys = np.zeros(size + 1, dtype=key)  # every vertex, the start included
     keys[1:] = h[:, 0]
     del h
     then_up = np.empty(size + 1, dtype=bool)  # the step after the level's next vertex

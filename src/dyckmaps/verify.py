@@ -159,12 +159,13 @@ def _results(spec, n_range, total, failures) -> list:
 # --- the theorems, stated as data and run by one sweep ----------------------
 
 def _try(fn, arg):
-    """fn(arg), or None when it raises, so that broken injected maps surface
-    as counterexamples instead of crashes."""
+    """fn(arg), or None when it raises or returns anything but text, so that
+    broken injected maps surface as counterexamples instead of crashes."""
     try:
-        return fn(arg)
+        image = fn(arg)
     except Exception:
         return None
+    return image if isinstance(image, str) else None
 
 
 # Per-word checks: predicate(text, image, s, si) on a word, its image under

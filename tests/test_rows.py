@@ -1,6 +1,7 @@
 """The matrix fast path of the sweeps against the per-word code it stands for:
-the chunked enumerator, the six matrix maps and the row scan, row by row;
-and the rank cores of long words against the stack transducers."""
+the chunked enumerator, the six matrix maps and the row scan, word by word;
+phi's rank core on one-word columns and on matrices past the uint16 sort
+keys, and psi's rank core of long words, against the stack transducers."""
 
 import json
 import tracemalloc
@@ -30,7 +31,6 @@ from dyckmaps.maps import (
     _phi_beta_b,
     _phi_ext_rows,
     _phi_ext_text,
-    _phi_rank,
     _phi_rows,
     _phi_text,
     _psi_b,
@@ -40,7 +40,7 @@ from dyckmaps.maps import (
     _psi_rows,
     _psi_text,
 )
-from dyckmaps.words import _LONG, _up_and_heights
+from dyckmaps.words import _LONG, _rows, _up_and_heights
 from dyckmaps.stats import _scan_rows, _scan_text, _stat_record_text, _stat_records_rows
 
 # every Dyck word with n <= 10 and every balanced word with n <= 8
@@ -129,9 +129,18 @@ def test_rank_cores_equal_the_transducers_on_every_dyck_word(n):
     mat, texts = _class("dyck", n)
     for row, text in zip(mat.T, texts):
         data = text.encode("ascii")
-        assert _phi_rank(row).tobytes() == _phi_b(data), text
+        assert _phi_rows(row[:, None]).tobytes() == _phi_b(data), text
         assert _psi_rank(row).tobytes() == _psi_b(data), text
 
+
+def test_phi_rows_sort_int32_keys_past_the_uint16_range():
+    """300 words of 500 steps with heights up to 250 need keys of 300 x 251
+    values, more than uint16 holds."""
+    rng = np.random.default_rng(7)
+    texts = ["U" * 250 + "D" * 250 if i % 3 == 0 else _random_dyck_text(250, rng)
+             for i in range(300)]
+    image = _phi_rows(_rows(texts))
+    assert _texts_of(image) == [_phi_b(t.encode("ascii")).decode("ascii") for t in texts]
 
 
 @pytest.mark.parametrize("n", range(1, 9))

@@ -14,6 +14,8 @@ from dyckmaps import (
     CATALAN_NUMBERS,
     cli,
     distribution,
+    parse_word,
+    phi_ext,
     verify_involutions_and_transport,
     verify_randomized,
     verify_theorem1,
@@ -67,6 +69,20 @@ def test_theorem1_counterexample_is_lexicographically_first():
     failing = next(c for c in report.checks if not c.passed and c.counterexample)
     # UUDD is the first word (n ascending, U < D within n) the mutation damages
     assert failing.counterexample == "UUDD"
+
+
+@pytest.mark.parametrize("verify, kwargs", [
+    (verify_theorem1, {"phi_fn": lambda text: 5}),
+    (verify_theorem2, {"phi_ext_fn": lambda text: phi_ext(parse_word(text))}),
+], ids=["int", "PathWord"])
+def test_maps_returning_anything_but_text_fail_every_word_check(verify, kwargs):
+    report = verify(2, **kwargs)
+    assert not report.ok
+    *per_word, dist = report.checks
+    assert "distribution" in dist.name and dist.passed  # it reads no image
+    assert per_word
+    for check in per_word:
+        assert not check.passed and check.counterexample == "", check.name
 
 
 @pytest.mark.parametrize(
