@@ -193,24 +193,24 @@ def _crossing_factors(data: bytes) -> list:
         start = np.flatnonzero(negative[1:] != negative[:-1]) + 1
         start = [0] + start.tolist()
         return list(zip(start, start[1:] + [len(data)], negative[start].tolist()))
+    if not data:
+        return []
+    # a factor starts where a step leaves the axis with the other sign
     factors = []
-    h = 0
-    fact_start = 0
-    fact_neg = None
-    exc_start = 0
+    h = start = 0
+    negative = data[0] != _UP
     for i, ch in enumerate(data):
-        h = h + 1 if ch == _UP else h - 1
-        if not h:
-            neg = data[exc_start] != _UP
-            if fact_neg is None:
-                fact_neg = neg
-            elif neg != fact_neg:
-                factors.append((fact_start, exc_start, fact_neg))
-                fact_start = exc_start
-                fact_neg = neg
-            exc_start = i + 1
-    if fact_start < len(data):
-        factors.append((fact_start, len(data), fact_neg))
+        if ch == _UP:
+            if not h and negative:
+                factors.append((start, i, True))
+                start, negative = i, False
+            h += 1
+        else:
+            if not h and not negative:
+                factors.append((start, i, False))
+                start, negative = i, True
+            h -= 1
+    factors.append((start, len(data), negative))
     return factors
 
 
@@ -233,8 +233,9 @@ def crossing_factorize(w: PathWord) -> CrossingFactorization:
 #
 # Textual forms of the two parses, applied recursively: block arguments are
 # wrapped in parentheses (an empty argument prints as "()"), tails print
-# inline.  Both renderers are single-pass stack machines, so arbitrarily
-# deep words are fine.
+# inline.  Neither recurses, so arbitrarily deep words are fine: the block
+# parse's renderer reads each step's bracket from its position's parity,
+# and the spine parse's is a single-pass stack machine on the mirrored word.
 
 _BRACKET_MIRROR = str.maketrans("UD()", "DU)(")
 
@@ -246,22 +247,18 @@ def phi_bracketing(w: PathWord) -> str:
 
 
 def _phi_bracketing_text(text: str) -> str:
+    # a U to odd height opens a node, U, and one to even height a block, U(;
+    # a D closes them alike.  A step's heights have its position's parity,
+    # so a step at an even index is a U to odd height or a D from even.
     out = []
     emit = out.append
-    stack = []
+    even = False
     for ch in text:
+        even = not even  # the step's index is even
         if ch == "U":
-            if stack and stack[-1]:
-                emit("U(")
-                stack.append(False)  # block frame
-            else:
-                emit("U")
-                stack.append(True)  # node frame
+            emit("U" if even else "U(")
         else:
-            if stack.pop():
-                emit("D")
-            else:
-                emit(")D")
+            emit(")D" if even else "D")
     return "".join(out)
 
 

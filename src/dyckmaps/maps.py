@@ -10,17 +10,18 @@ phi_ext /     extensions of phi / psi to all balanced words, factor by
 psi_ext       factor across crossings, exchanging odd-height up-steps with
               peaks on the whole bilateral class.
 
-phi and psi run in O(length) with no recursion.  Both have a left-to-right
-stack transducer for a word under ``words._LONG`` = 4,096 steps (psi runs
-the mirrored one on the reversed-and-flipped word) and a twin on a matrix of
+phi and psi run in O(length) with no recursion.  Each has a per-word form
+for a word under ``words._LONG`` = 4,096 steps and a twin on a matrix of
 equal-length words, one per column, which also takes a longer word as one
-column.  phi's twin is a rank core: one stable argsort of the odd vertices,
-keyed by word and height.  psi's twin loops over the steps of a matrix of
-words under ``_LONG`` steps and runs its own rank core, one stable argsort
-of the vertex heights per parity, on each longer word.  The sort keys are
-uint16 (a radix sort) while the words times the heights fit in 2^16 and
-int32 above.  A rank core peaks at about 12 bytes per step, an extension on
-a long word at about 15.
+column.  phi reads its blocks level by level: its per-word form walks that
+level rule, and its twin is a rank core, one stable argsort of the odd
+vertices keyed by word and height.  psi keeps a run transducer, a
+left-to-right stack machine on the reversed-and-flipped word; its twin
+loops over the steps of a matrix of words under ``_LONG`` steps and runs
+its own rank core, one stable argsort of the vertex heights per parity, on
+each longer word.  The sort keys are uint16 (a radix sort) while the words
+times the heights fit in 2^16 and int32 above.  A rank core peaks at about
+12 bytes per step, an extension on a long word at about 15.
 """
 
 from __future__ import annotations
@@ -48,38 +49,29 @@ _FLIP_STR = str.maketrans("UD", "DU")
 
 def _phi_b(data: bytes) -> bytes:
     """Rewrite U (U W_1 D)...(U W_s D) D T  ->  (U W_1')...(U W_s') UD D^s T',
-    applied to every nesting level in one pass.
-
-    Stack frames: an int >= 0 counts the blocks of an open node, -1 marks an
-    open block.  A 'U' under a node opens a block (emitted), a 'U' under a
-    block opens a node (deferred); closing a node emits its relocated
-    UD D^s group, closing a block emits nothing.  Output goes into a
-    preallocated buffer (the map preserves length), so cost is O(length).
+    applied to every nesting level in one pass, by the level rule of
+    :func:`_phi_rows`: the step leaving odd vertex 2j+1, at height k, emits
+    U if it is a U and U D^(c+1) if it is a D, where c counts the vertices
+    at height k since the last one an up-step reached.  The output starts
+    as all D's, so only each emission's U is written.
     """
-    out = bytearray(len(data))
-    pos = 0
-    stack = []
-    push = stack.append
-    pop = stack.pop
-    for ch in data:
-        if ch == _U:
-            if stack and stack[-1] >= 0:
-                stack[-1] += 1
-                out[pos] = _U
-                pos += 1
-                push(-1)
-            else:
-                push(0)
+    out = bytearray(b"D" * len(data))
+    since = [0] * (len(data) // 2 + 1)  # c at each height
+    h = pos = 0
+    for a, b in zip(data[0::2], data[1::2]):
+        if a == _U:
+            h += 1
+            since[h] = c = 0
         else:
-            s = pop()
-            if s >= 0:
-                out[pos] = _U
-                out[pos + 1] = _D
-                pos += 2
-                if s:
-                    end = pos + s
-                    out[pos:end] = b"D" * s
-                    pos = end
+            h -= 1
+            since[h] = c = since[h] + 1
+        out[pos] = _U
+        if b == _U:
+            h += 1
+            pos += 1
+        else:
+            h -= 1
+            pos += c + 2
     return bytes(out)
 
 
@@ -223,16 +215,17 @@ def _key_type(top: int, words: int) -> type:
 def _phi_rows(mat: np.ndarray, h=None) -> np.ndarray:
     """:func:`_phi_b` on Dyck words, one per column, by one stable argsort.
 
-    The frames of ``_phi_b`` at odd depth k are nodes, those at even depth
-    blocks.  So the step leaving odd vertex 2j+1, at height k, emits U if it
-    is a U and UD D^c if it is a D, with c the blocks of the node it closes;
-    no other step emits.  c counts the vertices at height k since the last
-    one that an up-step reached.  Keyed by word and then height, the odd
-    vertices sort word by word, level by level, each level in word order,
-    so c is a vertex's rank less the rank of that one; the first vertex of
-    each level of a word is reached by an up-step, which resets the count.
-    The emissions fill each word in order, so a cumsum of their lengths
-    down the words places the U's into a matrix of D's.
+    In the block parse, applied at every level, a U to odd height opens a
+    node and one to even height a block.  So the step leaving odd vertex
+    2j+1, at height k, emits U if it is a U and UD D^c if it is a D, with c
+    the blocks of the node it closes; no other step emits.  c counts the
+    vertices at height k since the last one that an up-step reached.  Keyed
+    by word and then height, the odd vertices sort word by word, level by
+    level, each level in word order, so c is a vertex's rank less the rank
+    of that one; the first vertex of each level of a word is reached by an
+    up-step, which resets the count.  The emissions fill each word in order,
+    so a cumsum of their lengths down the words places the U's into a
+    matrix of D's.
     """
     size, words = mat.shape
     if not mat.size:

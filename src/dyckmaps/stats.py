@@ -31,41 +31,39 @@ class _Scan(NamedTuple):
 
 
 def _scan_text(text: str) -> _Scan:
-    """One pass over a canonical word collecting every local statistic."""
+    """Every local statistic of a canonical word: one walk for the heights,
+    contacts and crossings, string counts for the rest.  An up-step at
+    index i ends at the parity of i + 1 and a down-step starts at the parity
+    of i, so the up-steps at odd height are those at even indices and the
+    down-steps from odd height fill the odd indices the other up-steps
+    leave."""
     if len(text) >= _LONG:
         return _scan_text_long(text)
     h = lo = hi = 0
-    peaks = valleys = contacts = crossings = 0
-    ups = ups_odd = downs_odd = 0
+    contacts = crossings = 0
     prev = ""
     for ch in text:
         if ch == "U":
-            if prev == "D":
-                valleys += 1
-            elif prev == "U" and h == 0:
+            if not h and prev == "U":
                 crossings += 1
             h += 1
-            ups += 1
-            if h & 1:
-                ups_odd += 1
             if h > hi:
                 hi = h
-            elif h == 0:
+            elif not h:
                 contacts += 1
         else:
-            if prev == "U":
-                peaks += 1
-            elif prev == "D" and h == 0:
+            if not h and prev == "D":
                 crossings += 1
-            if h & 1:
-                downs_odd += 1
             h -= 1
             if h < lo:
                 lo = h
-            elif h == 0:
+            elif not h:
                 contacts += 1
         prev = ch
-    return _Scan(h, lo, hi, peaks, valleys, contacts, crossings, ups, ups_odd, downs_odd)
+    ups = (len(text) + h) >> 1
+    ups_odd = text[0::2].count("U")
+    return _Scan(h, lo, hi, text.count("UD"), text.count("DU"), contacts, crossings,
+                 ups, ups_odd, (len(text) >> 1) - (ups - ups_odd))
 
 
 def _scan_text_long(text: str) -> _Scan:
@@ -86,7 +84,6 @@ def _scan_rows(mat: np.ndarray, h=None) -> _Scan:
     if h is None:
         h = _up_and_heights(mat)[1]
     down = ~up
-    odd = (h & 1).astype(bool)
     same = up[:-1] == up[1:]
     ups = _count(up)
     return _Scan(
@@ -98,8 +95,8 @@ def _scan_rows(mat: np.ndarray, h=None) -> _Scan:
         _count(h == 0),
         _count((h[:-1] == 0) & same),
         ups,
-        _count(up & odd),
-        _count(down & ~odd),  # a down-step ending even starts odd
+        _count(up[0::2]),  # an up-step at index i ends at the parity of i + 1
+        _count(down[1::2]),  # a down-step at index i starts at the parity of i
     )
 
 

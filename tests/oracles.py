@@ -120,6 +120,16 @@ def phi(text):
     return "".join("U" + phi(sub) for sub in inner) + "UD" + "D" * s + phi(tail)
 
 
+def phi_bracketing(text):
+    """Recursive rendering of the block parse: every block's interior in
+    parentheses, the tail inline."""
+    if not text:
+        return ""
+    inner, tail = block_parse(text)
+    blocks = "".join("U(" + phi_bracketing(sub) + ")D" for sub in inner)
+    return "U" + blocks + "D" + phi_bracketing(tail)
+
+
 def spine_parse(text):
     """(inner list, tail) of the (UW1)...(UWs) U D^{s+1} T factorization."""
     head, tail = first_return(text)

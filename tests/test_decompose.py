@@ -224,6 +224,12 @@ def test_psi_bracketing_golden():
     )
 
 
+def test_phi_bracketing_matches_recursive_rendering_exhaustively():
+    for n in range(10):
+        for text in oracles.all_dyck(n):
+            assert phi_bracketing(PathWord(text)) == oracles.phi_bracketing(text)
+
+
 def test_bracketing_small_cases():
     assert phi_bracketing(parse_word("")) == ""
     assert psi_bracketing(parse_word("")) == ""

@@ -60,7 +60,7 @@ def test_phi_psi_reject_non_dyck():
 
 
 def test_phi_matches_recursive_transcription_exhaustively():
-    for n in range(8):
+    for n in range(10):
         for text in oracles.all_dyck(n):
             assert _phi_text(text) == oracles.phi(text)
             assert _psi_text(text) == oracles.psi(text)

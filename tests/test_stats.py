@@ -1,6 +1,7 @@
 import math
 import random
 from functools import lru_cache
+from itertools import product
 
 import pytest
 from hypothesis import given
@@ -84,6 +85,30 @@ def test_all_stats_match_oracle_exhaustively():
             assert ups_at_even_height(w) == oracles.ups_even(text)
             assert downs_at_odd_height(w) == oracles.downs_odd(text)
             assert downs_at_even_height(w) == oracles.downs_even(text)
+
+
+def test_scans_of_open_words_match_oracles_exhaustively():
+    # the parity counts read a step's height parity from its position, which
+    # must hold on words that do not end on the axis too
+    for length in range(11):
+        for steps in product("UD", repeat=length):
+            text = "".join(steps)
+            hs = [0] + oracles.heights(text)
+            want = dyckmaps.stats._Scan(
+                hs[-1],
+                min(hs),
+                max(hs),
+                oracles.peaks(text),
+                oracles.valleys(text),
+                oracles.contacts(text),
+                oracles.crossings(text),
+                text.count("U"),
+                oracles.ups_odd(text),
+                oracles.downs_odd(text),
+            )
+            assert dyckmaps.stats._scan_text(text) == want
+            rows = dyckmaps.stats._scan_rows(dyckmaps.words._rows([text]))
+            assert tuple(int(field[0]) for field in rows) == want
 
 
 def test_stat_record_examples():
