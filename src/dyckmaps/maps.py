@@ -51,8 +51,8 @@ def _phi_b(data: bytes) -> bytes:
     """Rewrite U (U W_1 D)...(U W_s D) D T  ->  (U W_1')...(U W_s') UD D^s T',
     applied to every nesting level in one pass, by the level rule of
     :func:`_phi_rows`: the step leaving odd vertex 2j+1, at height k, emits
-    U if it is a U and U D^(c+1) if it is a D, where c counts the vertices
-    at height k since the last one an up-step reached.  The output starts
+    U if it is a U and UD D^c if it is a D, where c counts the vertices at
+    height k since the last one an up-step reached.  The output starts
     as all D's, so only each emission's U is written.
     """
     out = bytearray(b"D" * len(data))

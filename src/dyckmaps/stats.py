@@ -32,11 +32,8 @@ class _Scan(NamedTuple):
 
 def _scan_text(text: str) -> _Scan:
     """Every local statistic of a canonical word: one walk for the heights,
-    contacts and crossings, string counts for the rest.  An up-step at
-    index i ends at the parity of i + 1 and a down-step starts at the parity
-    of i, so the up-steps at odd height are those at even indices and the
-    down-steps from odd height fill the odd indices the other up-steps
-    leave."""
+    contacts and crossings, string counts for the rest.  An up-step at index
+    i ends at the parity of i + 1 and a down-step starts at the parity of i."""
     if len(text) >= _LONG:
         return _scan_text_long(text)
     h = lo = hi = 0
@@ -62,8 +59,9 @@ def _scan_text(text: str) -> _Scan:
         prev = ch
     ups = (len(text) + h) >> 1
     ups_odd = text[0::2].count("U")
+    downs_odd = (len(text) >> 1) - (ups - ups_odd)  # the D's at odd indices
     return _Scan(h, lo, hi, text.count("UD"), text.count("DU"), contacts, crossings,
-                 ups, ups_odd, (len(text) >> 1) - (ups - ups_odd))
+                 ups, ups_odd, downs_odd)
 
 
 def _scan_text_long(text: str) -> _Scan:
