@@ -312,7 +312,8 @@ def _cmd_verify(args, stdin, stdout) -> int:
     report = VerificationReport()
     report.checks += verify_theorem1(args.max_n, jobs=args.jobs).checks
     report.checks += verify_theorem2(args.max_n, jobs=args.jobs).checks
-    report.checks += verify_involutions_and_transport(args.max_n).checks
+    report.checks += verify_involutions_and_transport(
+        args.max_n, jobs=args.jobs).checks
     report.checks += randomized
     if args.format == "json":
         print(json.dumps(report.to_dict()), file=stdout)

@@ -282,8 +282,10 @@ def _psi_rows(mat: np.ndarray, h=None) -> np.ndarray:
     # the U-run before a mirrored D is the D-run after its U in the word;
     # (steps + height) / 2 counts the U's so far, so a U and the D's after
     # it share a bin of the count, word by word
-    last_up = (h + np.arange(1, size + 1)[:, None]) >> 1
-    last_up = last_up * rows + np.arange(rows)
+    last_up = h + np.arange(1, size + 1, dtype=_AT)[:, None]
+    last_up >>= 1
+    last_up *= rows
+    last_up += np.arange(rows, dtype=_AT)
     run = np.bincount(last_up.ravel(), minlength=(n + 1) * rows).reshape(n + 1, rows)
     run = run[:0:-1] - 1  # mirrored: the last U first
     peak = run > 0
@@ -319,11 +321,12 @@ def _in_word_order(flat: np.ndarray, rows: int, size: int) -> np.ndarray:
     return word
 
 
-def _beta_in_factors(words: np.ndarray, returns, negative) -> np.ndarray:
-    """The words of a ``(steps, words)`` matrix with beta on their negative
-    crossing factors.  ``negative`` marks the steps of those factors, which
-    are Dyck up to a flip, and ``returns`` lists the flat positions of their
-    steps that end on the axis.
+def _beta_source(negative: np.ndarray, returns) -> np.ndarray:
+    """Where beta on the negative crossing factors of the words of a
+    ``(steps, words)`` matrix takes each step from: its flat positions, as
+    an intp matrix of the same shape for :func:`_gather`.  ``negative``
+    marks the steps of those factors, which are Dyck up to a flip, and
+    ``returns`` lists the flat positions of their steps that end on the axis.
 
     Beta, U W1 D W2 -> U W2 D W1, moves the pieces U, W2, D and W1 of a
     factor as blocks, so a step's source less its position is constant on
@@ -335,7 +338,7 @@ def _beta_in_factors(words: np.ndarray, returns, negative) -> np.ndarray:
     under twice that size, so glibc keeps the freed heap for the next call
     instead of returning it to be faulted in again.
     """
-    size, rows = words.shape
+    size, rows = negative.shape
     edges = negative.copy()
     edges[1:] &= ~negative[:-1]
     start = np.flatnonzero(edges)
@@ -360,6 +363,12 @@ def _beta_in_factors(words: np.ndarray, returns, negative) -> np.ndarray:
     shift[start + r + m] += m
     source = shift.reshape(size + 1, rows)[:-1]
     _cumsum_down(source, np.intp, out=source)
+    return source
+
+
+def _gather(words: np.ndarray, source: np.ndarray) -> np.ndarray:
+    """The steps of a ``(steps, words)`` matrix at the flat positions of
+    :func:`_beta_source`."""
     # a 1-D gather: on a long word a 2-D one faults its pages in on every call
     return words.ravel()[source.ravel()].reshape(words.shape)
 
@@ -371,13 +380,13 @@ def _beta_rows(mat: np.ndarray, h=None) -> np.ndarray:
     if h is None:
         h = _up_and_heights(mat)[1]
     returns = np.flatnonzero(h == 0)
-    return _beta_in_factors(mat, returns, np.ones(mat.shape, dtype=bool))
+    return _gather(mat, _beta_source(np.ones(mat.shape, dtype=bool), returns))
 
 
 def _negative_factors(mat: np.ndarray, h=None) -> tuple:
     """The steps of the negative crossing factors of balanced words, one per
     column, and the flat positions of those that end on the axis, the
-    arguments of :func:`_beta_in_factors`.  The heights are freed on return,
+    arguments of :func:`_beta_source`.  The heights are freed on return,
     before the maps' next arrays, which keeps long words lean."""
     if h is None:
         h = _up_and_heights(mat)[1]
@@ -385,32 +394,49 @@ def _negative_factors(mat: np.ndarray, h=None) -> tuple:
     return negative, np.flatnonzero((h == 0) & negative)
 
 
-def _phi_ext_rows(mat: np.ndarray, h=None) -> np.ndarray:
+def _ext_factors(mat: np.ndarray, h=None) -> tuple:
+    """The factor structure that phi_ext and psi_ext read off the same
+    balanced words, one per column: the flips of their negative factors and
+    beta's gather source on those factors.  A sweep chunk that runs both
+    maps on its words builds it once and passes it to each as ``factors``."""
+    negative, returns = _negative_factors(mat, h)
+    return _flips(negative), _beta_source(negative, returns)
+
+
+def _phi_ext_rows(mat: np.ndarray, h=None, factors=None) -> np.ndarray:
     """:func:`_phi_ext_text` on balanced words, one per column.
 
     One gather takes every negative factor through beta after a flip, which
     leaves a Dyck word; phi maps it prime by prime, so factor by factor;
-    the negative factors flip back.
+    the negative factors flip back.  ``factors`` is the words'
+    :func:`_ext_factors`, built here when not given.
     """
     if not mat.size:
         return mat.copy()
-    negative, returns = _negative_factors(mat, h)
-    flips = _flips(negative)
-    return _phi_rows(_beta_in_factors(mat, returns, negative) ^ flips) ^ flips
+    flips, source = factors or _ext_factors(mat, h)
+    dyck = _gather(mat, source) ^ flips
+    del source  # a source built here is freed before phi's arrays
+    return _phi_rows(dyck) ^ flips
 
 
-def _psi_ext_rows(mat: np.ndarray, h=None) -> np.ndarray:
+def _psi_ext_rows(mat: np.ndarray, h=None, factors=None) -> np.ndarray:
     """:func:`_psi_ext_text` on balanced words, one per column: flip the
     negative factors, psi, beta on the negative factors, flip them back.
 
     psi maps a Dyck word prime by prime, each to a prime of its length, so
-    its image returns to the axis where the flipped words do.
+    its image returns to the axis where the flipped words do, and beta's
+    gather source is that of the words.  ``factors`` is the words'
+    :func:`_ext_factors`; without it, the source is built after psi, so
+    that on a long word the two never share the heap.
     """
     if not mat.size:
         return mat.copy()
-    negative, returns = _negative_factors(mat, h)
-    flips = _flips(negative)
-    return _beta_in_factors(_psi_rows(mat ^ flips), returns, negative) ^ flips
+    if factors is None:
+        negative, returns = _negative_factors(mat, h)
+        flips = _flips(negative)
+        return _gather(_psi_rows(mat ^ flips), _beta_source(negative, returns)) ^ flips
+    flips, source = factors
+    return _gather(_psi_rows(mat ^ flips), source) ^ flips
 
 
 # --- the rank core of psi ----------------------------------------------------

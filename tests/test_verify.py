@@ -1,14 +1,17 @@
 import io
 import json
 import os
+import tracemalloc
 from dataclasses import replace
 from functools import partial
 from pathlib import Path
 from types import SimpleNamespace
 from unittest import mock
 
+import numpy as np
 import pytest
 
+import dyckmaps.maps
 import dyckmaps.verify
 from dyckmaps import (
     CATALAN_NUMBERS,
@@ -21,7 +24,8 @@ from dyckmaps import (
     verify_theorem1,
     verify_theorem2,
 )
-from dyckmaps.maps import _alpha_text, _beta_text, _phi_ext_text, _phi_text
+from dyckmaps.generate import _rank_blocks
+from dyckmaps.maps import _alpha_text, _beta_text, _key_type, _phi_ext_text, _phi_text
 
 DATA = Path(__file__).parent / "data"
 
@@ -475,6 +479,92 @@ def test_injected_maps_give_the_same_report_in_a_pool(monkeypatch):
     assert verify_theorem2(6, phi_ext_fn=_phi_ext_wrapped, jobs=2).to_dict() == wrapped
     assert pools == [2, 2]
     assert not broken["ok"] and wrapped["ok"]
+
+
+def test_involutions_run_in_a_pool_of_jobs(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    pools = []
+    pool = dyckmaps.verify.Pool
+
+    def counted_pool(jobs):
+        pools.append(jobs)
+        return pool(jobs)
+
+    monkeypatch.setattr(dyckmaps.verify, "Pool", counted_pool)
+    serial = verify_involutions_and_transport(
+        6, include_beta_peak_preservation=True, jobs=1).to_dict()
+    assert pools == []
+    assert verify_involutions_and_transport(
+        6, include_beta_peak_preservation=True, jobs=2).to_dict() == serial
+    assert pools == [2, 2]  # alpha, then beta
+    assert not serial["ok"]  # beta's expected failure is found in the pool too
+
+
+def test_cli_verify_passes_jobs_to_every_sweep(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(dyckmaps.verify, "Pool", _CountingPool)
+    monkeypatch.setattr(_CountingPool, "opened", 0)
+    serial = io.StringIO()
+    assert cli.run(["verify", "--max-n", "4"], stdout=serial) == 0
+    assert _CountingPool.opened == 0
+    parallel = io.StringIO()
+    assert cli.run(["verify", "--max-n", "4", "--jobs", "2"], stdout=parallel) == 0
+    assert _CountingPool.opened == 4  # theorem 1, theorem 2, alpha and beta
+    assert parallel.getvalue() == serial.getvalue()
+
+
+def _spec_of(monkeypatch, verify, n):
+    """The record that ``verify(n)`` sweeps."""
+    with monkeypatch.context() as patched:
+        patched.setattr(dyckmaps.verify, "_sweep", lambda spec, max_n, jobs: spec)
+        return verify(n)
+
+
+def _full_block(n, dyck):
+    chunk = dyckmaps.verify._CHUNK
+    return next(b for b in _rank_blocks(n, dyck, chunk) if b[3] - b[2] == chunk)
+
+
+def test_a_theorem2_chunk_builds_three_beta_sources_not_four(monkeypatch):
+    built = []
+    source = dyckmaps.maps._beta_source
+
+    def counted(negative, returns):
+        built.append(negative.shape)
+        return source(negative, returns)
+
+    spec = _spec_of(monkeypatch, verify_theorem2, 8)
+    block = _full_block(8, False)
+    monkeypatch.setattr(dyckmaps.maps, "_beta_source", counted)
+    size, failures = dyckmaps.verify._row_chunk(block, spec)
+    assert (size, failures) == (dyckmaps.verify._CHUNK, {})
+    # the words' structure, shared by both maps, then the image's and the preimage's
+    assert built == [(16, size)] * 3
+
+
+@pytest.mark.parametrize("verify, n, dyck", [(verify_theorem1, 10, True),
+                                             (verify_theorem2, 8, False)],
+                         ids=["verify_theorem1", "verify_theorem2"])
+def test_a_full_chunk_peaks_under_36_bytes_per_step(monkeypatch, verify, n, dyck):
+    spec = _spec_of(monkeypatch, verify, n)
+    block = _full_block(n, dyck)
+    dyckmaps.verify._row_chunk(block, spec)  # numpy's one-time set-up is not the chunk's
+    tracemalloc.start()
+    try:
+        dyckmaps.verify._row_chunk(block, spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    steps = 2 * n * dyckmaps.verify._CHUNK
+    # theorem 2 peaks near 31 bytes a step: under a bound of 40, one more
+    # int64 matrix of the chunk's shape, 8 bytes a step, would go unseen
+    assert peak < 36 * steps, peak / steps
+
+
+def test_a_full_chunk_keeps_uint16_sort_keys_up_to_n15():
+    # phi sorts the heights of a chunk's Dyck words, at most n
+    assert _key_type(15, dyckmaps.verify._CHUNK) is np.uint16
+    assert _key_type(16, dyckmaps.verify._CHUNK) is np.int32
 
 
 @pytest.mark.parametrize("n", range(9))
