@@ -7,11 +7,12 @@ error (a bug), 3 verification failure.
 Every command that reads stdin runs one driver, :func:`_per_chunk`, which
 answers a chunk of lines at a time.  ``map`` (without ``--trace``) and
 ``stats`` have matrix twins: their chunk ends once it holds at least
-``_CHUNK_CHARS`` characters, or at the end of the input, and runs of at
-least ``_MIN_ROWS`` equal-length words of a chunk go through the matrix
-twins of the maps or the matrix scan of the statistics; the output is the
-same as word by word.  ``classify``, ``render`` and ``map --trace`` have no
-twin and read one line per chunk, as every command does on a terminal.
+``_CHUNK_CHARS`` characters, or at the end of the input, and each run of at
+least ``_MIN_ROWS`` equal-length lines of a chunk is parsed and checked as
+one matrix and goes through the matrix twins of the maps or the matrix scan
+of the statistics; the output is the same as word by word.  ``classify``,
+``render`` and ``map --trace`` have no twin and read one line per chunk, as
+every command does on a terminal.
 """
 
 from __future__ import annotations
@@ -19,6 +20,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+
+import numpy as np
 
 from . import __version__
 from .decompose import crossing_factorize, first_return_split
@@ -46,9 +49,10 @@ from .verify import (
 )
 from .words import (
     _LONG,
+    _closed_rows,
     _dyck_rows,
+    _parse_rows,
     _row_texts,
-    _rows,
     classify,
     parse_word,
     require_closed,
@@ -65,8 +69,9 @@ _MAX_RANDOM_STEPS = 10**8
 # map and stats read at least this many characters of input per chunk, so
 # one chunk costs memory in proportion to it plus one line
 _CHUNK_CHARS = 1 << 17
-# Equal-length words of a chunk that go through a matrix twin together; a
-# shorter run goes word by word (the twins break even at 20-30 words).
+# Equal-length lines of a chunk that are parsed, checked and answered as one
+# matrix; a shorter run goes word by word.  With the parse and the check, psi
+# and psi-ext break even at 20-32 words of 20 or 400 steps, the others at 4-20.
 _MIN_ROWS = 32
 
 # op: (domain check, map on canonical text)
@@ -79,8 +84,17 @@ _MAP_OPS = {
     "psi-ext": (require_closed, _psi_ext_text),
 }
 _STAGED_OPS = {"phi": phi_stages, "psi": psi_stages}
-# a domain check and its form on a uint8 matrix, which passes the same words
-_ROW_CHECKS = {require_dyck: _dyck_rows}
+
+
+def _require_balanced_word(word) -> None:
+    """The check of ``stats``: a balanced word."""
+    _require_balanced(word.text)
+
+
+# a domain check and its form on a uint8 matrix, which passes the same words;
+# every check of a command with a matrix twin has one
+_ROW_CHECKS = {require_dyck: _dyck_rows, require_closed: _closed_rows,
+               _require_balanced_word: _closed_rows}
 
 
 class _LineError(Exception):
@@ -154,61 +168,46 @@ def _chunks(stdin, limit: int):
         yield chunk
 
 
-def _answers(words: list, one, many) -> list:
-    """``one(word)`` for every word, in order.  A run of at least
-    ``_MIN_ROWS`` words of one length below ``_LONG`` goes through ``many``
-    as one uint8 matrix, which returns the answers of its words."""
-    by_length = {}
-    for i, word in enumerate(words):
-        by_length.setdefault(len(word.text), []).append(i)
-    answers = [None] * len(words)
-    for size, rows in by_length.items():
-        if len(rows) >= _MIN_ROWS and 0 < size < _LONG:
-            for i, answer in zip(rows, many(_rows([words[i].text for i in rows]))):
-                answers[i] = answer
-        else:
-            for i in rows:
-                answers[i] = one(words[i])
-    return answers
-
-
 def _per_chunk(stdin, stdout, one, *, many=None, check=lambda word: None) -> int:
     """Print ``one(word)`` for each input line, after ``check`` on each parsed
-    word, a chunk of lines at a time (see :func:`_answers`).  A chunk is one
-    line without a matrix twin ``many``, since one answer can reach the render or
-    trace cap, and on a terminal.  The first DyckError ends the command once
-    the answers to the lines before it are printed, and names its line."""
+    word, a chunk of lines at a time.  A run of at least ``_MIN_ROWS`` lines
+    of one length below ``_LONG`` goes from its text to a uint8 matrix,
+    which the row form of ``check`` checks and the matrix twin ``many``
+    answers; only the lines from the first column that fails there on are
+    parsed, checked and answered word by word, like every other line.  A
+    chunk is one line without a twin, since one answer can reach the render
+    or trace cap, and on a terminal.  The first DyckError ends the command
+    once the answers to the lines before it are printed, and names its line."""
     limit = 1 if many is None or stdin.isatty() else _CHUNK_CHARS
     lineno = 0  # the lines before the chunk
     for chunk in _chunks(stdin, limit):
-        words = []
-        error = None
-        for line in chunk:
-            try:
-                words.append(parse_word(line.rstrip("\r\n")))
-            except DyckError as exc:
-                error = exc
-                break
-        # a run for a twin is checked as a matrix where the check has a matrix form
-        rows_check = _ROW_CHECKS.get(check)
-        passed = (_answers(words, lambda word: False, rows_check) if rows_check
-                  else [False] * len(words))
-        for i, (word, ok) in enumerate(zip(words, passed)):
-            if ok:
-                continue
-            try:
-                check(word)
-            except DyckError as exc:
-                error = exc
-                del words[i:]
-                break
-        try:
-            out = "".join([answer + "\n" for answer in _answers(words, one, many)])
-        except DyckError as exc:  # only a one-line chunk answers unchecked words
-            raise _LineError(lineno + 1, str(exc)) from exc
-        stdout.write(out)
+        texts = [line.rstrip("\r\n") for line in chunk]
+        by_length = {}
+        for i, text in enumerate(texts):
+            by_length.setdefault(len(text), []).append(i)
+        answers = [None] * len(texts)
+        bad, error = len(texts), None  # the first line that fails, and why
+        for size, rows in by_length.items():
+            if many is not None and len(rows) >= _MIN_ROWS and 0 < size < _LONG:
+                mat, passed = _parse_rows([texts[i] for i in rows])
+                passed &= _ROW_CHECKS[check](mat)
+                k = len(rows) if passed.all() else int(passed.argmin())
+                if k:
+                    for i, answer in zip(rows, many(np.ascontiguousarray(mat[:, :k]))):
+                        answers[i] = answer
+                rows = rows[k:]
+            for i in rows:
+                if i >= bad:
+                    break
+                try:
+                    word = parse_word(texts[i])
+                    check(word)
+                    answers[i] = one(word)
+                except DyckError as exc:
+                    bad, error = i, exc
+        stdout.write("".join([answer + "\n" for answer in answers[:bad]]))
         if error is not None:
-            raise _LineError(lineno + len(words) + 1, str(error)) from error
+            raise _LineError(lineno + bad + 1, str(error)) from error
         lineno += len(chunk)
     return 0
 
@@ -231,7 +230,7 @@ def _cmd_stats(args, stdin, stdout) -> int:
     return _per_chunk(
         stdin, stdout, lambda word: show(_stat_record_text(word.text)),
         many=lambda mat: [show(rec) for rec in _stat_records_rows(mat)],
-        check=lambda word: _require_balanced(word.text),
+        check=_require_balanced_word,
     )
 
 

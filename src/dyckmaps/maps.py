@@ -414,7 +414,8 @@ def _phi_ext_rows(mat: np.ndarray, h=None, factors=None) -> np.ndarray:
     if not mat.size:
         return mat.copy()
     flips, source = factors or _ext_factors(mat, h)
-    dyck = _gather(mat, source) ^ flips
+    dyck = _gather(mat, source)
+    dyck ^= flips  # in place: on a long word no buffer lands above the source
     del source  # a source built here is freed before phi's arrays
     return _phi_rows(dyck) ^ flips
 

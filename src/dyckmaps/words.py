@@ -66,13 +66,25 @@ HeightProfile = list
 def _rows(texts: list) -> np.ndarray:
     """Equal-length canonical words as the columns of a C-contiguous
     ``(steps, words)`` uint8 matrix of their ASCII bytes: steps run down
-    axis 0.  :func:`_row_texts` turns it back; these two are the only
-    conversions between words and matrices."""
+    axis 0.  :func:`_row_texts` turns it back; these two and
+    :func:`_parse_rows` are the only conversions between words and matrices."""
     width = len(texts[0]) if texts else 0
     data = "".join(texts).encode("ascii")  # a one-word list joins without a copy
     by_word = np.frombuffer(data, dtype=np.uint8).reshape(len(texts), width)
     # a one-word (steps, 1) column has the bytes of the word and is no copy
     return np.ascontiguousarray(by_word.T)
+
+
+def _parse_rows(texts: list) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`parse_word` of equal-length texts at once: the matrix of
+    :func:`_rows` after the alias table, and which columns parse.  A
+    character outside the alphabets, non-ASCII included, fails its column."""
+    text = "".join(texts)
+    if any(alias in text for alias in "ud()"):  # the table reads every character
+        text = text.translate(_ALIAS_TABLE)
+    data = text.encode("ascii", "replace")
+    mat = np.frombuffer(data, dtype=np.uint8).reshape(len(texts), -1).T.copy()
+    return mat, ((mat == 85) | (mat == 68)).all(axis=0)
 
 
 def _row_texts(mat: np.ndarray) -> list:
@@ -291,6 +303,11 @@ def _dyck_rows(mat: np.ndarray) -> np.ndarray:
     long, are Dyck words."""
     h = _up_and_heights(mat)[1]
     return (h.min(axis=0) >= 0) & (h[-1] == 0)
+
+
+def _closed_rows(mat: np.ndarray) -> np.ndarray:
+    """Which columns of a ``(steps, words)`` uint8 matrix end at height 0."""
+    return 2 * (mat == 85).sum(axis=0, dtype=np.int32) == len(mat)
 
 
 def require_closed(w: PathWord) -> None:

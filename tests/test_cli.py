@@ -506,33 +506,103 @@ def test_a_bad_line_mid_chunk_ends_the_output_after_the_lines_before_it(
     assert err == f"error: {exc.value} (line 144)\n"
 
 
-@pytest.mark.parametrize("op", _DYCK_OPS)
-@pytest.mark.parametrize("bad, message", [
-    ("UDDU" + "UD" * 8, "not a Dyck word: vertex below axis at step 3"),
-    ("UU" + "UD" * 9, "not a Dyck word: path ends at height 2 instead of 0"),
-], ids=["below", "open"])
+_RUN_BAD_CASES = {
+    **{f"{kind}-{op}": (["map", "--op", op], bad, message)
+       for kind, bad, message in [
+           ("below", "UDDU" + "UD" * 8, "not a Dyck word: vertex below axis at step 3"),
+           ("open", "UU" + "UD" * 9, "not a Dyck word: path ends at height 2 instead of 0"),
+       ]
+       for op in _DYCK_OPS},
+    **{f"open-{op}": (["map", "--op", op], "UU" + "UD" * 9,
+                      "not a bilateral Dyck word: path ends at height 2")
+       for op in ("alpha", "phi-ext", "psi-ext")},
+    **{f"open-{' '.join(argv)}": (argv, "UU" + "UD" * 9,
+                                  "statistics bundle requires a balanced word")
+       for argv in (["stats"], ["stats", "--format", "json"])},
+}
+
+
+@pytest.mark.parametrize("argv, bad, message", list(_RUN_BAD_CASES.values()),
+                         ids=list(_RUN_BAD_CASES))
 def test_a_bad_word_in_a_run_is_checked_by_matrix_with_the_same_output(
-        monkeypatch, op, bad, message):
-    # 64 words of 20 steps, one run for the twin: a word that is not Dyck at
+        monkeypatch, argv, bad, message):
+    # 64 words of 20 steps, one run for the twin: a word outside the domain at
     # line 33, an invalid character at line 40, another bad word at line 50
-    lines = _words(True, 10, 64, 0)
+    # (a good one for the commands on balanced words)
+    lines = _words(argv[-1] in _DYCK_OPS, 10, 64, 0)
     lines[32] = bad
     lines[39] = "UD" * 9 + "UX"
     lines[49] = "DU" * 10
     checked = []
+    if argv[0] == "stats":
+        original = dyckmaps.cli._require_balanced_word
+    else:
+        original, text_map = dyckmaps.cli._MAP_OPS[argv[2]]
 
     def spy(word):
         checked.append(word.text)
-        dyckmaps.words.require_dyck(word)
+        original(word)
 
-    monkeypatch.setitem(dyckmaps.cli._ROW_CHECKS, spy, dyckmaps.words._dyck_rows)
-    monkeypatch.setitem(dyckmaps.cli._MAP_OPS, op, (spy, dyckmaps.cli._MAP_OPS[op][1]))
-    argv = ["map", "--op", op]
+    monkeypatch.setitem(dyckmaps.cli._ROW_CHECKS, spy, dyckmaps.cli._ROW_CHECKS[original])
+    if argv[0] == "stats":
+        monkeypatch.setattr(dyckmaps.cli, "_require_balanced_word", spy)
+    else:
+        monkeypatch.setitem(dyckmaps.cli._MAP_OPS, argv[2], (spy, text_map))
     code, out, err = _run(argv, "".join(line + "\n" for line in lines))
     assert code == 1
     assert out == _reference(argv, "".join(line + "\n" for line in lines[:32]))
     assert err == f"error: {message} (line 33)\n"
     assert checked == [bad]  # the rows the matrix passed are not checked again
+
+
+@pytest.mark.parametrize("argv", _PER_LINE_CASES, ids=" ".join)
+@pytest.mark.parametrize("bad", [
+    None, "X" + "UD" * 9 + "D", "UD" * 9 + "U.", "UD" * 4 + "U\u00e9" + "UD" * 4 + "D",
+    "UD" * 4 + "U\rD" + "UD" * 4,
+], ids=["none", "first-step", "last-step", "non-ascii", "carriage-return"])
+def test_a_run_parsed_as_a_matrix_agrees_with_parse_word(argv, bad):
+    # a run of 40 lines of 20 steps with the aliases, CRLF endings and, at
+    # line 35, a word with one character outside the alphabets
+    lines = _words(argv[-1] in _DYCK_OPS, 10, 40, 0)
+    lines[2] = lines[2].lower()
+    lines[5] = lines[5].replace("U", "(").replace("D", ")")
+    lines[8] = lines[8].replace("U", "u")
+    for i in (1, 20, 39):
+        lines[i] += "\r"
+    if bad is not None:
+        lines[34] = bad
+    code, out, err = _run(argv, "".join(line + "\n" for line in lines))
+    if bad is None:
+        assert (code, err) == (0, "")
+        assert out == _reference(argv, "".join(line + "\n" for line in lines))
+        return
+    with pytest.raises(dyckmaps.DyckError) as exc:
+        _reference(argv, bad + "\n")
+    assert code == 1
+    assert out == _reference(argv, "".join(line + "\n" for line in lines[:34]))
+    assert err == f"error: {exc.value} (line 35)\n"
+
+
+@pytest.mark.parametrize("argv", _PER_LINE_CASES, ids=" ".join)
+def test_only_short_runs_and_long_lines_are_parsed_word_by_word(monkeypatch, argv):
+    dyck = argv[-1] in _DYCK_OPS
+    run = _words(dyck, 10, 64, 0)  # with the aliases and a CRLF ending
+    run[3], run[5] = run[3].lower(), run[5].replace("U", "(").replace("D", ")")
+    run[7] += "\r"
+    short, long = _words(dyck, 11, 31, 100), _words(dyck, dyckmaps.words._LONG // 2, 1, 200)
+    stdin_text = "".join(line + "\n" for line in run + short + long)
+    monkeypatch.setattr(dyckmaps.cli, "_CHUNK_CHARS", len(stdin_text))  # one chunk
+    parsed = []
+
+    def spy(text):
+        parsed.append(text)
+        return dyckmaps.parse_word(text)
+
+    monkeypatch.setattr(dyckmaps.cli, "parse_word", spy)
+    code, out, err = _run(argv, stdin_text)
+    assert (code, err) == (0, "")
+    assert out == _reference(argv, stdin_text)
+    assert parsed == short + long
 
 
 class _TerminalLines:
