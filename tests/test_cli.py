@@ -557,8 +557,8 @@ def test_a_bad_word_in_a_run_is_checked_by_matrix_with_the_same_output(
 
 @pytest.mark.parametrize("argv", _PER_LINE_CASES, ids=" ".join)
 @pytest.mark.parametrize("bad", [
-    None, "X" + "UD" * 9 + "D", "UD" * 9 + "U.", "UD" * 4 + "U\u00e9" + "UD" * 4 + "D",
-    "UD" * 4 + "U\rD" + "UD" * 4,
+    None, "X" + "UD" * 9 + "D", "UD" * 9 + "U.", "UD" * 4 + "U\u00e9" + "UD" * 5,
+    "UD" * 4 + "U\rD" + "UD" * 4 + "D",
 ], ids=["none", "first-step", "last-step", "non-ascii", "carriage-return"])
 def test_a_run_parsed_as_a_matrix_agrees_with_parse_word(argv, bad):
     # a run of 40 lines of 20 steps with the aliases, CRLF endings and, at
@@ -570,6 +570,7 @@ def test_a_run_parsed_as_a_matrix_agrees_with_parse_word(argv, bad):
     for i in (1, 20, 39):
         lines[i] += "\r"
     if bad is not None:
+        assert len(bad) == 20  # a line of the run
         lines[34] = bad
     code, out, err = _run(argv, "".join(line + "\n" for line in lines))
     if bad is None:
