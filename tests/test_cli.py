@@ -587,11 +587,11 @@ def test_a_run_parsed_as_a_matrix_agrees_with_parse_word(argv, bad):
 @pytest.mark.parametrize("argv", _PER_LINE_CASES, ids=" ".join)
 def test_only_short_runs_and_long_lines_are_parsed_word_by_word(monkeypatch, argv):
     dyck = argv[-1] in _DYCK_OPS
-    run = _words(dyck, 10, 64, 0)  # with the aliases and a CRLF ending
-    run[3], run[5] = run[3].lower(), run[5].replace("U", "(").replace("D", ")")
-    run[7] += "\r"
+    lines = _words(dyck, 10, 64, 0)  # one run, with the aliases and a CRLF ending
+    lines[3], lines[5] = lines[3].lower(), lines[5].replace("U", "(").replace("D", ")")
+    lines[7] += "\r"
     short, long = _words(dyck, 11, 31, 100), _words(dyck, dyckmaps.words._LONG // 2, 1, 200)
-    stdin_text = "".join(line + "\n" for line in run + short + long)
+    stdin_text = "".join(line + "\n" for line in lines + short + long)
     monkeypatch.setattr(dyckmaps.cli, "_CHUNK_CHARS", len(stdin_text))  # one chunk
     parsed = []
 
