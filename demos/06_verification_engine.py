@@ -4,7 +4,10 @@ Every claim the library makes about its maps can be machine-checked at
 desk scale.  The engine enumerates word classes in chunks, runs round
 trips and statistic transport on a whole chunk at once, compares whole
 distributions, and reports the lexicographically first counterexample when
-something breaks.  A map passed in by the caller runs word by word.
+something breaks.  One worker checks every chunk, the randomized samples
+included.  A map passed in by the caller runs word by word, and an image
+that is no word of the class (wrong length, letters other than U and D,
+or outside the class) fails every check of its word.
 """
 
 from dyckmaps import (

@@ -39,12 +39,11 @@ from .decompose import (
 )
 from .errors import DyckError
 from .render import _MAX_CELLS
-from .words import (_LONG, PathWord, _cumsum_down, _row_texts, _rows,
-                    _up_and_heights, require_closed, require_dyck)
+from .words import (_FLIP_TABLE, _LONG, PathWord, _cumsum_down, _row_texts,
+                    _rows, _up_and_heights, require_closed, require_dyck)
 
 _U, _D = 85, 68  # ord('U'), ord('D'); the cores run on ASCII bytes
 _FLIP_B = bytes.maketrans(b"UD", b"DU")
-_FLIP_STR = str.maketrans("UD", "DU")
 
 
 def _phi_b(data: bytes) -> bytes:
@@ -165,7 +164,7 @@ def _psi_text(text: str) -> str:
 
 
 def _alpha_text(text: str) -> str:
-    return text.translate(_FLIP_STR)
+    return text.translate(_FLIP_TABLE)
 
 
 def _beta_text(text: str) -> str:

@@ -9,21 +9,22 @@ the whole class.
 
 A sweep reads each class in chunks of at most ``_CHUNK`` = 4,096 words,
 the rank ranges of :func:`~dyckmaps.generate._rank_blocks` in lexicographic
-order.  With the default maps a chunk runs batched: a ``(2n, words)`` uint8
-matrix whose steps run down axis 0, mapped by the matrix twins of the maps,
-scanned once, and checked by predicates on whole columns.  Theorem 2's two
-maps share the chunk's factor structure, built once for its words.  A chunk
-peaks under 36 bytes per step, and 4,096 words keep phi's sort keys uint16
-up to n = 15.
+order.  One worker checks every chunk as a ``(2n, words)`` uint8 matrix
+whose steps run down axis 0: each map runs once on the chunk, the words
+and images are scanned once each, and the checks are predicates on whole
+columns.  Default maps run through their matrix twins, and Theorem 2's two
+share the chunk's factor structure.  A chunk peaks under 36 bytes per step,
+and 4,096 words keep phi's sort keys uint16 up to n = 15.
+:func:`verify_randomized` passes its samples to the same worker.
 
 The map arguments of the exhaustive engines are injectable so that a
-deliberately broken map can be shown to produce a counterexample; an
-injected map gets the same blocks and runs word by word, as does
-:func:`verify_randomized`.
-On both paths a counterexample is the first failing word of the first
-failing chunk, and chunks are merged in stream order, so it is the
-lexicographically first failing word and reproducible from (check name,
-word) alone.
+deliberately broken map can be shown to produce a counterexample.  An
+injected map runs word by word and its images are stacked into a matrix;
+an image that cannot be a column of it (no text of the word's length over
+U and D, or a word outside the class) fails every check of its word.
+A counterexample is the first failing word of the first failing chunk,
+and chunks are merged in stream order, so it is the lexicographically
+first failing word and reproducible from (check name, word) alone.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .decompose import _crossing_factors, _negative_steps
+from .decompose import _negative_steps
 from .generate import (
     CATALAN_NUMBERS,
     CENTRAL_BINOMIALS,
@@ -51,7 +52,9 @@ from .generate import (
     distribution,
 )
 from .maps import (
+    _D,
     _ROWS_OF,
+    _U,
     _alpha_text,
     _beta_text,
     _ext_factors,
@@ -63,7 +66,7 @@ from .maps import (
     _psi_text,
 )
 from .stats import _scan_rows, _scan_text
-from .words import _row_texts, _up_and_heights
+from .words import _closed_rows, _dyck_rows, _row_texts, _rows, _up_and_heights
 
 _CHUNK = 4096  # words per chunk of a sweep
 
@@ -176,36 +179,26 @@ def _try(fn, arg):
     return image if isinstance(image, str) else None
 
 
-# Per-word checks: predicate(text, image, s, si) on a word, its image under
-# the forward map, and the scans of both; True when the check holds.  Written
-# as array expressions, each also holds word by word on a chunk: words and
-# images as uint8 matrices, one word per column, scans of int arrays.
+# Checks: predicate(mat, image, h, hi, s, si) on the words of a chunk and
+# their images under the forward map, one per column of two uint8
+# matrices, with the heights and the scans of both; True for each column
+# where the check holds.
 
-def _peaks_from_ups_odd(text, image, s, si):
+def _peaks_from_ups_odd(mat, image, h, hi, s, si):
     return si.peaks == s.ups_odd
 
 
-def _contacts_preserved(text, image, s, si):
+def _contacts_preserved(mat, image, h, hi, s, si):
     return si.contacts == s.contacts
 
 
-def _crossings_preserved(text, image, s, si):
+def _crossings_preserved(mat, image, h, hi, s, si):
     return si.crossings == s.crossings
 
 
-def _factors_preserved(text, image, s, si) -> bool:
-    return _crossing_factors(text.encode()) == _crossing_factors(image.encode())
-
-
-def _factors_preserved_rows(mat, image, h, hi):
+def _factors_preserved(mat, image, h, hi, s, si):
     # factors alternate in sign, so the steps below the axis fix them all
     return (_negative_steps(mat, h) == _negative_steps(image, hi)).all(axis=0)
-
-
-# The matrix twin of the one check that reads the words themselves; it takes
-# the heights of the words and of the images in place of their scans.  A
-# sweep whose maps all have twins in ``_ROWS_OF`` runs on matrix chunks.
-_CHECK_ROWS = {_factors_preserved: _factors_preserved_rows}
 
 
 class _Theorem(NamedTuple):
@@ -228,65 +221,66 @@ class _Theorem(NamedTuple):
     dist_check: tuple
 
 
-def _theorem_chunk(texts, spec: _Theorem):
-    forward, *rest = spec.maps.values()
-    inverse = rest[0] if rest else forward
-    failures = {}
-    first_trip, *second_trip = spec.round_trips  # an involution has no second trip
-    for text in texts:
-        image = _try(forward, text)
-        if image is None or _try(inverse, image) != text:
-            failures.setdefault(first_trip, text)
-        if second_trip:
-            preimage = _try(inverse, text)
-            if preimage is None or _try(forward, preimage) != text:
-                failures.setdefault(second_trip[0], text)
-        s = _scan_text(text)
-        si = _scan_text(image) if image is not None else None
-        for name, holds in spec.checks:
-            if si is None or not holds(text, image, s, si):
-                failures.setdefault(name, text)
-    return len(texts), failures
-
-
-def _word_chunk(block, spec: _Theorem):
-    """:func:`_theorem_chunk` on the words of one rank range, the arguments
-    of :func:`_rank_rows`."""
-    return _theorem_chunk(_row_texts(_rank_rows(*block)), spec)
+def _images(fn, mat, dyck, *args):
+    """fn on words, one per column: the images as a matrix, and which do
+    not fit it.  A twin in ``_ROWS_OF`` runs on the matrix with ``args``;
+    any other map runs word by word through :func:`_try`, and an image
+    fits when it is text of its word's length over U and D alone and a word
+    of the class (Dyck when ``dyck``).  A misfit's column holds its word."""
+    if fn in _ROWS_OF:
+        return _ROWS_OF[fn](mat, *args), False
+    texts = _row_texts(mat)
+    images = [_try(fn, text) for text in texts]
+    fits = np.array([image is not None and len(image) == len(text) and image.isascii()
+                     for image, text in zip(images, texts)], dtype=bool)
+    out = _rows([image if fit else text for image, text, fit in zip(images, texts, fits)])
+    fits &= ((out == _U) | (out == _D)).all(axis=0)
+    if len(out):
+        fits &= (_dyck_rows if dyck else _closed_rows)(out)
+    return np.where(fits, out, mat), ~fits
 
 
 # phi_ext and psi_ext read one factor structure off the same words
 _EXT_ROWS = {_phi_ext_rows, _psi_ext_rows}
 
 
-def _row_chunk(block, spec: _Theorem):
-    """:func:`_word_chunk`, all at once through the matrix twins: one word
-    per column.  The words and their images are scanned for heights once
-    each, and the twins, the scans and the checks share those heights.
-    Theorem 2's maps also share the words' factor structure
-    (:func:`~dyckmaps.maps._ext_factors`): it is built once for the maps of
-    the words and dropped before the round trip of the image, so a chunk
-    builds three beta gather sources, not four."""
-    mat = _rank_rows(*block)
-    forward, *rest = (_ROWS_OF[fn] for fn in spec.maps.values())
+def _check_chunk(chunk, spec: _Theorem):
+    """The size of one chunk and the first failing word of each check.
+
+    ``chunk`` is a ``(steps, words)`` uint8 matrix or the arguments of
+    :func:`_rank_rows`, which is what a worker process is sent.  The words
+    and their images are scanned for heights once each, and the maps, the
+    scans and the checks share them.  Theorem 2's twins also share the
+    words' :func:`~dyckmaps.maps._ext_factors`, dropped before the image's
+    round trip, so a chunk builds three beta gather sources, not four.  A
+    word whose image does not fit (:func:`_images`) fails its first round
+    trip and every check; a preimage or round trip that does not fit fails
+    only its own round trip.
+    """
+    mat = chunk if isinstance(chunk, np.ndarray) else _rank_rows(*chunk)
+    dyck = spec.path_class == "dyck"
+    forward, *rest = spec.maps.values()
     inverse = rest[0] if rest else forward
     first_trip, *second_trip = spec.round_trips
     h = _up_and_heights(mat)[1]
-    shared = (_ext_factors(mat, h),) if {forward, inverse} == _EXT_ROWS else ()
-    image = forward(mat, h, *shared)
-    preimage = inverse(mat, h, *shared) if second_trip else None
+    twins = {_ROWS_OF.get(forward), _ROWS_OF.get(inverse)}
+    shared = (_ext_factors(mat, h),) if twins == _EXT_ROWS else ()
+    image, misfit = _images(forward, mat, dyck, h, *shared)
+    if second_trip:
+        preimage, pre_misfit = _images(inverse, mat, dyck, h, *shared)
     del shared  # the image's round trip builds its own
     hi = _up_and_heights(image)[1]
-    failing = {first_trip: (inverse(image, hi) != mat).any(axis=0)}
+    back, back_misfit = _images(inverse, image, dyck, hi)
+    failing = {first_trip: misfit | back_misfit | (back != mat).any(axis=0)}
+    del back
     if second_trip:
-        failing[second_trip[0]] = (forward(preimage) != mat).any(axis=0)
+        back, back_misfit = _images(forward, preimage, dyck)
+        failing[second_trip[0]] = pre_misfit | back_misfit | (back != mat).any(axis=0)
+        del back
     s = _scan_rows(mat, h)
     si = _scan_rows(image, hi)
     for name, holds in spec.checks:
-        if holds in _CHECK_ROWS:
-            failing[name] = ~_CHECK_ROWS[holds](mat, image, h, hi)
-        else:
-            failing[name] = ~holds(mat, image, s, si)
+        failing[name] = misfit | ~holds(mat, image, h, hi, s, si)
     # the first failing word of each check, in lexicographic order
     failures = {name: _row_texts(mat[:, [words.argmax()]])[0]
                 for name, words in failing.items() if words.any()}
@@ -297,16 +291,14 @@ def _sweep(spec: _Theorem, max_n: int, jobs: int) -> VerificationReport:
     """Check one theorem over its whole class at every semilength 0..max_n.
 
     Every chunk is a rank range of :func:`_rank_blocks` with at most
-    ``_CHUNK`` words, in lexicographic order.  Default maps run on it as a
-    matrix (:func:`_row_chunk`), any injected map word by word
-    (:func:`_word_chunk`).
+    ``_CHUNK`` words, in lexicographic order, checked by
+    :func:`_check_chunk`, in worker processes when ``jobs`` > 1.
     The distribution identity reads only the swept words' own statistics,
     which no map changes, so it is counted exactly in this process.
     """
     jobs = _check_jobs(jobs, spec.maps)
-    batched = all(fn in _ROWS_OF for fn in spec.maps.values())
     dyck = spec.path_class == "dyck"
-    worker = partial(_row_chunk if batched else _word_chunk, spec=spec)
+    worker = partial(_check_chunk, spec=spec)
     failures = {}  # first counterexample per check name, in stream order
     total = 0
     dist_ok = True
@@ -407,20 +399,20 @@ def verify_theorem2(
 
 # --- involutions and their transports --------------------------------------
 
-def _peak_valley_swap(text, image, s, si):
+def _peak_valley_swap(mat, image, h, hi, s, si):
     return (si.peaks == s.valleys) & (si.valleys == s.peaks)
 
 
-def _parity_swap(text, image, s, si):
+def _parity_swap(mat, image, h, hi, s, si):
     return si.ups_odd == s.ups - s.downs_odd  # downs at even height of a balanced word
 
 
-def _odd_to_even_shift(text, image, s, si):
+def _odd_to_even_shift(mat, image, h, hi, s, si):
     # vacuous on the empty word, which beta fixes
     return (s.ups == 0) | (si.ups - si.ups_odd == s.ups_odd - 1)
 
 
-def _peaks_preserved(text, image, s, si):
+def _peaks_preserved(mat, image, h, hi, s, si):
     return si.peaks == s.peaks
 
 
@@ -508,7 +500,12 @@ def verify_randomized(
         (("random.transport.peaks_from_ups_odd", _peaks_from_ups_odd),),
         (), (),
     )
-    _, failures = _theorem_chunk(texts, spec)
+    # chunks no larger than a sweep's at n = 16, which bounds their memory
+    size = min(_CHUNK, max(1, 32 * _CHUNK // max(2 * n, 1)))
+    failures = {}
+    for start in range(0, trials, size):
+        for name, word in _check_chunk(_rows(texts[start : start + size]), spec)[1].items():
+            failures.setdefault(name, word)
     report = VerificationReport(_results(spec, (n, n), trials, failures))
     if check_scaling and n >= 64 and trials >= 2:
         doubled = [_random_balanced_text(2 * n, rng) for _ in range(trials)]

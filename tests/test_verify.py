@@ -15,6 +15,7 @@ import dyckmaps.maps
 import dyckmaps.verify
 from dyckmaps import (
     CATALAN_NUMBERS,
+    CENTRAL_BINOMIALS,
     cli,
     distribution,
     parse_word,
@@ -75,18 +76,26 @@ def test_theorem1_counterexample_is_lexicographically_first():
     assert failing.counterexample == "UUDD"
 
 
-@pytest.mark.parametrize("verify, kwargs", [
-    (verify_theorem1, {"phi_fn": lambda text: 5}),
-    (verify_theorem2, {"phi_ext_fn": lambda text: phi_ext(parse_word(text))}),
-], ids=["int", "PathWord"])
-def test_maps_returning_anything_but_text_fail_every_word_check(verify, kwargs):
+@pytest.mark.parametrize("verify, kwargs, counterexample", [
+    (verify_theorem1, {"phi_fn": lambda text: 5}, ""),
+    (verify_theorem2, {"phi_ext_fn": lambda text: phi_ext(parse_word(text))}, ""),
+    (verify_theorem1, {"phi_fn": lambda text: text + "UD"}, ""),
+    # the empty word is in every class, so its image fits
+    (verify_theorem2, {"phi_ext_fn": lambda text: "U" * len(text)}, "UD"),
+    (verify_theorem1, {"phi_fn": lambda text: text[::-1]}, "UD"),  # balanced, not Dyck
+    (verify_theorem1, {"phi_fn": lambda text: text.replace("D", "d")}, "UD"),
+    (verify_theorem1, {"phi_fn": lambda text: text.replace("D", "\u0414")}, "UD"),
+], ids=["int", "PathWord", "wrong-length", "not-balanced", "not-dyck", "alias",
+        "non-ascii"])
+def test_maps_returning_anything_but_text_fail_every_word_check(verify, kwargs,
+                                                                counterexample):
     report = verify(2, **kwargs)
     assert not report.ok
     *per_word, dist = report.checks
     assert "distribution" in dist.name and dist.passed  # it reads no image
     assert per_word
     for check in per_word:
-        assert not check.passed and check.counterexample == "", check.name
+        assert not check.passed and check.counterexample == counterexample, check.name
 
 
 @pytest.mark.parametrize(
@@ -295,6 +304,23 @@ def test_randomized_with_scaling():
     assert "ratio" in scaling.note
 
 
+def test_randomized_samples_run_on_the_matrix_in_bounded_chunks(monkeypatch):
+    shapes = []
+    check_chunk = dyckmaps.verify._check_chunk
+
+    def recording(mat, spec):
+        shapes.append(mat.shape)
+        return check_chunk(mat, spec)
+
+    monkeypatch.setattr(dyckmaps.verify, "_check_chunk", recording)
+    monkeypatch.setattr(dyckmaps.verify, "_try", _refuse)  # the twins take every sample
+    assert verify_randomized(2048, 64, 1, check_scaling=False).ok
+    chunk = dyckmaps.verify._CHUNK
+    assert sum(words for _, words in shapes) == 64
+    assert all(words <= chunk and steps * words <= 32 * chunk for steps, words in shapes)
+    assert len(shapes) > 1  # 64 words of 4,096 steps take two chunks
+
+
 def _fake_timing(monkeypatch, n, cost, slow_words=0):
     """Give verify a clock that only its timed map moves: each word costs
     cost(length).  From the first word of length 4n (the doubled batch) on,
@@ -442,7 +468,7 @@ def test_default_maps_run_batched_in_chunks_of_at_most_chunk_rows(monkeypatch):
         return mat
 
     monkeypatch.setattr(dyckmaps.verify, "_rank_rows", recording)
-    monkeypatch.setattr(dyckmaps.verify, "_theorem_chunk", _refuse)
+    monkeypatch.setattr(dyckmaps.verify, "_try", _refuse)  # no map runs word by word
     verify_theorem1(10)
     verify_theorem2(8)
     verify_involutions_and_transport(8)
@@ -452,7 +478,7 @@ def test_default_maps_run_batched_in_chunks_of_at_most_chunk_rows(monkeypatch):
     assert len(shapes) > 4 * 11  # the largest classes take several chunks
 
 
-# equal-valued wrappers: any injected map sends a sweep down the per-word path
+# equal-valued wrappers: any injected map runs word by word
 def _phi_ext_wrapped(text):
     return dyckmaps.verify._phi_ext_text(text)
 
@@ -536,7 +562,7 @@ def test_a_theorem2_chunk_builds_three_beta_sources_not_four(monkeypatch):
     spec = _spec_of(monkeypatch, verify_theorem2, 8)
     block = _full_block(8, False)
     monkeypatch.setattr(dyckmaps.maps, "_beta_source", counted)
-    size, failures = dyckmaps.verify._row_chunk(block, spec)
+    size, failures = dyckmaps.verify._check_chunk(block, spec)
     assert (size, failures) == (dyckmaps.verify._CHUNK, {})
     # the words' structure, shared by both maps, then the image's and the preimage's
     assert built == [(16, size)] * 3
@@ -548,10 +574,10 @@ def test_a_theorem2_chunk_builds_three_beta_sources_not_four(monkeypatch):
 def test_a_full_chunk_peaks_under_36_bytes_per_step(monkeypatch, verify, n, dyck):
     spec = _spec_of(monkeypatch, verify, n)
     block = _full_block(n, dyck)
-    dyckmaps.verify._row_chunk(block, spec)  # numpy's one-time set-up is not the chunk's
+    dyckmaps.verify._check_chunk(block, spec)  # numpy's one-time set-up is not the chunk's
     tracemalloc.start()
     try:
-        dyckmaps.verify._row_chunk(block, spec)
+        dyckmaps.verify._check_chunk(block, spec)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -572,10 +598,16 @@ def test_expected_failures_agree_on_both_paths(monkeypatch, n):
     batched = verify_theorem2(n, include_contact_preservation=True).to_dict()
     beta_batched = verify_involutions_and_transport(
         n, include_beta_peak_preservation=True).to_dict()
-    with monkeypatch.context() as patched:
-        patched.setattr(dyckmaps.verify, "_row_chunk", _refuse)
-        per_word = verify_theorem2(
-            n, include_contact_preservation=True, phi_ext_fn=_phi_ext_wrapped).to_dict()
+    calls = []
+
+    def counted(text):
+        calls.append(text)
+        return _phi_ext_wrapped(text)
+
+    per_word = verify_theorem2(
+        n, include_contact_preservation=True, phi_ext_fn=counted).to_dict()
+    # once on each word and once on its preimage
+    assert len(calls) == 2 * sum(CENTRAL_BINOMIALS[: n + 1])
     monkeypatch.setattr(dyckmaps.verify, "_beta_text", _beta_wrapped)  # alpha stays batched
     beta_per_word = verify_involutions_and_transport(
         n, include_beta_peak_preservation=True).to_dict()
