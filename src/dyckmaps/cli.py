@@ -39,7 +39,7 @@ from .maps import (
     psi_stages,
 )
 from .render import render_ascii
-from .stats import StatRecord, _require_balanced, _stat_record_text, _stat_records_rows
+from .stats import StatRecord, _require_balanced, _stat_records_rows, stat_record
 from .verify import (
     VerificationReport,
     verify_involutions_and_transport,
@@ -86,15 +86,10 @@ _MAP_OPS = {
 _STAGED_OPS = {"phi": phi_stages, "psi": psi_stages}
 
 
-def _require_balanced_word(word) -> None:
-    """The check of ``stats``: a balanced word."""
-    _require_balanced(word.text)
-
-
 # a domain check and its form on a uint8 matrix, which passes the same words;
 # every check of a command with a matrix twin has one
 _ROW_CHECKS = {require_dyck: _dyck_rows, require_closed: _closed_rows,
-               _require_balanced_word: _closed_rows}
+               _require_balanced: _closed_rows}
 
 
 class _LineError(Exception):
@@ -228,9 +223,9 @@ def _json_line(rec) -> str:
 def _cmd_stats(args, stdin, stdout) -> int:
     show = _json_line if args.format == "json" else StatRecord.to_text
     return _per_chunk(
-        stdin, stdout, lambda word: show(_stat_record_text(word.text)),
+        stdin, stdout, lambda word: show(stat_record(word)),
         many=lambda mat: [show(rec) for rec in _stat_records_rows(mat)],
-        check=_require_balanced_word,
+        check=_require_balanced,
     )
 
 

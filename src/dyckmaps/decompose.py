@@ -221,7 +221,7 @@ def crossing_factorize(w: PathWord) -> CrossingFactorization:
     nonempty Dyck words and negative Dyck words, and there is exactly one
     more factor than the word has crossings.  The empty word has no factors.
     """
-    if w.text and w.final_height != 0:
+    if 2 * w.text.count("U") != len(w.text):
         raise NotBilateralError("crossing factorization requires a balanced word")
     parts = _crossing_factors(w.text.encode("ascii"))
     return CrossingFactorization(

@@ -75,14 +75,14 @@ def _rank_blocks(n: int, dyck: bool, rows: int) -> Iterator[tuple]:
     order (U < D), as consecutive rank ranges ``(n, dyck, start, stop)`` of
     at most ``rows`` words; :func:`_rank_rows` builds a range's words.
 
-    The ranks are int64, which holds C(2n, n) up to n = 33 only.
+    The ranks are int64, which holds C(2n, n) up to n = 33 only; a larger
+    or negative n raises ``ValueError`` at the call.
     """
     _check_semilength(n)
     if n > _MAX_RANK_N:
         raise ValueError(f"semilength must be at most {_MAX_RANK_N} for int64 ranks")
     size = int(_endings(n, dyck)[2 * n, n + 1])
-    for start in range(0, size, rows):
-        yield n, dyck, start, min(start + rows, size)
+    return ((n, dyck, start, min(start + rows, size)) for start in range(0, size, rows))
 
 
 def _rank_rows(n: int, dyck: bool, start: int, stop: int) -> np.ndarray:
@@ -111,8 +111,8 @@ def _rank_rows(n: int, dyck: bool, start: int, stop: int) -> np.ndarray:
 def _text_blocks(n: int, dyck: bool) -> Iterator[list]:
     """The words of :func:`_rank_blocks` as lists of text, at most
     ``_TEXT_STEPS`` steps each."""
-    for block in _rank_blocks(n, dyck, _TEXT_STEPS // max(2 * n, 1)):
-        yield _row_texts(_rank_rows(*block))
+    blocks = _rank_blocks(n, dyck, _TEXT_STEPS // max(2 * n, 1))
+    return (_row_texts(_rank_rows(*block)) for block in blocks)
 
 
 def _dyck_texts(n: int) -> Iterator[str]:
@@ -128,8 +128,8 @@ def _balanced_texts(n: int) -> Iterator[str]:
 def generate_dyck(n: int) -> Iterator[PathWord]:
     """All Dyck words of semilength n, lexicographically (U < D), Catalan(n) many.
 
-    Raises ``ValueError`` for n > 33, beyond the int64 ranks of the
-    enumerator.
+    Raises ``ValueError`` at the call for n < 0, and for n > 33, beyond
+    the int64 ranks of the enumerator.
     """
     return (PathWord(t) for t in _dyck_texts(n))
 
@@ -137,7 +137,8 @@ def generate_dyck(n: int) -> Iterator[PathWord]:
 def generate_bilateral(n: int) -> Iterator[PathWord]:
     """All balanced words of semilength n, lexicographically, C(2n, n) many.
 
-    Raises ``ValueError`` for n > 33, where C(2n, n) passes 2^63.
+    Raises ``ValueError`` at the call for n < 0, and for n > 33, where
+    C(2n, n) passes 2^63.
     """
     return (PathWord(t) for t in _balanced_texts(n))
 

@@ -4,6 +4,10 @@ All statistics are defined on arbitrary step words, below the axis included:
 a UD factor at height 0 is a peak, an up-step from -2 to -1 is at odd
 height (mathematical parity, so -1 is odd and -2 is even).  This convention
 is what makes the statistics compatible with the bilateral bijections.
+
+Every statistic but peaks and valleys, which are string counts, reads the
+word's one cached scan (``words._scan_text``), so a word is walked at most
+once however many of them are asked for.
 """
 
 from __future__ import annotations
@@ -14,88 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import NotBilateralError
-from .words import PathWord, _LONG, _rows, _up_and_heights
-
-
-class _Scan(NamedTuple):
-    final: int
-    lo: int
-    hi: int
-    peaks: int
-    valleys: int
-    contacts: int
-    crossings: int
-    ups: int
-    ups_odd: int
-    downs_odd: int
-
-
-def _scan_text(text: str) -> _Scan:
-    """Every local statistic of a canonical word: one walk for the heights,
-    contacts and crossings, string counts for the rest.  An up-step at index
-    i ends at the parity of i + 1 and a down-step starts at the parity of i."""
-    if len(text) >= _LONG:
-        return _scan_text_long(text)
-    h = lo = hi = 0
-    contacts = crossings = 0
-    prev = ""
-    for ch in text:
-        if ch == "U":
-            if not h and prev == "U":
-                crossings += 1
-            h += 1
-            if h > hi:
-                hi = h
-            elif not h:
-                contacts += 1
-        else:
-            if not h and prev == "D":
-                crossings += 1
-            h -= 1
-            if h < lo:
-                lo = h
-            elif not h:
-                contacts += 1
-        prev = ch
-    ups = (len(text) + h) >> 1
-    ups_odd = text[0::2].count("U")
-    downs_odd = (len(text) >> 1) - (ups - ups_odd)  # the D's at odd indices
-    return _Scan(h, lo, hi, text.count("UD"), text.count("DU"), contacts, crossings,
-                 ups, ups_odd, downs_odd)
-
-
-def _scan_text_long(text: str) -> _Scan:
-    return _Scan(*(int(field[0]) for field in _scan_rows(_rows([text]))))
-
-
-def _count(mask: np.ndarray) -> np.ndarray:
-    """The True entries of each column of a mask, as int32, which holds any
-    word length."""
-    return np.add.reduce(mask, axis=0, dtype=np.int32)
-
-
-def _scan_rows(mat: np.ndarray, h=None) -> _Scan:
-    """The fields of :func:`_scan_text` for equal-length words, one per column
-    of a ``(steps, words)`` uint8 matrix, as int arrays from one height scan
-    down axis 0; ``h`` holds the words' heights if known."""
-    up = mat == 85  # ord('U')
-    if h is None:
-        h = _up_and_heights(mat)[1]
-    down = ~up
-    same = up[:-1] == up[1:]
-    ups = _count(up)
-    return _Scan(
-        2 * ups - mat.shape[0],
-        h.min(axis=0, initial=0),
-        h.max(axis=0, initial=0),
-        _count(up[:-1] & down[1:]),
-        _count(down[:-1] & up[1:]),
-        _count(h == 0),
-        _count((h[:-1] == 0) & same),
-        ups,
-        _count(up[0::2]),  # an up-step at index i ends at the parity of i + 1
-        _count(down[1::2]),  # a down-step at index i starts at the parity of i
-    )
+from .words import PathWord, _Scan, _scan_rows
 
 
 class StatRecord(NamedTuple):
@@ -127,7 +50,7 @@ _TEXT_TEMPLATE = " ".join(f"{name}:{{}}" for name in StatRecord._fields)
 
 def semilength(w: PathWord) -> int:
     """Half the number of steps; requires a balanced word."""
-    if w.text and w.final_height != 0:
+    if 2 * w.text.count("U") != len(w.text):
         raise NotBilateralError("semilength is defined for balanced words only")
     return len(w.text) // 2
 
@@ -148,47 +71,43 @@ def contacts(w: PathWord) -> int:
     A contact is a down-step at height 1 or an up-step at height 0, i.e.
     exactly the steps that end on the axis.
     """
-    return _scan_text(w.text).contacts
+    return w._scan().contacts
 
 
 def crossings(w: PathWord) -> int:
     """Adjacent same-direction step pairs straddling the axis."""
-    return _scan_text(w.text).crossings
+    return w._scan().crossings
 
 
 def ups_at_odd_height(w: PathWord) -> int:
     """Up-steps whose ending height is odd (so -1 counts, -2 does not)."""
-    return _scan_text(w.text).ups_odd
+    return w._scan().ups_odd
 
 
 def ups_at_even_height(w: PathWord) -> int:
-    s = _scan_text(w.text)
+    s = w._scan()
     return s.ups - s.ups_odd
 
 
 def downs_at_odd_height(w: PathWord) -> int:
     """Down-steps whose starting height is odd."""
-    return _scan_text(w.text).downs_odd
+    return w._scan().downs_odd
 
 
 def downs_at_even_height(w: PathWord) -> int:
-    s = _scan_text(w.text)
+    s = w._scan()
     return (len(w.text) - s.ups) - s.downs_odd
 
 
 def stat_record(w: PathWord) -> StatRecord:
-    """Bundle of all statistics; cached on the word after the first call."""
-    cached = w._stats
-    if cached is not None:
-        return cached
-    rec = _stat_record_text(w.text)
-    w._cache("_stats", rec)
-    return rec
+    """Bundle of all statistics, from the word's cached scan."""
+    _require_balanced(w)
+    return _record(w._scan(), len(w.text))
 
 
-def _require_balanced(text: str) -> None:
-    """Raise NotBilateralError unless a canonical word ends on the axis."""
-    if 2 * text.count("U") != len(text):
+def _require_balanced(w: PathWord) -> None:
+    """Raise NotBilateralError unless the word ends on the axis."""
+    if w._scan().final:
         raise NotBilateralError("statistics bundle requires a balanced word")
 
 
@@ -210,14 +129,8 @@ def _record(s: _Scan, size: int) -> StatRecord:
     )
 
 
-def _stat_record_text(text: str) -> StatRecord:
-    """All statistics of a canonical balanced word from one scan."""
-    _require_balanced(text)
-    return _record(_scan_text(text), len(text))
-
-
 def _stat_records_rows(mat: np.ndarray) -> list:
-    """:func:`_stat_record_text` of balanced words, one per column of a
+    """:func:`stat_record` of balanced words, one per column of a
     ``(steps, words)`` uint8 matrix, from one scan."""
     size = mat.shape[0]
     fields = (field.tolist() for field in _scan_rows(mat))

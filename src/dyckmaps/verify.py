@@ -65,8 +65,8 @@ from .maps import (
     _psi_ext_text,
     _psi_text,
 )
-from .stats import _scan_rows, _scan_text
-from .words import _closed_rows, _dyck_rows, _row_texts, _rows, _up_and_heights
+from .words import (_closed_rows, _dyck_rows, _row_texts, _rows, _scan_rows, _scan_text,
+                    _up_and_heights)
 
 _CHUNK = 4096  # words per chunk of a sweep
 

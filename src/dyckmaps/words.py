@@ -1,4 +1,4 @@
-"""Step words: representation, validation, classification, height bookkeeping.
+"""Step words: representation, validation, classification, the one height scan.
 
 A word is a finite sequence of up-steps (+1) and down-steps (-1) read as a
 walk starting at height 0.  Everything else in the library (statistics,
@@ -8,6 +8,7 @@ decompositions, bijections, enumeration) operates on these words.
 from __future__ import annotations
 
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -120,43 +121,109 @@ def _up_and_heights(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return up, _cumsum_down(steps, dtype)
 
 
-def _extremes_of(text: str) -> tuple[int, int, int]:
-    """(final, min, max) vertex height of a canonical word, start vertex included."""
+class _Scan(NamedTuple):
+    final: int
+    lo: int
+    hi: int
+    peaks: int
+    valleys: int
+    contacts: int
+    crossings: int
+    ups: int
+    ups_odd: int
+    downs_odd: int
+
+
+def _scan_text(text: str) -> _Scan:
+    """Every local statistic of a canonical word: one walk for the heights,
+    contacts and crossings, string counts for the rest.  An up-step at index
+    i ends at the parity of i + 1 and a down-step starts at the parity of i."""
     if len(text) >= _LONG:
-        _, h = _up_and_heights(_rows([text]))
-        return int(h[-1, 0]), min(0, int(h.min())), max(0, int(h.max()))
+        return _Scan(*(int(field[0]) for field in _scan_rows(_rows([text]))))
     h = lo = hi = 0
+    contacts = crossings = 0
+    prev = ""
     for ch in text:
-        h = h + 1 if ch == "U" else h - 1
-        if h < lo:
-            lo = h
-        elif h > hi:
-            hi = h
-    return h, lo, hi
+        if ch == "U":
+            if not h and prev == "U":
+                crossings += 1
+            h += 1
+            if h > hi:
+                hi = h
+            elif not h:
+                contacts += 1
+        else:
+            if not h and prev == "D":
+                crossings += 1
+            h -= 1
+            if h < lo:
+                lo = h
+            elif not h:
+                contacts += 1
+        prev = ch
+    ups = (len(text) + h) >> 1
+    ups_odd = text[0::2].count("U")
+    downs_odd = (len(text) >> 1) - (ups - ups_odd)  # the D's at odd indices
+    return _Scan(h, lo, hi, text.count("UD"), text.count("DU"), contacts, crossings,
+                 ups, ups_odd, downs_odd)
+
+
+def _count(mask: np.ndarray) -> np.ndarray:
+    """The True entries of each column of a mask, as int32, which holds any
+    word length."""
+    return np.add.reduce(mask, axis=0, dtype=np.int32)
+
+
+def _scan_rows(mat: np.ndarray, h=None) -> _Scan:
+    """The fields of :func:`_scan_text` for equal-length words, one per column
+    of a ``(steps, words)`` uint8 matrix, as int arrays from one height scan
+    down axis 0; ``h`` holds the words' heights if known."""
+    up = mat == 85  # ord('U')
+    if h is None:
+        h = _up_and_heights(mat)[1]
+    down = ~up
+    same = up[:-1] == up[1:]
+    ups = _count(up)
+    return _Scan(
+        2 * ups - mat.shape[0],
+        h.min(axis=0, initial=0),
+        h.max(axis=0, initial=0),
+        _count(up[:-1] & down[1:]),
+        _count(down[:-1] & up[1:]),
+        _count(h == 0),
+        _count((h[:-1] == 0) & same),
+        ups,
+        _count(up[0::2]),  # an up-step at index i ends at the parity of i + 1
+        _count(down[1::2]),  # a down-step at index i starts at the parity of i
+    )
 
 
 class PathWord:
     """Immutable validated step word.
 
     Construction requires canonical text over {U, D}; use :func:`parse_word`
-    for the lenient alphabets.  Height extremes and the vertex height list
-    are computed once on demand and cached; all transforms return fresh
-    words, so instances are safe to share between workers.
+    for the lenient alphabets.  The word's one statistics scan (its height
+    extremes, contacts, crossings and parity counts) and its vertex height
+    list are computed once on demand and cached.  All transforms return
+    fresh words, and a pickle or copy is rebuilt from the text alone, so
+    instances are safe to share between workers.
     """
 
-    __slots__ = ("text", "_extremes", "_heights", "_stats")
+    __slots__ = ("text", "_scanned", "_heights")
 
     def __init__(self, text: str = ""):
         if text.count("U") + text.count("D") != len(text):
             bad = next(i for i, ch in enumerate(text) if ch not in "UD")
             raise InvalidCharacterError(text[bad], bad + 1)
         object.__setattr__(self, "text", text)
-        object.__setattr__(self, "_extremes", None)
+        object.__setattr__(self, "_scanned", None)
         object.__setattr__(self, "_heights", None)
-        object.__setattr__(self, "_stats", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("PathWord is immutable")
+
+    def __reduce__(self):
+        return PathWord, (self.text,)
 
     # Internal caches bypass the immutability guard.
     def _cache(self, name, value):
@@ -194,24 +261,24 @@ class PathWord:
     def length(self) -> int:
         return len(self.text)
 
-    def _ext(self) -> tuple[int, int, int]:
-        ext = self._extremes
-        if ext is None:
-            ext = _extremes_of(self.text)
-            self._cache("_extremes", ext)
-        return ext
+    def _scan(self) -> _Scan:
+        scan = self._scanned
+        if scan is None:
+            scan = _scan_text(self.text)
+            self._cache("_scanned", scan)
+        return scan
 
     @property
     def final_height(self) -> int:
-        return self._ext()[0]
+        return self._scan().final
 
     @property
     def min_height(self) -> int:
-        return self._ext()[1]
+        return self._scan().lo
 
     @property
     def max_height(self) -> int:
-        return self._ext()[2]
+        return self._scan().hi
 
     def _height_list(self) -> list:
         heights = self._heights
@@ -244,12 +311,12 @@ def classify(w: PathWord) -> PathClass:
     """Classify a word; open words classify as NOT_CLOSED rather than erroring."""
     if not w.text:
         return PathClass.EMPTY
-    final, lo, hi = w._ext()
-    if final != 0:
+    s = w._scan()
+    if s.final != 0:
         return PathClass.NOT_CLOSED
-    if lo >= 0:
+    if s.lo >= 0:
         return PathClass.DYCK
-    if hi <= 0:
+    if s.hi <= 0:
         return PathClass.NEGATIVE_DYCK
     return PathClass.BILATERAL_PROPER
 
@@ -312,8 +379,6 @@ def _closed_rows(mat: np.ndarray) -> np.ndarray:
 
 def require_closed(w: PathWord) -> None:
     """Raise NotBilateralError unless the word ends at height 0."""
-    text = w.text
-    if 2 * text.count("U") != len(text):
-        raise NotBilateralError(
-            f"not a bilateral Dyck word: path ends at height {w.final_height}"
-        )
+    final = 2 * w.text.count("U") - len(w.text)  # counted, so no scan
+    if final:
+        raise NotBilateralError(f"not a bilateral Dyck word: path ends at height {final}")

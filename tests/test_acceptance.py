@@ -34,8 +34,8 @@ from dyckmaps.maps import (
     _psi_ext_text,
     _psi_text,
 )
-from dyckmaps.stats import _scan_text
 from dyckmaps.verify import _time_maps
+from dyckmaps.words import _scan_text
 
 GOLDEN_TOP = "UUUUDDDUUUUDDUDDDD"
 GOLDEN_BOTTOM = "UUUDDUUUDUUDDDUDDD"

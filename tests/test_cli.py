@@ -453,7 +453,7 @@ def _path_spies(monkeypatch, argv, row_fail, word_fail):
 
     if argv[0] == "stats":
         for name, fails in [("_stat_records_rows", row_fail),
-                            ("_stat_record_text", word_fail)]:
+                            ("stat_record", lambda word: word_fail(word.text))]:
             monkeypatch.setattr(dyckmaps.cli, name,
                                 guard(getattr(dyckmaps.cli, name), fails))
         return
@@ -535,7 +535,7 @@ def test_a_bad_word_in_a_run_is_checked_by_matrix_with_the_same_output(
     lines[49] = "DU" * 10
     checked = []
     if argv[0] == "stats":
-        original = dyckmaps.cli._require_balanced_word
+        original = dyckmaps.cli._require_balanced
     else:
         original, text_map = dyckmaps.cli._MAP_OPS[argv[2]]
 
@@ -545,7 +545,7 @@ def test_a_bad_word_in_a_run_is_checked_by_matrix_with_the_same_output(
 
     monkeypatch.setitem(dyckmaps.cli._ROW_CHECKS, spy, dyckmaps.cli._ROW_CHECKS[original])
     if argv[0] == "stats":
-        monkeypatch.setattr(dyckmaps.cli, "_require_balanced_word", spy)
+        monkeypatch.setattr(dyckmaps.cli, "_require_balanced", spy)
     else:
         monkeypatch.setitem(dyckmaps.cli._MAP_OPS, argv[2], (spy, text_map))
     code, out, err = _run(argv, "".join(line + "\n" for line in lines))

@@ -21,6 +21,7 @@ from dyckmaps import (
     narayana,
     sample_bilateral,
     sample_dyck,
+    stat_record,
 )
 from dyckmaps.generate import (
     _balanced_texts,
@@ -29,8 +30,7 @@ from dyckmaps.generate import (
     _rank_blocks,
     _rank_rows,
 )
-from dyckmaps.stats import _scan_rows, _stat_record_text
-from dyckmaps.words import classify
+from dyckmaps.words import PathWord, _scan_rows, classify
 
 DATA = Path(__file__).parent / "data"
 
@@ -92,10 +92,11 @@ def test_generator_counts_to_reference():
 def test_generators_refuse_semilengths_past_the_int64_ranks(generate):
     # C(68, 34) = 28,453,041,475,240,576,740 is past 2^63
     assert next(generate(33)).text == "U" * 33 + "D" * 33
+    # refused at the call, before any next()
     with pytest.raises(ValueError, match="semilength must be at most 33"):
-        next(generate(34))
+        generate(34)
     with pytest.raises(ValueError, match="semilength must be nonnegative"):
-        next(generate(-1))
+        generate(-1)
 
 
 @pytest.mark.parametrize("dyck", [True, False], ids=["dyck", "bilateral"])
@@ -211,7 +212,7 @@ def test_distribution_equals_enumeration_for_every_field_and_pair(path_class, ma
     keys = [(a,) for a in fields] + [(a, b) for a in fields for b in fields]
     for n in range(max_n + 1):
         texts = _dyck_texts(n) if path_class == "dyck" else _balanced_texts(n)
-        records = [_stat_record_text(t) for t in texts]
+        records = [stat_record(PathWord(t)) for t in texts]
         for stats in keys:
             expected = Counter(map(attrgetter(*stats), records))
             got = distribution(path_class, n, *stats).counts

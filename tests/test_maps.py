@@ -2,7 +2,6 @@ import pytest
 from hypothesis import given, settings
 
 import dyckmaps.maps
-import dyckmaps.stats
 import dyckmaps.words
 import oracles
 from conftest import balanced_texts, dyck_texts
@@ -14,6 +13,7 @@ from dyckmaps import (
     alpha,
     beta,
     contacts,
+    crossing_factorize,
     crossings,
     parse_word,
     peaks,
@@ -23,6 +23,7 @@ from dyckmaps import (
     psi,
     psi_ext,
     psi_stages,
+    semilength,
     ups_at_even_height,
     ups_at_odd_height,
     valleys,
@@ -176,15 +177,12 @@ def test_ext_maps_reject_open_words():
         psi_ext(parse_word("D"))
 
 
-@pytest.mark.parametrize("op", [alpha, phi_ext, psi_ext])
+@pytest.mark.parametrize("op", [alpha, phi_ext, psi_ext, crossing_factorize, semilength])
 @pytest.mark.parametrize("text", ["UDDU" * 3, "UUDDDU" * 1000], ids=["short", "long"])
 def test_closure_check_scans_no_heights(monkeypatch, op, text):
     calls = []
-    for module, name in [(dyckmaps.stats, "_scan_text"), (dyckmaps.words, "_extremes_of")]:
-        original = getattr(module, name)
-        monkeypatch.setattr(
-            module, name, lambda t, f=original, n=name: calls.append(n) or f(t)
-        )
+    original = dyckmaps.words._scan_text
+    monkeypatch.setattr(dyckmaps.words, "_scan_text", lambda t: calls.append(t) or original(t))
     op(parse_word(text))
     assert calls == []
 

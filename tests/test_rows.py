@@ -42,8 +42,8 @@ from dyckmaps.maps import (
     _psi_text,
 )
 from dyckmaps.verify import _CHUNK
-from dyckmaps.words import _LONG, _rows, _up_and_heights
-from dyckmaps.stats import _scan_rows, _scan_text, _stat_record_text, _stat_records_rows
+from dyckmaps.stats import _stat_records_rows, stat_record
+from dyckmaps.words import _LONG, PathWord, _rows, _scan_rows, _scan_text, _up_and_heights
 
 # every Dyck word with n <= 10 and every balanced word with n <= 8
 CASES = [("dyck", n) for n in range(11)] + [("bilateral", n) for n in range(9)]
@@ -133,7 +133,7 @@ def test_row_records_equal_the_word_records(path_class, n):
     mat, texts = _class(path_class, n)
     # as JSON, so that a numpy int or an int for a bool shows
     got = [json.dumps(r.to_dict()) for r in _stat_records_rows(mat)]
-    assert got == [json.dumps(_stat_record_text(t).to_dict()) for t in texts]
+    assert got == [json.dumps(stat_record(PathWord(t)).to_dict()) for t in texts]
 
 
 @pytest.mark.parametrize("n", range(1, 11))

@@ -1,19 +1,21 @@
 import math
 import random
 from functools import lru_cache
-from itertools import product
+from itertools import accumulate, product
 
 import pytest
 from hypothesis import given
 
-import dyckmaps.stats
 import dyckmaps.words
 import oracles
 from conftest import balanced_texts
 from dyckmaps import (
     NotBilateralError,
     PathWord,
+    alpha,
+    classify,
     contacts,
+    crossing_factorize,
     crossings,
     downs_at_even_height,
     downs_at_odd_height,
@@ -21,12 +23,15 @@ from dyckmaps import (
     narayana,
     parse_word,
     peaks,
+    phi_ext,
+    psi_ext,
     semilength,
     stat_record,
     ups_at_even_height,
     ups_at_odd_height,
     valleys,
 )
+from dyckmaps.words import require_closed
 
 GOLDEN_TOP = "UUUUDDDUUUUDDUDDDD"
 GOLDEN_BOTTOM = "UUUDDUUUDUUDDDUDDD"
@@ -94,7 +99,7 @@ def test_scans_of_open_words_match_oracles_exhaustively():
         for steps in product("UD", repeat=length):
             text = "".join(steps)
             hs = [0] + oracles.heights(text)
-            want = dyckmaps.stats._Scan(
+            want = dyckmaps.words._Scan(
                 hs[-1],
                 min(hs),
                 max(hs),
@@ -106,8 +111,8 @@ def test_scans_of_open_words_match_oracles_exhaustively():
                 oracles.ups_odd(text),
                 oracles.downs_odd(text),
             )
-            assert dyckmaps.stats._scan_text(text) == want
-            rows = dyckmaps.stats._scan_rows(dyckmaps.words._rows([text]))
+            assert dyckmaps.words._scan_text(text) == want
+            rows = dyckmaps.words._scan_rows(dyckmaps.words._rows([text]))
             assert tuple(int(field[0]) for field in rows) == want
 
 
@@ -136,14 +141,53 @@ def test_stat_record_rejects_open_words():
     "text", ["", "UDDU", GOLDEN_TOP, "UD" * 3000], ids=["empty", "short", "golden", "long"]
 )
 def test_stat_record_scans_a_fresh_word_once(monkeypatch, text):
-    calls = []
-    for module, name in [(dyckmaps.stats, "_scan_text"), (dyckmaps.words, "_extremes_of")]:
-        original = getattr(module, name)
-        monkeypatch.setattr(
-            module, name, lambda t, f=original, n=name: calls.append(n) or f(t)
-        )
+    calls = _spy_scans(monkeypatch)
     stat_record(parse_word(text))
-    assert calls == ["_scan_text"]
+    assert calls == [text]
+
+
+def _spy_scans(monkeypatch) -> list:
+    """The texts that ``words._scan_text`` is called on from now on."""
+    calls = []
+    original = dyckmaps.words._scan_text
+    monkeypatch.setattr(dyckmaps.words, "_scan_text", lambda t: calls.append(t) or original(t))
+    return calls
+
+
+_LONG = dyckmaps.words._LONG
+_FRESH = {
+    "balanced-12": "UDDUUDDDUUUD",
+    "open-12": "UU" + "DU" * 5,
+    "balanced-long": "UUDDDUUD" * (_LONG // 8),
+    "open-long": "DD" + "UD" * (_LONG // 2 - 1),
+}
+
+
+@pytest.mark.parametrize("text", _FRESH.values(), ids=_FRESH)
+def test_every_reader_shares_one_scan_and_closure_checks_take_none(monkeypatch, text):
+    calls = _spy_scans(monkeypatch)
+    closed = 2 * text.count("U") == len(text)
+    for op in (require_closed, alpha, phi_ext, psi_ext, crossing_factorize, semilength):
+        w = parse_word(text)
+        if closed:
+            op(w)
+        else:
+            with pytest.raises(NotBilateralError):
+                op(w)
+    assert calls == []
+    w = parse_word(text)
+    classify(w)
+    hs = [0, *accumulate(1 if ch == "U" else -1 for ch in text)]
+    assert (w.final_height, w.min_height, w.max_height) == (hs[-1], min(hs), max(hs))
+    for stat in (contacts, crossings, ups_at_odd_height, ups_at_even_height,
+                 downs_at_odd_height, downs_at_even_height):
+        stat(w)
+    if closed:
+        stat_record(w)
+    else:
+        with pytest.raises(NotBilateralError):
+            stat_record(w)
+    assert calls == [text]
 
 
 def test_stat_record_consistent_with_parts():
@@ -207,10 +251,10 @@ def test_long_words_use_same_definitions(monkeypatch):
 # words whose counts pass 2^16 (a uint16 count wraps) or whose heights pass
 # 2^15 (an int16 count wraps), with their scans in closed form
 _WIDE_SCANS = {
-    "(UD)^70000": ("UD" * 70_000, dyckmaps.stats._Scan(
+    "(UD)^70000": ("UD" * 70_000, dyckmaps.words._Scan(
         final=0, lo=0, hi=1, peaks=70_000, valleys=69_999, contacts=70_000,
         crossings=0, ups=70_000, ups_odd=70_000, downs_odd=70_000)),
-    "U^40000 D^40000": ("U" * 40_000 + "D" * 40_000, dyckmaps.stats._Scan(
+    "U^40000 D^40000": ("U" * 40_000 + "D" * 40_000, dyckmaps.words._Scan(
         final=0, lo=0, hi=40_000, peaks=1, valleys=0, contacts=1,
         crossings=0, ups=40_000, ups_odd=20_000, downs_odd=20_000)),
 }
@@ -219,9 +263,9 @@ _WIDE_SCANS = {
 @pytest.mark.parametrize("name", _WIDE_SCANS)
 def test_scan_counts_of_long_words_do_not_wrap(name):
     text, want = _WIDE_SCANS[name]
-    scan = dyckmaps.stats._scan_rows(dyckmaps.words._rows([text]))
+    scan = dyckmaps.words._scan_rows(dyckmaps.words._rows([text]))
     assert [field.tolist() for field in scan] == [[value] for value in want]
-    assert dyckmaps.stats._scan_text(text) == want
+    assert dyckmaps.words._scan_text(text) == want
     size = len(text)
     assert stat_record(PathWord(text)) == (
         size // 2, want.peaks, want.valleys, want.contacts, want.crossings,
@@ -255,7 +299,7 @@ def test_scans_at_the_numpy_threshold_match_oracles(monkeypatch, length, closed)
         hs[-1], min(0, min(hs)), max(0, max(hs))
     )
     assert height_profile(w) == hs
-    assert dyckmaps.stats._scan_text(text) == (
+    assert dyckmaps.words._scan_text(text) == (
         hs[-1],
         min(0, min(hs)),
         max(0, max(hs)),

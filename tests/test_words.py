@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import pytest
 from hypothesis import given
 
@@ -133,6 +136,22 @@ def test_word_is_immutable():
     w = PathWord("UD")
     with pytest.raises(AttributeError):
         w.text = "DU"
+
+
+@pytest.mark.parametrize("scanned", [False, True], ids=["fresh", "scanned"])
+@pytest.mark.parametrize("how", ["pickle", "copy", "deepcopy"])
+def test_a_word_pickles_and_copies_from_its_text(how, scanned):
+    w = parse_word("UUDDDU")
+    if scanned:
+        classify(w)
+        height_profile(w)
+    dup = {"pickle": lambda x: pickle.loads(pickle.dumps(x)),
+           "copy": copy.copy, "deepcopy": copy.deepcopy}[how](w)
+    assert (dup, hash(dup), dup.text) == (w, hash(w), "UUDDDU")
+    assert (dup._scanned, dup._heights) == (None, None)  # rebuilt, no cache carried
+    assert classify(dup) is PathClass.BILATERAL_PROPER
+    with pytest.raises(AttributeError):
+        dup.text = "DU"
 
 
 def test_step_enum():
