@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyWordError, NotADyckWordError, NotBilateralError
-from .words import _LONG, PathWord, _rows, _up_and_heights, require_dyck
+from .words import _LONG, PathWord, _rows, _up_and_heights, _ups, require_dyck
 
 
 _UP = 85  # ord('U'); the factorization cores work on ASCII bytes
@@ -221,7 +221,7 @@ def crossing_factorize(w: PathWord) -> CrossingFactorization:
     nonempty Dyck words and negative Dyck words, and there is exactly one
     more factor than the word has crossings.  The empty word has no factors.
     """
-    if 2 * w.text.count("U") != len(w.text):
+    if 2 * _ups(w.text) != len(w.text):
         raise NotBilateralError("crossing factorization requires a balanced word")
     parts = _crossing_factors(w.text.encode("ascii"))
     return CrossingFactorization(

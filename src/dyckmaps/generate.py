@@ -19,6 +19,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import UnknownStatisticError
+from .maps import _U, _flips
 from .stats import StatRecord
 from .words import PathWord, _row_texts
 
@@ -102,8 +103,8 @@ def _rank_rows(n: int, dyck: bool, start: int, stop: int) -> np.ndarray:
     for step in range(2 * n):
         after_up = ends[2 * n - step - 1].take(h)
         down = rank >= after_up
-        np.subtract(rank, after_up, out=rank, where=down)
-        mat[step] = np.where(down, 68, 85)
+        rank -= after_up * down  # arithmetic: np.where branches on every word
+        mat[step] = _U - _flips(down)
         h += 1 - 2 * down
     return mat
 
@@ -166,7 +167,7 @@ def _random_dyck_text(n: int, rng: np.random.Generator) -> str:
     cut = int(np.flatnonzero(sums == sums.min())[-1]) + 1
     rotated = np.concatenate((delta[cut:], delta[:cut]))
     body = rotated[1:]
-    return _row_texts(np.where(body == 1, np.uint8(85), np.uint8(68))[:, None])[0]
+    return _row_texts((_U - _flips(body < 0))[:, None])[0]
 
 
 def sample_bilateral(n: int, seed: int) -> PathWord:

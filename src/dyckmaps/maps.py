@@ -21,7 +21,7 @@ loops over the steps of a matrix of words under ``_LONG`` steps and runs
 its own rank core, one stable argsort of the vertex heights per parity, on
 each longer word.  The sort keys are uint16 (a radix sort) while the words
 times the heights fit in 2^16 and int32 above.  A rank core peaks at about
-12 bytes per step, an extension on a long word at about 15.
+11 bytes per step, an extension on a long word at about 13-14.
 """
 
 from __future__ import annotations
@@ -192,8 +192,8 @@ def _psi_ext_text(text: str) -> str:
 # step of every word.  Loops run over the steps or over the n steps of one
 # kind, never over words.  Every twin takes the words' heights ``h`` where the
 # caller has them (see :func:`~dyckmaps.words._up_and_heights`); a twin that
-# needs none ignores them.  Masks become bytes by arithmetic: np.where is an
-# order of magnitude slower on matrices this small.
+# needs none ignores them.  Masks act by arithmetic, gathers and &/|: np.where,
+# where=, boolean indexing and str.count branch on each element of a random mask.
 
 _FLIP_BITS = _U ^ _D  # byte ^ _FLIP_BITS turns U into D and D into U
 _AT = np.int32  # positions in a chunk; half the memory of the default int64
@@ -249,7 +249,8 @@ def _phi_rows(mat: np.ndarray, h=None) -> np.ndarray:
     del order, count
     emit += 2
     emit = emit.reshape(size // 2, words)
-    np.copyto(emit, 1, where=up[1::2])
+    emit *= ~up[1::2]  # a U emits one byte
+    emit += up[1::2]
     _cumsum_down(emit, _AT, out=emit)  # where each emission ends
     emit *= words  # a step down a word moves a whole row of the matrix
     emit += np.arange(words, dtype=_AT)
@@ -470,11 +471,14 @@ def _psi_rank(row: np.ndarray) -> np.ndarray:
         vertex += parity
         then_up[vertex[:-1]] = after[vertex[1:]]
         del vertex
-    one = ~after[1:-1]  # a D follows the step
-    first = np.where(one, after[2:], then_up[:-1])  # the first byte is a U
+    del keys
+    at = np.flatnonzero(up)  # the U's, one per output pair
+    one = ~after[1:][at]  # a D follows the U
+    first = then_up[at]  # the first byte is a U; after one D, if a U or the end follows
+    first ^= one & (first ^ after[2:][at])
     out = np.empty(size, dtype=np.uint8)
-    out[0::2] = _U - _flips(~first[up])
-    out[1::2] = _U - _flips(one[up])
+    out[0::2] = _U - _flips(~first)
+    out[1::2] = _U - _flips(one)
     return out
 
 

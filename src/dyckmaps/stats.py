@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import NotBilateralError
-from .words import PathWord, _Scan, _scan_rows
+from .words import PathWord, _Scan, _scan_rows, _ups
 
 
 class StatRecord(NamedTuple):
@@ -50,7 +50,7 @@ _TEXT_TEMPLATE = " ".join(f"{name}:{{}}" for name in StatRecord._fields)
 
 def semilength(w: PathWord) -> int:
     """Half the number of steps; requires a balanced word."""
-    if 2 * w.text.count("U") != len(w.text):
+    if 2 * _ups(w.text) != len(w.text):
         raise NotBilateralError("semilength is defined for balanced words only")
     return len(w.text) // 2
 

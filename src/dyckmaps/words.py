@@ -212,7 +212,9 @@ class PathWord:
     __slots__ = ("text", "_scanned", "_heights")
 
     def __init__(self, text: str = ""):
-        if text.count("U") + text.count("D") != len(text):
+        if not isinstance(text, str):
+            raise TypeError(f"PathWord takes str, not {type(text).__name__}")
+        if not text.isascii() or text.encode("ascii").translate(None, b"UD"):
             bad = next(i for i, ch in enumerate(text) if ch not in "UD")
             raise InvalidCharacterError(text[bad], bad + 1)
         object.__setattr__(self, "text", text)
@@ -377,8 +379,16 @@ def _closed_rows(mat: np.ndarray) -> np.ndarray:
     return 2 * (mat == 85).sum(axis=0, dtype=np.int32) == len(mat)
 
 
+def _ups(text: str) -> int:
+    """The U's of a canonical word, with no height scan: from ``_LONG`` steps
+    on by numpy, as ``str.count`` branches on every step of a random word."""
+    if len(text) < _LONG:
+        return text.count("U")
+    return int(np.count_nonzero(np.frombuffer(text.encode("ascii"), np.uint8) == 85))
+
+
 def require_closed(w: PathWord) -> None:
     """Raise NotBilateralError unless the word ends at height 0."""
-    final = 2 * w.text.count("U") - len(w.text)  # counted, so no scan
+    final = 2 * _ups(w.text) - len(w.text)
     if final:
         raise NotBilateralError(f"not a bilateral Dyck word: path ends at height {final}")

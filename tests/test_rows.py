@@ -215,6 +215,20 @@ def test_crossing_factors_of_long_words_equal_the_loop(monkeypatch, name):
         assert len(fast) == 600 and fast[0][2] is True
 
 
+@pytest.mark.parametrize("fn", [_phi_text, _psi_text])
+def test_long_maps_peak_under_40_bytes_per_step(fn):
+    size = 1 << 20
+    text = _random_dyck_text(size // 2, np.random.default_rng(5))
+    fn(text)  # numpy's one-time set-up is not the map's
+    tracemalloc.start()
+    try:
+        fn(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 * size, peak / size
+
+
 @pytest.mark.parametrize("fn", [_phi_ext_text, _psi_ext_text])
 def test_long_ext_maps_peak_under_40_bytes_per_step(fn):
     size = 1 << 20

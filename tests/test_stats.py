@@ -48,6 +48,18 @@ def test_semilength_rejects_open_words():
         semilength(parse_word("UDU"))
 
 
+@pytest.mark.parametrize("check, message", [
+    (require_closed, "not a bilateral Dyck word: path ends at height -2"),
+    (semilength, "semilength is defined for balanced words only"),
+    (crossing_factorize, "crossing factorization requires a balanced word"),
+], ids=["require_closed", "semilength", "crossing_factorize"])
+def test_long_open_words_are_refused_as_short_ones_are(check, message):
+    for text in ("UDDD", "UD" * dyckmaps.words._LONG + "DD"):  # the long one counts by numpy
+        with pytest.raises(NotBilateralError) as err:
+            check(PathWord(text))
+        assert str(err.value) == message
+
+
 def test_peaks_examples():
     assert peaks(parse_word(GOLDEN_BOTTOM)) == 4
     assert peaks(parse_word("DDUU")) == 0

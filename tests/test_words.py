@@ -1,5 +1,6 @@
 import copy
 import pickle
+import random
 
 import pytest
 from hypothesis import given
@@ -17,6 +18,7 @@ from dyckmaps import (
     reflect,
     step_height,
 )
+from dyckmaps.words import _LONG, _ups
 
 GOLDEN_TOP = "UUUUDDDUUUUDDUDDDD"
 
@@ -46,12 +48,30 @@ def test_parse_invalid_character_reports_position():
 @pytest.mark.parametrize("text, position, char", [
     ("x", 1, "x"), ("UDU D", 4, " "), ("UUDD\n", 5, "\n"), ("UDUDé", 5, "é"),
     ("U" * 10**6 + "DxD", 10**6 + 2, "x"), ("DU" * 3000 + "UD\0", 6003, "\0"),
-], ids=["first", "space", "newline", "non-ascii", "long", "nul"])
+    ("UD" * 3000 + "Dé", 6002, "é"), ("DU" * 3000 + "\U0001D54CU", 6001, "\U0001D54C"),
+    ("UD" * 3000 + "Uu", 6002, "u"),
+], ids=["first", "space", "newline", "non-ascii", "long", "nul", "long-non-ascii",
+        "long-astral", "long-lowercase"])
 def test_an_invalid_character_is_reported_at_its_first_position(text, position, char):
     with pytest.raises(InvalidCharacterError) as err:
         PathWord(text)
     assert (err.value.position, err.value.char) == (position, char)
     assert str(err.value) == f"invalid character {char!r} at position {position}"
+
+
+
+@pytest.mark.parametrize("value, name", [(b"UD", "bytes"), (None, "NoneType"), (5, "int")])
+def test_a_word_that_is_not_str_is_a_type_error_naming_its_type(value, name):
+    with pytest.raises(TypeError, match=f"not {name}$"):
+        PathWord(value)
+
+
+@pytest.mark.parametrize("size", [_LONG - 1, _LONG, _LONG + 1])
+def test_ups_counts_the_us_on_both_sides_of_the_long_threshold(size):
+    rng = random.Random(size)
+    text = "".join(rng.choice("UD") for _ in range(size))
+    assert _ups(text) == text.count("U")
+    assert _ups("U" * size) == size and _ups("D" * size) == 0
 
 
 @pytest.mark.parametrize(
