@@ -192,7 +192,7 @@ def _psi_ext_text(text: str) -> str:
 # step of every word.  Loops run over the steps or over the n steps of one
 # kind, never over words.  Every twin takes the words' heights ``h`` where the
 # caller has them (see :func:`~dyckmaps.words._up_and_heights`); a twin that
-# needs none ignores them.  Masks act by arithmetic, gathers and &/|: np.where,
+# needs none ignores them.  Masks act by arithmetic, gathers and &, |, ^: np.where,
 # where=, boolean indexing and str.count branch on each element of a random mask.
 
 _FLIP_BITS = _U ^ _D  # byte ^ _FLIP_BITS turns U into D and D into U

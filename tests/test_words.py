@@ -59,7 +59,6 @@ def test_an_invalid_character_is_reported_at_its_first_position(text, position, 
     assert str(err.value) == f"invalid character {char!r} at position {position}"
 
 
-
 @pytest.mark.parametrize("value, name", [(b"UD", "bytes"), (None, "NoneType"), (5, "int")])
 def test_a_word_that_is_not_str_is_a_type_error_naming_its_type(value, name):
     with pytest.raises(TypeError, match=f"not {name}$"):
