@@ -53,6 +53,7 @@ from .words import (
     _dyck_rows,
     _parse_rows,
     _row_texts,
+    _up_and_heights,
     classify,
     parse_word,
     require_closed,
@@ -168,11 +169,12 @@ def _per_chunk(stdin, stdout, one, *, many=None, check=lambda word: None) -> int
     word, a chunk of lines at a time.  A run of at least ``_MIN_ROWS`` lines
     of one length below ``_LONG`` goes from its text to a uint8 matrix,
     which the row form of ``check`` checks and the matrix twin ``many``
-    answers; only the lines from the first column that fails there on are
-    parsed, checked and answered word by word, like every other line.  A
-    chunk is one line without a twin, since one answer can reach the render
-    or trace cap, and on a terminal.  The first DyckError ends the command
-    once the answers to the lines before it are printed, and names its line."""
+    answers, given the heights that a Dyck check scans (else None); only
+    the lines from the first column that fails there on are parsed, checked
+    and answered word by word, like every other line.  A chunk is one line
+    without a twin, since one answer can reach the render or trace cap, and
+    on a terminal.  The first DyckError ends the command once the answers to
+    the lines before it are printed, and names its line."""
     limit = 1 if many is None or stdin.isatty() else _CHUNK_CHARS
     lineno = 0  # the lines before the chunk
     for chunk in _chunks(stdin, limit):
@@ -185,10 +187,12 @@ def _per_chunk(stdin, stdout, one, *, many=None, check=lambda word: None) -> int
         for size, rows in by_length.items():
             if many is not None and len(rows) >= _MIN_ROWS and 0 < size < _LONG:
                 mat, passed = _parse_rows([texts[i] for i in rows])
-                passed &= _ROW_CHECKS[check](mat)
+                h = _up_and_heights(mat)[1] if _ROW_CHECKS[check] is _dyck_rows else None
+                passed &= _ROW_CHECKS[check](mat) if h is None else _dyck_rows(mat, h)
                 k = len(rows) if passed.all() else int(passed.argmin())
                 if k:
-                    for i, answer in zip(rows, many(np.ascontiguousarray(mat[:, :k]))):
+                    h = None if h is None else h[:, :k]
+                    for i, answer in zip(rows, many(np.ascontiguousarray(mat[:, :k]), h)):
                         answers[i] = answer
                 rows = rows[k:]
             for i in rows:
@@ -213,7 +217,7 @@ def _cmd_map(args, stdin, stdout) -> int:
     check, text_map = _MAP_OPS[args.op]
     twin = _ROWS_OF[text_map]
     return _per_chunk(stdin, stdout, lambda word: text_map(word.text),
-                      many=lambda mat: _row_texts(twin(mat)), check=check)
+                      many=lambda mat, h: _row_texts(twin(mat, h)), check=check)
 
 
 def _json_line(rec) -> str:
@@ -224,7 +228,7 @@ def _cmd_stats(args, stdin, stdout) -> int:
     show = _json_line if args.format == "json" else StatRecord.to_text
     return _per_chunk(
         stdin, stdout, lambda word: show(stat_record(word)),
-        many=lambda mat: [show(rec) for rec in _stat_records_rows(mat)],
+        many=lambda mat, h: [show(rec) for rec in _stat_records_rows(mat)],
         check=_require_balanced,
     )
 

@@ -394,50 +394,38 @@ def _negative_factors(mat: np.ndarray, h=None) -> tuple:
     return negative, np.flatnonzero((h == 0) & negative)
 
 
-def _ext_factors(mat: np.ndarray, h=None) -> tuple:
-    """The factor structure that phi_ext and psi_ext read off the same
-    balanced words, one per column: the flips of their negative factors and
-    beta's gather source on those factors.  A sweep chunk that runs both
-    maps on its words builds it once and passes it to each as ``factors``."""
-    negative, returns = _negative_factors(mat, h)
-    return _flips(negative), _beta_source(negative, returns)
-
-
-def _phi_ext_rows(mat: np.ndarray, h=None, factors=None) -> np.ndarray:
+def _phi_ext_rows(mat: np.ndarray, h=None) -> np.ndarray:
     """:func:`_phi_ext_text` on balanced words, one per column.
 
     One gather takes every negative factor through beta after a flip, which
     leaves a Dyck word; phi maps it prime by prime, so factor by factor;
-    the negative factors flip back.  ``factors`` is the words'
-    :func:`_ext_factors`, built here when not given.
+    the negative factors flip back.
     """
     if not mat.size:
         return mat.copy()
-    flips, source = factors or _ext_factors(mat, h)
+    negative, returns = _negative_factors(mat, h)
+    flips, source = _flips(negative), _beta_source(negative, returns)
+    del negative, returns
     dyck = _gather(mat, source)
     dyck ^= flips  # in place: on a long word no buffer lands above the source
-    del source  # a source built here is freed before phi's arrays
+    del source  # freed before phi's arrays
     return _phi_rows(dyck) ^ flips
 
 
-def _psi_ext_rows(mat: np.ndarray, h=None, factors=None) -> np.ndarray:
+def _psi_ext_rows(mat: np.ndarray, h=None) -> np.ndarray:
     """:func:`_psi_ext_text` on balanced words, one per column: flip the
     negative factors, psi, beta on the negative factors, flip them back.
 
     psi maps a Dyck word prime by prime, each to a prime of its length, so
     its image returns to the axis where the flipped words do, and beta's
-    gather source is that of the words.  ``factors`` is the words'
-    :func:`_ext_factors`; without it, the source is built after psi, so
-    that on a long word the two never share the heap.
+    gather source is that of the words, built after psi, so that on a long
+    word the two never share the heap.
     """
     if not mat.size:
         return mat.copy()
-    if factors is None:
-        negative, returns = _negative_factors(mat, h)
-        flips = _flips(negative)
-        return _gather(_psi_rows(mat ^ flips), _beta_source(negative, returns)) ^ flips
-    flips, source = factors
-    return _gather(_psi_rows(mat ^ flips), source) ^ flips
+    negative, returns = _negative_factors(mat, h)
+    flips = _flips(negative)
+    return _gather(_psi_rows(mat ^ flips), _beta_source(negative, returns)) ^ flips
 
 
 # --- the rank core of psi ----------------------------------------------------

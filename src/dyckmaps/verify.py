@@ -12,10 +12,16 @@ the rank ranges of :func:`~dyckmaps.generate._rank_blocks` in lexicographic
 order.  One worker checks every chunk as a ``(2n, words)`` uint8 matrix
 whose steps run down axis 0: each map runs once on the chunk, the words
 and images are scanned once each, and the checks are predicates on whole
-columns.  Default maps run through their matrix twins, and Theorem 2's two
-share the chunk's factor structure.  A chunk peaks under 36 bytes per step,
-and 4,096 words keep phi's sort keys uint16 up to n = 15.
-:func:`verify_randomized` passes its samples to the same worker.
+columns.  Default maps run through their matrix twins.  A chunk peaks
+under 36 bytes per step, and 4,096 words keep phi's sort keys uint16 up to
+n = 15.  :func:`verify_randomized` passes its samples to the same worker.
+
+Each theorem is a bijection of the finite class C_n of words of semilength
+n, so a first round trip that holds on all of C_n implies the second
+(:func:`_sweep`), which is swept only where the first fails or a class size
+is off; samples cover no class, so :func:`verify_randomized` runs both.
+This needs maps that are functions and an enumerator that yields each word
+of C_n once, as the tests check against a brute-force oracle.
 
 The map arguments of the exhaustive engines are injectable so that a
 deliberately broken map can be shown to produce a counterexample.  An
@@ -57,11 +63,8 @@ from .maps import (
     _U,
     _alpha_text,
     _beta_text,
-    _ext_factors,
-    _phi_ext_rows,
     _phi_ext_text,
     _phi_text,
-    _psi_ext_rows,
     _psi_ext_text,
     _psi_text,
 )
@@ -240,22 +243,15 @@ def _images(fn, mat, dyck, *args):
     return np.where(fits, out, mat), ~fits
 
 
-# phi_ext and psi_ext read one factor structure off the same words
-_EXT_ROWS = {_phi_ext_rows, _psi_ext_rows}
-
-
 def _check_chunk(chunk, spec: _Theorem):
     """The size of one chunk and the first failing word of each check.
 
     ``chunk`` is a ``(steps, words)`` uint8 matrix or the arguments of
     :func:`_rank_rows`, which is what a worker process is sent.  The words
     and their images are scanned for heights once each, and the maps, the
-    scans and the checks share them.  Theorem 2's twins also share the
-    words' :func:`~dyckmaps.maps._ext_factors`, dropped before the image's
-    round trip, so a chunk builds three beta gather sources, not four.  A
-    word whose image does not fit (:func:`_images`) fails its first round
-    trip and every check; a preimage or round trip that does not fit fails
-    only its own round trip.
+    scans and the checks share them.  A word whose image does not fit
+    (:func:`_images`) fails its first round trip and every check; a
+    preimage or round trip that does not fit fails only its own round trip.
     """
     mat = chunk if isinstance(chunk, np.ndarray) else _rank_rows(*chunk)
     dyck = spec.path_class == "dyck"
@@ -263,13 +259,12 @@ def _check_chunk(chunk, spec: _Theorem):
     inverse = rest[0] if rest else forward
     first_trip, *second_trip = spec.round_trips
     h = _up_and_heights(mat)[1]
-    twins = {_ROWS_OF.get(forward), _ROWS_OF.get(inverse)}
-    shared = (_ext_factors(mat, h),) if twins == _EXT_ROWS else ()
-    image, misfit = _images(forward, mat, dyck, h, *shared)
+    image, misfit = _images(forward, mat, dyck, h)
     if second_trip:
-        preimage, pre_misfit = _images(inverse, mat, dyck, h, *shared)
-    del shared  # the image's round trip builds its own
+        preimage, pre_misfit = _images(inverse, mat, dyck, h)
     hi = _up_and_heights(image)[1]
+    if len(hi):  # the second trip follows only from images in the class
+        misfit = misfit | ~(_dyck_rows(image, hi) if dyck else hi[-1] == 0)
     back, back_misfit = _images(inverse, image, dyck, hi)
     failing = {first_trip: misfit | back_misfit | (back != mat).any(axis=0)}
     del back
@@ -287,18 +282,37 @@ def _check_chunk(chunk, spec: _Theorem):
     return mat.shape[1], failures
 
 
+def _sweep_n(imap, spec: _Theorem, n: int) -> tuple:
+    """The words of semilength n that spec counts, and each check's first failure."""
+    count, failures = 0, {}
+    blocks = _rank_blocks(n, spec.path_class == "dyck", _CHUNK)
+    for size, fails in imap(partial(_check_chunk, spec=spec), blocks):
+        count += size
+        for name, word in fails.items():
+            failures.setdefault(name, word)
+    return count, failures
+
+
 def _sweep(spec: _Theorem, max_n: int, jobs: int) -> VerificationReport:
     """Check one theorem over its whole class at every semilength 0..max_n.
 
     Every chunk is a rank range of :func:`_rank_blocks` with at most
     ``_CHUNK`` words, in lexicographic order, checked by
     :func:`_check_chunk`, in worker processes when ``jobs`` > 1.
+
+    A theorem with two maps runs its first round trip and its checks on
+    each class C_n.  If no word fails that trip (as an image outside C_n
+    does) and all ``spec.sizes[n]`` words were counted, the forward map is
+    injective on the finite C_n, hence onto it, so for v = forward(w),
+    forward(inverse(v)) = forward(w) = v, given maps with no state and the
+    same output for the same input.  Otherwise both trips are swept at that
+    n in the same pool, so each counterexample is a full sweep's.
+
     The distribution identity reads only the swept words' own statistics,
     which no map changes, so it is counted exactly in this process.
     """
     jobs = _check_jobs(jobs, spec.maps)
-    dyck = spec.path_class == "dyck"
-    worker = partial(_check_chunk, spec=spec)
+    first = spec._replace(round_trips=spec.round_trips[:1])
     failures = {}  # first counterexample per check name, in stream order
     total = 0
     dist_ok = True
@@ -307,13 +321,14 @@ def _sweep(spec: _Theorem, max_n: int, jobs: int) -> VerificationReport:
     with (Pool(jobs) if jobs > 1 else nullcontext()) as pool:
         imap = map if pool is None else pool.imap
         for n in range(max_n + 1):
-            count_n = 0
-            for size, fails in imap(worker, _rank_blocks(n, dyck, _CHUNK)):
-                count_n += size
-                for name, word in fails.items():
-                    failures.setdefault(name, word)
+            count_n, fails = _sweep_n(imap, first, n)
+            sized = n < len(spec.sizes) and count_n == spec.sizes[n]
+            if len(spec.round_trips) == 2 and (first.round_trips[0] in fails or not sized):
+                fails = _sweep_n(imap, spec, n)[1]  # the second trip does not follow
+            for name, word in fails.items():
+                failures.setdefault(name, word)
             total += count_n
-            if dist_ok and n < len(spec.sizes) and count_n != spec.sizes[n]:
+            if dist_ok and n < len(spec.sizes) and not sized:
                 dist_ok = False
                 dist_note = f"class size mismatch at n={n}: {count_n}"
             if dist_ok and spec.dist_keys:
@@ -341,7 +356,9 @@ def verify_theorem1(
     Checks that psi inverts phi and vice versa, that phi sends the
     odd-height up-step count to the peak count while preserving contacts,
     and that the joint (contacts, ups_odd) and (contacts, peaks)
-    distributions coincide at every semilength.
+    distributions coincide at every semilength.  psi(phi(w)) = w on a
+    finite class makes phi onto it, so phi(psi(v)) = v is swept only where
+    that fails (:func:`_sweep`); injected maps must be functions.
     """
     theorem = _Theorem(
         "dyck",
@@ -373,7 +390,8 @@ def verify_theorem2(
     structure; the peak and odd-up-step distributions are compared at every
     semilength.  ``include_contact_preservation`` adds a contact check that
     is expected to fail (the negative-factor conjugation moves contacts) and
-    exists as a negative control.
+    exists as a negative control.  The second round trip follows from the
+    first, as in :func:`verify_theorem1`; injected maps must be functions.
     """
     checks = (
         ("bilateral.transport.peaks_from_ups_odd", _peaks_from_ups_odd),

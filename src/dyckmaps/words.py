@@ -367,10 +367,10 @@ def require_dyck(w: PathWord) -> None:
         )
 
 
-def _dyck_rows(mat: np.ndarray) -> np.ndarray:
+def _dyck_rows(mat: np.ndarray, h=None) -> np.ndarray:
     """Which columns of a ``(steps, words)`` uint8 matrix, at least one step
-    long, are Dyck words."""
-    h = _up_and_heights(mat)[1]
+    long, are Dyck words; ``h`` holds their heights if known."""
+    h = _up_and_heights(mat)[1] if h is None else h
     return (h.min(axis=0) >= 0) & (h[-1] == 0)
 
 

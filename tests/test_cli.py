@@ -445,10 +445,10 @@ def _path_spies(monkeypatch, argv, row_fail, word_fail):
     ``word_fail(text)`` holds."""
 
     def guard(fn, fails):
-        def guarded(arg):
+        def guarded(arg, *rest):
             if fails(arg):
                 raise AssertionError("took the wrong path")
-            return fn(arg)
+            return fn(arg, *rest)
         return guarded
 
     if argv[0] == "stats":
@@ -462,6 +462,24 @@ def _path_spies(monkeypatch, argv, row_fail, word_fail):
     monkeypatch.setitem(dyckmaps.cli._MAP_OPS, argv[2], (check, guarded))
     monkeypatch.setitem(dyckmaps.maps._ROWS_OF, guarded,
                         guard(dyckmaps.maps._ROWS_OF[text_map], row_fail))
+
+
+@pytest.mark.parametrize("op", _DYCK_OPS)
+def test_a_dyck_run_scans_its_heights_once(monkeypatch, op):
+    argv = ["map", "--op", op]
+    stdin_text = "".join(line + "\n" for line in _words(True, 10, 64, 0))  # one run
+    want = _reference(argv, stdin_text)
+    scans = []
+    heights = dyckmaps.words._up_and_heights
+
+    def counted(mat):
+        scans.append(mat.shape)
+        return heights(mat)
+
+    for module in (dyckmaps.cli, dyckmaps.words, dyckmaps.maps):
+        monkeypatch.setattr(module, "_up_and_heights", counted)
+    assert _run(argv, stdin_text) == (0, want, "")
+    assert scans == [(20, 64)]  # for the check, and passed on to the twin
 
 
 @pytest.mark.parametrize("argv", _PER_LINE_CASES, ids=" ".join)

@@ -27,7 +27,6 @@ from dyckmaps.maps import (
     _beta_rows,
     _beta_text,
     _ext_b,
-    _ext_factors,
     _phi_b,
     _phi_beta_b,
     _phi_ext_rows,
@@ -105,16 +104,6 @@ def test_matrix_maps_equal_the_word_maps(path_class, n):
         assert image.dtype == np.uint8 and image.shape == mat.shape
         assert _texts_of(image) == [text_fn(t) for t in texts], rows_fn.__name__
         assert np.array_equal(rows_fn(mat, h), image), rows_fn.__name__  # heights given
-
-
-@pytest.mark.parametrize("n", range(10))
-def test_ext_twins_on_a_shared_factor_structure_equal_their_own(n):
-    for block in _rank_blocks(n, False, _CHUNK):
-        mat = _rank_rows(*block)
-        h = _up_and_heights(mat)[1]
-        factors = _ext_factors(mat, h)
-        assert np.array_equal(_phi_ext_rows(mat, h, factors), _phi_ext_rows(mat))
-        assert np.array_equal(_psi_ext_rows(mat, h, factors), _psi_ext_rows(mat))
 
 
 @pytest.mark.parametrize("path_class, n", CASES)

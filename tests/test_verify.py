@@ -25,8 +25,18 @@ from dyckmaps import (
     verify_theorem1,
     verify_theorem2,
 )
-from dyckmaps.generate import _rank_blocks
-from dyckmaps.maps import _alpha_text, _beta_text, _key_type, _phi_ext_text, _phi_text
+from dyckmaps.decompose import _negative_steps
+from dyckmaps.generate import _random_balanced_text, _rank_blocks, _rank_rows
+from dyckmaps.maps import (
+    _alpha_text,
+    _beta_text,
+    _key_type,
+    _phi_ext_text,
+    _phi_text,
+    _psi_ext_text,
+    _psi_text,
+)
+from dyckmaps.words import _row_texts, _up_and_heights
 
 DATA = Path(__file__).parent / "data"
 
@@ -539,6 +549,105 @@ def test_cli_verify_passes_jobs_to_every_sweep(monkeypatch):
     assert parallel.getvalue() == serial.getvalue()
 
 
+# --- the second round trip: derived from the first, or swept ---------------
+
+_SIZES = {verify_theorem1: "CATALAN_NUMBERS", verify_theorem2: "CENTRAL_BINOMIALS"}
+
+
+def _both_trips_swept(monkeypatch, verify, max_n, **maps):
+    """verify's report with both round trips swept at every n: with no
+    reference sizes, no class size is confirmed, and nothing is compared."""
+    with monkeypatch.context() as patched:
+        patched.setattr(dyckmaps.verify, _SIZES[verify], ())
+        return verify(max_n, **maps).to_dict()
+
+
+@pytest.mark.parametrize("verify, arg, inverse, word, other", [
+    (verify_theorem1, "psi_fn", _psi_text, "UUDUDD", "UDUDUD"),
+    (verify_theorem1, "psi_fn", _psi_text, "UUDUDD", "DUDUDU"),  # not Dyck
+    (verify_theorem2, "psi_ext_fn", _psi_ext_text, "DUUD", "UDDU"),
+    (verify_theorem2, "psi_ext_fn", _psi_ext_text, "DUUD", "UUUU"),  # not balanced
+], ids=["dyck", "dyck-misfit", "bilateral", "bilateral-misfit"])
+def test_an_inverse_wrong_on_one_word_fails_both_round_trips(
+        monkeypatch, verify, arg, inverse, word, other):
+    assert inverse(word) != other
+
+    def wrong(text):
+        return other if text == word else inverse(text)
+
+    report = verify(4, **{arg: wrong}).to_dict()
+    first, second, *rest = report["checks"]
+    # the forward map sends inverse(word) to word, which the inverse misses
+    assert (first["passed"], first["counterexample"]) == (False, inverse(word))
+    assert (second["passed"], second["counterexample"]) == (False, word)
+    assert all(check["passed"] for check in rest)
+    assert report == _both_trips_swept(monkeypatch, verify, 4, **{arg: wrong})
+
+
+def _reversed_but(word):
+    """A matrix twin that reverses every word but ``word``, which it fixes."""
+    def twin(mat, h=None):
+        return dyckmaps.words._rows(
+            [text if text == word else text[::-1] for text in _row_texts(mat)])
+    return twin
+
+
+def test_a_twin_image_outside_the_class_sweeps_the_second_trip(monkeypatch):
+    # phi reverses Dyck words out of the class, and psi reverses them back,
+    # so psi(phi(w)) = w; but phi(psi(UUDD)) = DDUU
+    monkeypatch.setitem(dyckmaps.maps._ROWS_OF, _phi_text, _reversed_but(None))
+    monkeypatch.setitem(dyckmaps.maps._ROWS_OF, _psi_text, _reversed_but("UUDD"))
+    report = verify_theorem1(3).to_dict()
+    first, second = report["checks"][:2]
+    assert (first["passed"], first["counterexample"]) == (False, "UD")
+    assert (second["passed"], second["counterexample"]) == (False, "UUDD")
+    assert report == _both_trips_swept(monkeypatch, verify_theorem1, 3)
+
+
+def test_a_class_size_mismatch_sweeps_the_second_trip(monkeypatch):
+    calls = []
+
+    def counted(text):
+        calls.append(text)
+        return _psi_text(text)
+
+    report = verify_theorem1(5, psi_fn=counted)
+    assert len(calls) == sum(CATALAN_NUMBERS[:6])  # once on each image
+    wrong = list(CATALAN_NUMBERS)
+    wrong[4] += 1
+    monkeypatch.setattr(dyckmaps.verify, "CATALAN_NUMBERS", tuple(wrong))
+    calls.clear()
+    mismatched = verify_theorem1(5, psi_fn=counted)
+    # at n = 4 both trips are swept too: once more on each image, once on each word
+    assert len(calls) == sum(CATALAN_NUMBERS[:6]) + 2 * CATALAN_NUMBERS[4]
+    assert mismatched.checks[:-1] == report.checks[:-1]
+    assert mismatched.checks[1].passed
+
+
+def test_a_swept_second_trip_runs_in_the_sweep_pool(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(dyckmaps.verify, "Pool", _CountingPool)
+    monkeypatch.setattr(_CountingPool, "opened", 0)
+    report = verify_theorem1(6, phi_fn=_broken_phi, jobs=2)
+    assert _CountingPool.opened == 1
+    assert not report.checks[1].passed  # swept, since the first trip fails
+    assert report.to_dict() == verify_theorem1(6, phi_fn=_broken_phi).to_dict()
+
+
+def test_randomized_sweeps_its_second_trip(monkeypatch):
+    rng = np.random.default_rng(1234)
+    word = [_random_balanced_text(8, rng) for _ in range(50)][10]
+    assert _phi_ext_text(word) != word
+
+    def wrong(text):
+        return text if text == word else _psi_ext_text(text)
+
+    monkeypatch.setattr(dyckmaps.verify, "_psi_ext_text", wrong)
+    report = verify_randomized(8, trials=50, seed=1234, check_scaling=False)
+    second = next(c for c in report.checks if c.name == "random.round_trip.phi_after_psi")
+    assert (second.passed, second.counterexample) == (False, word)
+
+
 def _spec_of(monkeypatch, verify, n):
     """The record that ``verify(n)`` sweeps."""
     with monkeypatch.context() as patched:
@@ -551,21 +660,26 @@ def _full_block(n, dyck):
     return next(b for b in _rank_blocks(n, dyck, chunk) if b[3] - b[2] == chunk)
 
 
-def test_a_theorem2_chunk_builds_three_beta_sources_not_four(monkeypatch):
+def test_a_theorem2_chunk_builds_two_beta_sources(monkeypatch):
     built = []
     source = dyckmaps.maps._beta_source
 
     def counted(negative, returns):
-        built.append(negative.shape)
+        built.append(negative.copy())
         return source(negative, returns)
 
     spec = _spec_of(monkeypatch, verify_theorem2, 8)
+    first = spec._replace(round_trips=spec.round_trips[:1])  # the pass a sweep runs
     block = _full_block(8, False)
+    mat = _rank_rows(*block)
+    image = dyckmaps.maps._phi_ext_rows(mat)
     monkeypatch.setattr(dyckmaps.maps, "_beta_source", counted)
-    size, failures = dyckmaps.verify._check_chunk(block, spec)
+    size, failures = dyckmaps.verify._check_chunk(block, first)
     assert (size, failures) == (dyckmaps.verify._CHUNK, {})
-    # the words' structure, shared by both maps, then the image's and the preimage's
-    assert built == [(16, size)] * 3
+    # the words' source for phi_ext, then the image's for psi_ext
+    assert len(built) == 2
+    for negative, words in zip(built, (mat, image)):
+        assert np.array_equal(negative, _negative_steps(words, _up_and_heights(words)[1]))
 
 
 @pytest.mark.parametrize("verify, n, dyck", [(verify_theorem1, 10, True),
@@ -606,8 +720,8 @@ def test_expected_failures_agree_on_both_paths(monkeypatch, n):
 
     per_word = verify_theorem2(
         n, include_contact_preservation=True, phi_ext_fn=counted).to_dict()
-    # once on each word and once on its preimage
-    assert len(calls) == 2 * sum(CENTRAL_BINOMIALS[: n + 1])
+    # once on each word: its round trips pass, so the second follows
+    assert len(calls) == sum(CENTRAL_BINOMIALS[: n + 1])
     monkeypatch.setattr(dyckmaps.verify, "_beta_text", _beta_wrapped)  # alpha stays batched
     beta_per_word = verify_involutions_and_transport(
         n, include_beta_peak_preservation=True).to_dict()
