@@ -13,21 +13,21 @@ order.  One worker checks every chunk as a ``(2n, words)`` uint8 matrix
 whose steps run down axis 0: each map runs once on the chunk, the words
 and images are scanned once each, and the checks are predicates on whole
 columns.  Default maps run through their matrix twins.  A chunk peaks
-under 36 bytes per step, and 4,096 words keep phi's sort keys uint16 up to
+under 30 bytes per step, and 4,096 words keep phi's sort keys uint16 up to
 n = 15.  :func:`verify_randomized` passes its samples to the same worker.
 
 Each theorem is a bijection of the finite class C_n of words of semilength
-n, so a first round trip that holds on all of C_n implies the second
-(:func:`_sweep`), which is swept only where the first fails or a class size
-is off; samples cover no class, so :func:`verify_randomized` runs both.
-This needs maps that are functions and an enumerator that yields each word
-of C_n once, as the tests check against a brute-force oracle.
+n, so a first round trip that holds on all of C_n implies the second, the
+first trip of the maps swapped (:func:`_trips`), which :func:`_sweep` runs
+only where the first fails or a class size is off; samples cover no class,
+so :func:`verify_randomized` runs both.  This needs maps that are functions
+and an enumerator that yields C_n once, as the tests check by an oracle.
 
 The map arguments of the exhaustive engines are injectable so that a
 deliberately broken map can be shown to produce a counterexample.  An
 injected map runs word by word and its images are stacked into a matrix;
 an image that cannot be a column of it (no text of the word's length over
-U and D, or a word outside the class) fails every check of its word.
+U and D) or that lies outside the class fails every check of its word.
 A counterexample is the first failing word of the first failing chunk,
 and chunks are merged in stream order, so it is the lexicographically
 first failing word and reproducible from (check name, word) alone.
@@ -68,8 +68,7 @@ from .maps import (
     _psi_ext_text,
     _psi_text,
 )
-from .words import (_closed_rows, _dyck_rows, _row_texts, _rows, _scan_rows, _scan_text,
-                    _up_and_heights)
+from .words import _dyck_rows, _row_texts, _rows, _scan_rows, _scan_text, _up_and_heights
 
 _CHUNK = 4096  # words per chunk of a sweep
 
@@ -209,9 +208,9 @@ class _Theorem(NamedTuple):
 
     ``maps`` maps a name for each map (that of the argument injecting it,
     where one does) to the map: forward then inverse, or an involution's
-    one map, which has one round-trip check.  ``checks`` holds (name,
-    predicate) pairs.  The exact distributions of the ``dist_keys`` (two
-    tuples of statistic names, or none) must agree at every semilength;
+    one map.  A chunk runs one round trip (:func:`_trips`) and ``checks``,
+    (name, predicate) pairs.  The exact distributions of the ``dist_keys``
+    (two tuples of statistic names, or none) must agree at every semilength;
     ``dist_check`` holds that check's name and the noun of its failure note.
     """
 
@@ -224,12 +223,11 @@ class _Theorem(NamedTuple):
     dist_check: tuple
 
 
-def _images(fn, mat, dyck, *args):
+def _images(fn, mat, *args):
     """fn on words, one per column: the images as a matrix, and which do
     not fit it.  A twin in ``_ROWS_OF`` runs on the matrix with ``args``;
-    any other map runs word by word through :func:`_try`, and an image
-    fits when it is text of its word's length over U and D alone and a word
-    of the class (Dyck when ``dyck``).  A misfit's column holds its word."""
+    any other map runs word by word through :func:`_try`; an image fits as
+    text of its word's length over U and D.  A misfit's column holds its word."""
     if fn in _ROWS_OF:
         return _ROWS_OF[fn](mat, *args), False
     texts = _row_texts(mat)
@@ -238,8 +236,6 @@ def _images(fn, mat, dyck, *args):
                      for image, text in zip(images, texts)], dtype=bool)
     out = _rows([image if fit else text for image, text, fit in zip(images, texts, fits)])
     fits &= ((out == _U) | (out == _D)).all(axis=0)
-    if len(out):
-        fits &= (_dyck_rows if dyck else _closed_rows)(out)
     return np.where(fits, out, mat), ~fits
 
 
@@ -248,30 +244,26 @@ def _check_chunk(chunk, spec: _Theorem):
 
     ``chunk`` is a ``(steps, words)`` uint8 matrix or the arguments of
     :func:`_rank_rows`, which is what a worker process is sent.  The words
-    and their images are scanned for heights once each, and the maps, the
-    scans and the checks share them.  A word whose image does not fit
-    (:func:`_images`) fails its first round trip and every check; a
-    preimage or round trip that does not fit fails only its own round trip.
+    make the one round trip of ``spec``; they and their images are scanned
+    for heights once each, and the class test, the maps, the scans and the
+    checks share them.  A word whose image misfits (:func:`_images`) or
+    lies outside the class fails the trip and every check, and its image
+    column holds the word, so the inverse sees only words of its class.
     """
     mat = chunk if isinstance(chunk, np.ndarray) else _rank_rows(*chunk)
-    dyck = spec.path_class == "dyck"
     forward, *rest = spec.maps.values()
     inverse = rest[0] if rest else forward
-    first_trip, *second_trip = spec.round_trips
     h = _up_and_heights(mat)[1]
-    image, misfit = _images(forward, mat, dyck, h)
-    if second_trip:
-        preimage, pre_misfit = _images(inverse, mat, dyck, h)
+    image, misfit = _images(forward, mat, h)
     hi = _up_and_heights(image)[1]
     if len(hi):  # the second trip follows only from images in the class
+        dyck = spec.path_class == "dyck"
         misfit = misfit | ~(_dyck_rows(image, hi) if dyck else hi[-1] == 0)
-    back, back_misfit = _images(inverse, image, dyck, hi)
-    failing = {first_trip: misfit | back_misfit | (back != mat).any(axis=0)}
+        if misfit.any():  # a misfit's column holds its word
+            image, hi = np.where(misfit, mat, image), np.where(misfit, h, hi)
+    back, back_misfit = _images(inverse, image, hi)
+    failing = {spec.round_trips[0]: misfit | back_misfit | (back != mat).any(axis=0)}
     del back
-    if second_trip:
-        back, back_misfit = _images(forward, preimage, dyck)
-        failing[second_trip[0]] = pre_misfit | back_misfit | (back != mat).any(axis=0)
-        del back
     s = _scan_rows(mat, h)
     si = _scan_rows(image, hi)
     for name, holds in spec.checks:
@@ -280,6 +272,14 @@ def _check_chunk(chunk, spec: _Theorem):
     failures = {name: _row_texts(mat[:, [words.argmax()]])[0]
                 for name, words in failing.items() if words.any()}
     return mat.shape[1], failures
+
+
+def _trips(spec: _Theorem):
+    """One-trip records: the first round trip and the checks, then the maps swapped."""
+    yield spec._replace(round_trips=spec.round_trips[:1])
+    if len(spec.maps) == 2:
+        yield spec._replace(maps=dict(reversed(spec.maps.items())),
+                            round_trips=spec.round_trips[1:], checks=())
 
 
 def _sweep_n(imap, spec: _Theorem, n: int) -> tuple:
@@ -305,37 +305,35 @@ def _sweep(spec: _Theorem, max_n: int, jobs: int) -> VerificationReport:
     does) and all ``spec.sizes[n]`` words were counted, the forward map is
     injective on the finite C_n, hence onto it, so for v = forward(w),
     forward(inverse(v)) = forward(w) = v, given maps with no state and the
-    same output for the same input.  Otherwise both trips are swept at that
-    n in the same pool, so each counterexample is a full sweep's.
+    same output for the same input.  Otherwise the second trip of
+    :func:`_trips` is swept at that n in the same pool, and its failures
+    join the first's, so each counterexample is a full sweep's.
 
     The distribution identity reads only the swept words' own statistics,
     which no map changes, so it is counted exactly in this process.
     """
     jobs = _check_jobs(jobs, spec.maps)
-    first = spec._replace(round_trips=spec.round_trips[:1])
+    first, *second = _trips(spec)
     failures = {}  # first counterexample per check name, in stream order
     total = 0
-    dist_ok = True
-    dist_note = ""
+    dist_note = ""  # why the distribution check fails, if it does
     # one pool for every semilength; the builtin map runs chunks in-process
     with (Pool(jobs) if jobs > 1 else nullcontext()) as pool:
         imap = map if pool is None else pool.imap
         for n in range(max_n + 1):
             count_n, fails = _sweep_n(imap, first, n)
             sized = n < len(spec.sizes) and count_n == spec.sizes[n]
-            if len(spec.round_trips) == 2 and (first.round_trips[0] in fails or not sized):
-                fails = _sweep_n(imap, spec, n)[1]  # the second trip does not follow
+            if second and (first.round_trips[0] in fails or not sized):
+                fails.update(_sweep_n(imap, second[0], n)[1])  # join, not replace
             for name, word in fails.items():
                 failures.setdefault(name, word)
             total += count_n
-            if dist_ok and n < len(spec.sizes) and not sized:
-                dist_ok = False
+            if not dist_note and n < len(spec.sizes) and not sized:
                 dist_note = f"class size mismatch at n={n}: {count_n}"
-            if dist_ok and spec.dist_keys:
+            if not dist_note and spec.dist_keys:
                 dist_a, dist_b = (distribution(spec.path_class, n, *keys).counts
                                   for keys in spec.dist_keys)
                 if dist_a != dist_b:
-                    dist_ok = False
                     diff = min(k for k in dist_a.keys() | dist_b.keys()
                                if dist_a.get(k) != dist_b.get(k))
                     dist_note = f"{spec.dist_check[1]} differ at n={n}, key={diff}"
@@ -343,7 +341,7 @@ def _sweep(spec: _Theorem, max_n: int, jobs: int) -> VerificationReport:
     report = VerificationReport(_results(spec, rng, total, failures))
     if spec.dist_keys:
         report.checks.append(CheckResult(
-            spec.dist_check[0], spec.path_class, rng, total, dist_ok, note=dist_note
+            spec.dist_check[0], spec.path_class, rng, total, not dist_note, note=dist_note
         ))
     return report
 
@@ -522,8 +520,10 @@ def verify_randomized(
     size = min(_CHUNK, max(1, 32 * _CHUNK // max(2 * n, 1)))
     failures = {}
     for start in range(0, trials, size):
-        for name, word in _check_chunk(_rows(texts[start : start + size]), spec)[1].items():
-            failures.setdefault(name, word)
+        mat = _rows(texts[start : start + size])
+        for trip in _trips(spec):
+            for name, word in _check_chunk(mat, trip)[1].items():
+                failures.setdefault(name, word)
     report = VerificationReport(_results(spec, (n, n), trials, failures))
     if check_scaling and n >= 64 and trials >= 2:
         doubled = [_random_balanced_text(2 * n, rng) for _ in range(trials)]

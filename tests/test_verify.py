@@ -326,7 +326,7 @@ def test_randomized_samples_run_on_the_matrix_in_bounded_chunks(monkeypatch):
     monkeypatch.setattr(dyckmaps.verify, "_try", _refuse)  # the twins take every sample
     assert verify_randomized(2048, 64, 1, check_scaling=False).ok
     chunk = dyckmaps.verify._CHUNK
-    assert sum(words for _, words in shapes) == 64
+    assert sum(words for _, words in shapes) == 2 * 64  # once per round trip
     assert all(words <= chunk and steps * words <= 32 * chunk for steps, words in shapes)
     assert len(shapes) > 1  # 64 words of 4,096 steps take two chunks
 
@@ -593,33 +593,62 @@ def _reversed_but(word):
 
 
 def test_a_twin_image_outside_the_class_sweeps_the_second_trip(monkeypatch):
-    # phi reverses Dyck words out of the class, and psi reverses them back,
-    # so psi(phi(w)) = w; but phi(psi(UUDD)) = DDUU
+    # phi and psi reverse Dyck words out of the class, so both trips fail
+    # first on UD, whose images DU lie outside C_1 (psi fixes only UUDD)
     monkeypatch.setitem(dyckmaps.maps._ROWS_OF, _phi_text, _reversed_but(None))
     monkeypatch.setitem(dyckmaps.maps._ROWS_OF, _psi_text, _reversed_but("UUDD"))
     report = verify_theorem1(3).to_dict()
     first, second = report["checks"][:2]
     assert (first["passed"], first["counterexample"]) == (False, "UD")
-    assert (second["passed"], second["counterexample"]) == (False, "UUDD")
+    assert (second["passed"], second["counterexample"]) == (False, "UD")
     assert report == _both_trips_swept(monkeypatch, verify_theorem1, 3)
 
 
-def test_a_class_size_mismatch_sweeps_the_second_trip(monkeypatch):
+def test_no_twin_sees_a_word_outside_its_class(monkeypatch):
+    phi_rows = dyckmaps.maps._ROWS_OF[_phi_text]
+    psi_rows = dyckmaps.maps._ROWS_OF[_psi_text]
+    seen = []
+
+    def phi_out_of_class(mat, h=None):  # reverses the words that start UUD
+        image = phi_rows(mat, h)
+        if len(mat) > 2:
+            starts = (mat[:3] == np.array([[85], [85], [68]], np.uint8)).all(axis=0)
+            image[:, starts] = mat[::-1, starts]
+        return image
+
+    def psi_recording(mat, h=None):
+        if len(mat):
+            seen.append(dyckmaps.words._dyck_rows(mat))
+        return psi_rows(mat, h)
+
+    monkeypatch.setitem(dyckmaps.maps._ROWS_OF, _phi_text, phi_out_of_class)
+    monkeypatch.setitem(dyckmaps.maps._ROWS_OF, _psi_text, psi_recording)
+    report = verify_theorem1(5).to_dict()
+    first, second, peaks, contacts = report["checks"][:4]
+    assert (first["passed"], first["counterexample"]) == (False, "UUDD")
+    assert not peaks["passed"] and not contacts["passed"]
+    assert len(seen) > 1 and all(columns.all() for columns in seen)
+    assert report == _both_trips_swept(monkeypatch, verify_theorem1, 5)
+
+
+@pytest.mark.parametrize("arg, fn", [("psi_fn", _psi_text), ("phi_fn", _phi_text)],
+                         ids=["psi_fn", "phi_fn"])
+def test_a_class_size_mismatch_sweeps_the_second_trip(monkeypatch, arg, fn):
     calls = []
 
     def counted(text):
         calls.append(text)
-        return _psi_text(text)
+        return fn(text)
 
-    report = verify_theorem1(5, psi_fn=counted)
-    assert len(calls) == sum(CATALAN_NUMBERS[:6])  # once on each image
+    report = verify_theorem1(5, **{arg: counted})
+    assert len(calls) == sum(CATALAN_NUMBERS[:6])  # once on each word or image
     wrong = list(CATALAN_NUMBERS)
     wrong[4] += 1
     monkeypatch.setattr(dyckmaps.verify, "CATALAN_NUMBERS", tuple(wrong))
     calls.clear()
-    mismatched = verify_theorem1(5, psi_fn=counted)
-    # at n = 4 both trips are swept too: once more on each image, once on each word
-    assert len(calls) == sum(CATALAN_NUMBERS[:6]) + 2 * CATALAN_NUMBERS[4]
+    mismatched = verify_theorem1(5, **{arg: counted})
+    # at n = 4 the second trip is swept too: once more on each word or image
+    assert len(calls) == sum(CATALAN_NUMBERS[:6]) + CATALAN_NUMBERS[4]
     assert mismatched.checks[:-1] == report.checks[:-1]
     assert mismatched.checks[1].passed
 
@@ -669,7 +698,7 @@ def test_a_theorem2_chunk_builds_two_beta_sources(monkeypatch):
         return source(negative, returns)
 
     spec = _spec_of(monkeypatch, verify_theorem2, 8)
-    first = spec._replace(round_trips=spec.round_trips[:1])  # the pass a sweep runs
+    first = next(dyckmaps.verify._trips(spec))  # the pass a sweep runs
     block = _full_block(8, False)
     mat = _rank_rows(*block)
     image = dyckmaps.maps._phi_ext_rows(mat)
@@ -682,11 +711,12 @@ def test_a_theorem2_chunk_builds_two_beta_sources(monkeypatch):
         assert np.array_equal(negative, _negative_steps(words, _up_and_heights(words)[1]))
 
 
+@pytest.mark.parametrize("trip", [0, 1], ids=["first_trip", "second_trip"])
 @pytest.mark.parametrize("verify, n, dyck", [(verify_theorem1, 10, True),
                                              (verify_theorem2, 8, False)],
                          ids=["verify_theorem1", "verify_theorem2"])
-def test_a_full_chunk_peaks_under_36_bytes_per_step(monkeypatch, verify, n, dyck):
-    spec = _spec_of(monkeypatch, verify, n)
+def test_a_full_chunk_peaks_under_30_bytes_per_step(monkeypatch, verify, n, dyck, trip):
+    spec = list(dyckmaps.verify._trips(_spec_of(monkeypatch, verify, n)))[trip]
     block = _full_block(n, dyck)
     dyckmaps.verify._check_chunk(block, spec)  # numpy's one-time set-up is not the chunk's
     tracemalloc.start()
@@ -696,9 +726,10 @@ def test_a_full_chunk_peaks_under_36_bytes_per_step(monkeypatch, verify, n, dyck
     finally:
         tracemalloc.stop()
     steps = 2 * n * dyckmaps.verify._CHUNK
-    # theorem 2 peaks near 31 bytes a step: under a bound of 40, one more
-    # int64 matrix of the chunk's shape, 8 bytes a step, would go unseen
-    assert peak < 36 * steps, peak / steps
+    # theorem 2's first trip peaks near 25 bytes a step: under a bound of
+    # 36, one more int64 matrix of the chunk's shape, 8 bytes a step, would
+    # go unseen
+    assert peak < 30 * steps, peak / steps
 
 
 def test_a_full_chunk_keeps_uint16_sort_keys_up_to_n15():
