@@ -31,10 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyWordError, NotADyckWordError, NotBilateralError
-from .words import _LONG, PathWord, _rows, _up_and_heights, _ups, require_dyck
-
-
-_UP = 85  # ord('U'); the factorization cores work on ASCII bytes
+from .words import _LONG, _U, PathWord, _rows, _up_and_heights, _ups, require_dyck
 
 
 def _first_return_len(data) -> int:
@@ -46,7 +43,7 @@ def _first_return_len(data) -> int:
         data = data.encode("ascii")
     h = 0
     for i, ch in enumerate(data, 1):
-        h = h + 1 if ch == _UP else h - 1
+        h = h + 1 if ch == _U else h - 1
         if not h:
             return i
     raise NotADyckWordError("word never returns to the axis")
@@ -182,7 +179,7 @@ def _negative_steps(mat: np.ndarray, h=None) -> np.ndarray:
     crossing factors lie; ``h`` holds the words' heights if known."""
     if h is None:
         h = _up_and_heights(mat)[1]
-    return (h < 0) | ((h == 0) & (mat == _UP))
+    return (h < 0) | ((h == 0) & (mat == _U))
 
 
 def _crossing_factors(data: bytes) -> list:
@@ -198,9 +195,9 @@ def _crossing_factors(data: bytes) -> list:
     # a factor starts where a step leaves the axis with the other sign
     factors = []
     h = start = 0
-    negative = data[0] != _UP
+    negative = data[0] != _U
     for i, ch in enumerate(data):
-        if ch == _UP:
+        if ch == _U:
             if not h and negative:
                 factors.append((start, i, True))
                 start, negative = i, False

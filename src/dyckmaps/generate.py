@@ -19,19 +19,9 @@ from typing import Iterator
 import numpy as np
 
 from .errors import UnknownStatisticError
-from .maps import _U, _flips
 from .stats import StatRecord
-from .words import PathWord, _row_texts
+from .words import _D, _U, PathWord, _flips, _row_texts
 
-# Reference count sequences for cross-checks, embedded rather than computed.
-CATALAN_NUMBERS = (
-    1, 1, 2, 5, 14, 42, 132, 429, 1430, 4862, 16796, 58786, 208012,
-    742900, 2674440, 9694845, 35357670,
-)
-CENTRAL_BINOMIALS = (
-    1, 2, 6, 20, 70, 252, 924, 3432, 12870, 48620, 184756, 705432,
-    2704156, 10400600, 40116600, 155117520, 601080390,
-)
 _MAX_RANK_N = 33  # the largest n whose C(2n, n) ranks fit in int64
 _TEXT_STEPS = 1 << 18  # steps per block of the text streams
 
@@ -51,6 +41,12 @@ def central_binomial(n: int) -> int:
     """Number of balanced words of semilength n, exactly."""
     _check_semilength(n)
     return comb(2 * n, n)
+
+
+# |C_n| for every n the enumerator takes, by the closed forms and not by
+# _endings: the reference that a sweep checks the enumerator's counts by.
+CATALAN_NUMBERS = tuple(catalan(n) for n in range(_MAX_RANK_N + 1))
+CENTRAL_BINOMIALS = tuple(central_binomial(n) for n in range(_MAX_RANK_N + 1))
 
 
 @lru_cache(maxsize=None)  # at most two classes of each n <= _MAX_RANK_N
@@ -146,8 +142,8 @@ def generate_bilateral(n: int) -> Iterator[PathWord]:
 
 def _random_balanced_text(n: int, rng: np.random.Generator) -> str:
     arr = np.empty(2 * n, dtype=np.uint8)
-    arr[:n] = 85  # 'U'
-    arr[n:] = 68  # 'D'
+    arr[:n] = _U
+    arr[n:] = _D
     rng.shuffle(arr)
     return _row_texts(arr[:, None])[0]
 

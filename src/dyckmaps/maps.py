@@ -39,11 +39,9 @@ from .decompose import (
 )
 from .errors import DyckError
 from .render import _MAX_CELLS
-from .words import (_FLIP_TABLE, _LONG, PathWord, _cumsum_down, _row_texts,
-                    _rows, _up_and_heights, require_closed, require_dyck)
-
-_U, _D = 85, 68  # ord('U'), ord('D'); the cores run on ASCII bytes
-_FLIP_B = bytes.maketrans(b"UD", b"DU")
+from .words import (_D, _FLIP_B, _FLIP_BITS, _FLIP_TABLE, _LONG, _U, PathWord,
+                    _cumsum_down, _flips, _row_texts, _rows, _up_and_heights,
+                    require_closed, require_dyck)
 
 
 def _phi_b(data: bytes) -> bytes:
@@ -195,13 +193,7 @@ def _psi_ext_text(text: str) -> str:
 # needs none ignores them.  Masks act by arithmetic, gathers and &, |, ^: np.where,
 # where=, boolean indexing and str.count branch on each element of a random mask.
 
-_FLIP_BITS = _U ^ _D  # byte ^ _FLIP_BITS turns U into D and D into U
 _AT = np.int32  # positions in a chunk; half the memory of the default int64
-
-
-def _flips(mask: np.ndarray) -> np.ndarray:
-    """XOR operand that flips the steps where ``mask`` holds."""
-    return mask.view(np.uint8) * np.uint8(_FLIP_BITS)
 
 
 def _key_type(top: int, words: int) -> type:

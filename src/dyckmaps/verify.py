@@ -58,9 +58,7 @@ from .generate import (
     distribution,
 )
 from .maps import (
-    _D,
     _ROWS_OF,
-    _U,
     _alpha_text,
     _beta_text,
     _phi_ext_text,
@@ -68,7 +66,8 @@ from .maps import (
     _psi_ext_text,
     _psi_text,
 )
-from .words import _dyck_rows, _row_texts, _rows, _scan_rows, _scan_text, _up_and_heights
+from .words import (_D, _U, _dyck_rows, _row_texts, _rows, _scan_rows, _scan_text,
+                    _up_and_heights)
 
 _CHUNK = 4096  # words per chunk of a sweep
 
@@ -206,6 +205,7 @@ def _factors_preserved(mat, image, h, hi, s, si):
 class _Theorem(NamedTuple):
     """A bijection theorem or an involution stated as data for :func:`_sweep`.
 
+    ``path_class``, "dyck" or "bilateral", fixes the words and class sizes.
     ``maps`` maps a name for each map (that of the argument injecting it,
     where one does) to the map: forward then inverse, or an involution's
     one map.  A chunk runs one round trip (:func:`_trips`) and ``checks``,
@@ -215,7 +215,6 @@ class _Theorem(NamedTuple):
     """
 
     path_class: str
-    sizes: tuple  # reference class size by semilength
     maps: dict
     round_trips: tuple  # check names: inverse after forward, forward after inverse
     checks: tuple
@@ -227,7 +226,7 @@ def _images(fn, mat, *args):
     """fn on words, one per column: the images as a matrix, and which do
     not fit it.  A twin in ``_ROWS_OF`` runs on the matrix with ``args``;
     any other map runs word by word through :func:`_try`; an image fits as
-    text of its word's length over U and D.  A misfit's column holds its word."""
+    text of its word's length over U and D; a misfit's column is no image."""
     if fn in _ROWS_OF:
         return _ROWS_OF[fn](mat, *args), False
     texts = _row_texts(mat)
@@ -236,7 +235,7 @@ def _images(fn, mat, *args):
                      for image, text in zip(images, texts)], dtype=bool)
     out = _rows([image if fit else text for image, text, fit in zip(images, texts, fits)])
     fits &= ((out == _U) | (out == _D)).all(axis=0)
-    return np.where(fits, out, mat), ~fits
+    return out, ~fits
 
 
 def _check_chunk(chunk, spec: _Theorem):
@@ -247,8 +246,8 @@ def _check_chunk(chunk, spec: _Theorem):
     make the one round trip of ``spec``; they and their images are scanned
     for heights once each, and the class test, the maps, the scans and the
     checks share them.  A word whose image misfits (:func:`_images`) or
-    lies outside the class fails the trip and every check, and its image
-    column holds the word, so the inverse sees only words of its class.
+    lies outside the class fails the trip and every check, and here its
+    image column takes the word, so the inverse sees only words of its class.
     """
     mat = chunk if isinstance(chunk, np.ndarray) else _rank_rows(*chunk)
     forward, *rest = spec.maps.values()
@@ -259,7 +258,7 @@ def _check_chunk(chunk, spec: _Theorem):
     if len(hi):  # the second trip follows only from images in the class
         dyck = spec.path_class == "dyck"
         misfit = misfit | ~(_dyck_rows(image, hi) if dyck else hi[-1] == 0)
-        if misfit.any():  # a misfit's column holds its word
+        if misfit.any():
             image, hi = np.where(misfit, mat, image), np.where(misfit, h, hi)
     back, back_misfit = _images(inverse, image, hi)
     failing = {spec.round_trips[0]: misfit | back_misfit | (back != mat).any(axis=0)}
@@ -282,11 +281,10 @@ def _trips(spec: _Theorem):
                             round_trips=spec.round_trips[1:], checks=())
 
 
-def _sweep_n(imap, spec: _Theorem, n: int) -> tuple:
-    """The words of semilength n that spec counts, and each check's first failure."""
+def _sweep_n(imap, spec: _Theorem, chunks) -> tuple:
+    """The words of the chunks of :func:`_check_chunk` and each check's first failure."""
     count, failures = 0, {}
-    blocks = _rank_blocks(n, spec.path_class == "dyck", _CHUNK)
-    for size, fails in imap(partial(_check_chunk, spec=spec), blocks):
+    for size, fails in imap(partial(_check_chunk, spec=spec), chunks):
         count += size
         for name, word in fails.items():
             failures.setdefault(name, word)
@@ -302,17 +300,19 @@ def _sweep(spec: _Theorem, max_n: int, jobs: int) -> VerificationReport:
 
     A theorem with two maps runs its first round trip and its checks on
     each class C_n.  If no word fails that trip (as an image outside C_n
-    does) and all ``spec.sizes[n]`` words were counted, the forward map is
-    injective on the finite C_n, hence onto it, so for v = forward(w),
-    forward(inverse(v)) = forward(w) = v, given maps with no state and the
-    same output for the same input.  Otherwise the second trip of
-    :func:`_trips` is swept at that n in the same pool, and its failures
-    join the first's, so each counterexample is a full sweep's.
+    does) and the sweep counted |C_n| words (``CATALAN_NUMBERS`` or
+    ``CENTRAL_BINOMIALS``), the forward map is injective on the finite C_n,
+    hence onto it, so for v = forward(w), forward(inverse(v)) = forward(w) = v,
+    given maps with no state and the same output for the same input.  Otherwise
+    the second trip of :func:`_trips` sweeps the same chunks in the same pool;
+    its failures join the first's, so each counterexample is a full sweep's.
 
     The distribution identity reads only the swept words' own statistics,
     which no map changes, so it is counted exactly in this process.
     """
     jobs = _check_jobs(jobs, spec.maps)
+    dyck = spec.path_class == "dyck"
+    sizes = CATALAN_NUMBERS if dyck else CENTRAL_BINOMIALS
     first, *second = _trips(spec)
     failures = {}  # first counterexample per check name, in stream order
     total = 0
@@ -321,14 +321,15 @@ def _sweep(spec: _Theorem, max_n: int, jobs: int) -> VerificationReport:
     with (Pool(jobs) if jobs > 1 else nullcontext()) as pool:
         imap = map if pool is None else pool.imap
         for n in range(max_n + 1):
-            count_n, fails = _sweep_n(imap, first, n)
-            sized = n < len(spec.sizes) and count_n == spec.sizes[n]
+            blocks = list(_rank_blocks(n, dyck, _CHUNK))  # a second trip reads them again
+            count_n, fails = _sweep_n(imap, first, blocks)
+            sized = n < len(sizes) and count_n == sizes[n]
             if second and (first.round_trips[0] in fails or not sized):
-                fails.update(_sweep_n(imap, second[0], n)[1])  # join, not replace
+                fails.update(_sweep_n(imap, second[0], blocks)[1])  # join, not replace
             for name, word in fails.items():
                 failures.setdefault(name, word)
             total += count_n
-            if not dist_note and n < len(spec.sizes) and not sized:
+            if not dist_note and n < len(sizes) and not sized:
                 dist_note = f"class size mismatch at n={n}: {count_n}"
             if not dist_note and spec.dist_keys:
                 dist_a, dist_b = (distribution(spec.path_class, n, *keys).counts
@@ -360,7 +361,6 @@ def verify_theorem1(
     """
     theorem = _Theorem(
         "dyck",
-        CATALAN_NUMBERS,
         {"phi_fn": phi_fn or _phi_text, "psi_fn": psi_fn or _psi_text},
         ("dyck.round_trip.psi_after_phi", "dyck.round_trip.phi_after_psi"),
         (
@@ -400,7 +400,6 @@ def verify_theorem2(
         checks += (("bilateral.contacts_preserved", _contacts_preserved),)
     theorem = _Theorem(
         "bilateral",
-        CENTRAL_BINOMIALS,
         {
             "phi_ext_fn": phi_ext_fn or _phi_ext_text,
             "psi_ext_fn": psi_ext_fn or _psi_ext_text,
@@ -450,7 +449,7 @@ def verify_involutions_and_transport(
     beta that is expected to fail (beta does not preserve peak count).
     """
     alpha = _Theorem(
-        "bilateral", (), {"alpha": _alpha_text}, ("alpha.involution",),
+        "bilateral", {"alpha": _alpha_text}, ("alpha.involution",),
         (
             ("alpha.transport.peak_valley_swap", _peak_valley_swap),
             ("alpha.transport.parity_swap", _parity_swap),
@@ -461,7 +460,7 @@ def verify_involutions_and_transport(
     if include_beta_peak_preservation:
         beta_checks += (("beta.transport.peaks_preserved", _peaks_preserved),)
     beta = _Theorem(
-        "dyck", (), {"beta": _beta_text}, ("beta.involution",), beta_checks, (), ()
+        "dyck", {"beta": _beta_text}, ("beta.involution",), beta_checks, (), ()
     )
     report = _sweep(alpha, max_n, jobs)
     report.checks += _sweep(beta, max_n, jobs).checks
@@ -498,10 +497,10 @@ def verify_randomized(
 ) -> VerificationReport:
     """Round trips and transport on uniform random balanced words.
 
-    Samples ``trials`` words of semilength ``n``; additionally times the
-    forward map on words of semilength 2n and checks that total cost grew
-    by at most 2.5x (linear scaling), unless the sample is too small for
-    timing to mean anything (n < 64 or trials < 2).
+    Sweeps both trips of :func:`_trips` over ``trials`` samples of semilength
+    ``n``; additionally times the forward map on words of semilength 2n and
+    checks that total cost grew by at most 2.5x (linear scaling), unless
+    the sample is too small for timing to mean anything (n < 64 or trials < 2).
     """
     if n < 0:
         raise ValueError(f"semilength n must be nonnegative, got {n}")
@@ -510,7 +509,7 @@ def verify_randomized(
     rng = np.random.default_rng(seed)
     texts = [_random_balanced_text(n, rng) for _ in range(trials)]
     spec = _Theorem(
-        "bilateral", (),
+        "bilateral",
         {"phi_ext_fn": _phi_ext_text, "psi_ext_fn": _psi_ext_text},
         ("random.round_trip.psi_after_phi", "random.round_trip.phi_after_psi"),
         (("random.transport.peaks_from_ups_odd", _peaks_from_ups_odd),),
@@ -519,11 +518,9 @@ def verify_randomized(
     # chunks no larger than a sweep's at n = 16, which bounds their memory
     size = min(_CHUNK, max(1, 32 * _CHUNK // max(2 * n, 1)))
     failures = {}
-    for start in range(0, trials, size):
-        mat = _rows(texts[start : start + size])
-        for trip in _trips(spec):
-            for name, word in _check_chunk(mat, trip)[1].items():
-                failures.setdefault(name, word)
+    for trip in _trips(spec):  # the trips' check names differ
+        chunks = (_rows(texts[start : start + size]) for start in range(0, trials, size))
+        failures.update(_sweep_n(map, trip, chunks)[1])
     report = VerificationReport(_results(spec, (n, n), trials, failures))
     if check_scaling and n >= 64 and trials >= 2:
         doubled = [_random_balanced_text(2 * n, rng) for _ in range(trials)]

@@ -17,8 +17,13 @@ from .errors import InvalidCharacterError, NotADyckWordError, NotBilateralError
 # Accepted input alphabets: U/D canonical, u/d case-folded, (/) aliases.
 _ALIAS_TABLE = str.maketrans("ud()", "UDUD")
 _FLIP_TABLE = str.maketrans("UD", "DU")
+# The step encoding: words as bytes or as uint8 matrix columns hold ASCII U, D.
+_U, _D = 85, 68  # ord("U"), ord("D")
+_FLIP_BITS = _U ^ _D  # byte ^ _FLIP_BITS turns U into D and D into U
+_FLIP_B = bytes.maketrans(b"UD", b"DU")
 
-# Above this many steps, height scans switch to vectorised numpy passes.
+# From this many steps on, a word goes through numpy: its height scans and
+# per-word maps, _ups, _height_list and _crossing_factors.
 _LONG = 4096
 # From this many words on, a cumsum down the steps of a matrix adds whole rows.
 _ROW_SUMS = 512
@@ -85,7 +90,7 @@ def _parse_rows(texts: list) -> tuple[np.ndarray, np.ndarray]:
         text = text.translate(_ALIAS_TABLE)
     data = text.encode("ascii", "replace")
     mat = np.frombuffer(data, dtype=np.uint8).reshape(len(texts), -1).T.copy()
-    return mat, ((mat == 85) | (mat == 68)).all(axis=0)
+    return mat, ((mat == _U) | (mat == _D)).all(axis=0)
 
 
 def _row_texts(mat: np.ndarray) -> list:
@@ -93,6 +98,11 @@ def _row_texts(mat: np.ndarray) -> list:
     width = mat.shape[0]
     data = mat.T.tobytes().decode("ascii")
     return [data[i * width : (i + 1) * width] for i in range(mat.shape[1])]
+
+
+def _flips(mask: np.ndarray) -> np.ndarray:
+    """XOR operand that flips the steps where ``mask`` holds."""
+    return mask.view(np.uint8) * np.uint8(_FLIP_BITS)
 
 
 def _cumsum_down(x: np.ndarray, dtype, out=None) -> np.ndarray:
@@ -114,7 +124,7 @@ def _up_and_heights(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Up-step mask and vertex heights of equal-length words, one per column
     of a ``(steps, words)`` uint8 matrix, by one cumsum down axis 0; heights
     are in the smallest signed type that holds them."""
-    up = mat == 85  # ord('U')
+    up = mat == _U
     width = mat.shape[0]
     dtype = np.int8 if width < 128 else np.int16 if width < 32768 else np.int32
     steps = up.view(np.int8) * np.int8(2) - np.int8(1)
@@ -178,7 +188,7 @@ def _scan_rows(mat: np.ndarray, h=None) -> _Scan:
     """The fields of :func:`_scan_text` for equal-length words, one per column
     of a ``(steps, words)`` uint8 matrix, as int arrays from one height scan
     down axis 0; ``h`` holds the words' heights if known."""
-    up = mat == 85  # ord('U')
+    up = mat == _U
     if h is None:
         h = _up_and_heights(mat)[1]
     down = ~up
@@ -376,7 +386,7 @@ def _dyck_rows(mat: np.ndarray, h=None) -> np.ndarray:
 
 def _closed_rows(mat: np.ndarray) -> np.ndarray:
     """Which columns of a ``(steps, words)`` uint8 matrix end at height 0."""
-    return 2 * (mat == 85).sum(axis=0, dtype=np.int32) == len(mat)
+    return 2 * (mat == _U).sum(axis=0, dtype=np.int32) == len(mat)
 
 
 def _ups(text: str) -> int:
@@ -384,7 +394,7 @@ def _ups(text: str) -> int:
     on by numpy, as ``str.count`` branches on every step of a random word."""
     if len(text) < _LONG:
         return text.count("U")
-    return int(np.count_nonzero(np.frombuffer(text.encode("ascii"), np.uint8) == 85))
+    return int(np.count_nonzero(np.frombuffer(text.encode("ascii"), np.uint8) == _U))
 
 
 def require_closed(w: PathWord) -> None:

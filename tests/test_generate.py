@@ -24,6 +24,7 @@ from dyckmaps import (
     stat_record,
 )
 from dyckmaps.generate import (
+    _MAX_RANK_N,
     _balanced_texts,
     _dyck_texts,
     _endings,
@@ -36,7 +37,9 @@ DATA = Path(__file__).parent / "data"
 
 
 def test_catalan_and_central_binomial_match_recurrences():
-    for n in range(17):
+    # one entry for every n the enumerator takes
+    assert len(CATALAN_NUMBERS) == len(CENTRAL_BINOMIALS) == _MAX_RANK_N + 1
+    for n in range(_MAX_RANK_N + 1):
         assert catalan(n) == oracles.catalan(n) == CATALAN_NUMBERS[n]
         assert central_binomial(n) == oracles.central_binomial(n) == CENTRAL_BINOMIALS[n]
 

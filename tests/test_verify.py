@@ -726,9 +726,9 @@ def test_a_full_chunk_peaks_under_30_bytes_per_step(monkeypatch, verify, n, dyck
     finally:
         tracemalloc.stop()
     steps = 2 * n * dyckmaps.verify._CHUNK
-    # theorem 2's first trip peaks near 25 bytes a step: under a bound of
-    # 36, one more int64 matrix of the chunk's shape, 8 bytes a step, would
-    # go unseen
+    # theorem 2's first trip peaks near 25 bytes a step: the old bound of
+    # 36 would have let one more int64 matrix of the chunk's shape, 8 bytes
+    # a step, through
     assert peak < 30 * steps, peak / steps
 
 

@@ -1,10 +1,13 @@
+import ast
 import copy
 import pickle
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 
+import dyckmaps
 import oracles
 from conftest import balanced_texts
 from dyckmaps import (
@@ -202,3 +205,18 @@ def test_long_word_extremes_match_small_scan():
     assert w.min_height == min(0, min(hs))
     assert w.max_height == max(0, max(hs))
     assert height_profile(w) == hs
+
+
+def test_only_words_spells_out_the_step_bytes():
+    # the ASCII codes of U and D live in words; enumeration and the
+    # factorizations take them from there, not from the bijections module
+    for path in sorted(Path(dyckmaps.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        if path.stem != "words":
+            assert not [node.lineno for node in ast.walk(tree)
+                        if isinstance(node, ast.Constant) and type(node.value) is int
+                        and node.value in (85, 68)], path.name
+        if path.stem in ("generate", "decompose"):
+            assert not [node.lineno for node in ast.walk(tree)
+                        if isinstance(node, ast.ImportFrom)
+                        and node.module in ("maps", "dyckmaps.maps")], path.name
