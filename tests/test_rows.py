@@ -23,12 +23,11 @@ from dyckmaps.generate import (
 from dyckmaps.maps import (
     _alpha_rows,
     _alpha_text,
-    _beta_psi_b,
+    _beta_b,
     _beta_rows,
     _beta_text,
     _ext_b,
     _phi_b,
-    _phi_beta_b,
     _phi_ext_rows,
     _phi_ext_text,
     _phi_rows,
@@ -40,7 +39,7 @@ from dyckmaps.maps import (
     _psi_rows,
     _psi_text,
 )
-from dyckmaps.verify import _CHUNK
+from dyckmaps.verify import _CHUNK, verify_randomized
 from dyckmaps.stats import _stat_records_rows, stat_record
 from dyckmaps.words import _LONG, PathWord, _rows, _scan_rows, _scan_text, _up_and_heights
 
@@ -125,6 +124,17 @@ def test_row_records_equal_the_word_records(path_class, n):
     assert got == [json.dumps(stat_record(PathWord(t)).to_dict()) for t in texts]
 
 
+@pytest.mark.parametrize("words", [1, 600])  # 600 is past _ROW_SUMS = 512
+def test_every_twin_maps_a_matrix_of_no_steps_to_a_fresh_one(words):
+    mat = np.empty((0, words), np.uint8)
+    for rows_fn in dyckmaps.maps._ROWS_OF.values():
+        image = rows_fn(mat)
+        assert image.shape == (0, words) and image.dtype == np.uint8, rows_fn.__name__
+        assert image.flags.c_contiguous, rows_fn.__name__
+        assert image is not mat and image.base is not mat, rows_fn.__name__
+    assert verify_randomized(0, 600, 1, check_scaling=False).ok
+
+
 @pytest.mark.parametrize("n", range(1, 11))
 def test_rank_cores_equal_the_transducers_on_every_dyck_word(n):
     mat, texts = _class("dyck", n)
@@ -149,8 +159,8 @@ def test_the_long_ext_path_equals_the_factor_loop_on_every_balanced_word(monkeyp
     monkeypatch.setattr(dyckmaps.maps, "_LONG", 1)  # every word takes the long path
     for text in _class("bilateral", n)[1]:
         data = text.encode("ascii")
-        assert _phi_ext_text(text) == _ext_b(data, _phi_b, _phi_beta_b).decode("ascii"), text
-        assert _psi_ext_text(text) == _ext_b(data, _psi_b, _beta_psi_b).decode("ascii"), text
+        assert _phi_ext_text(text) == _ext_b(data, _phi_b, _beta_b, bytes).decode("ascii"), text
+        assert _psi_ext_text(text) == _ext_b(data, _psi_b, bytes, _beta_b).decode("ascii"), text
 
 
 def _alternating_factors(count, rng):
@@ -158,6 +168,25 @@ def _alternating_factors(count, rng):
     flip = str.maketrans("UD", "DU")
     factors = [_random_dyck_text(int(rng.integers(1, 40)), rng) for _ in range(count)]
     return "".join(f.translate(flip) if i % 2 == 0 else f for i, f in enumerate(factors))
+
+
+def test_a_short_word_of_many_factors_equals_the_oracles():
+    """The exhaustive oracle cases stop at six factors; this word has 60."""
+    text = _alternating_factors(60, np.random.default_rng(13))
+    assert len(text) < _LONG and len(_crossing_factors(text.encode("ascii"))) == 60
+    assert _phi_ext_text(text) == oracles.phi_ext(text)
+    assert _psi_ext_text(text) == oracles.psi_ext(text)
+
+
+@pytest.mark.parametrize("ext, core, oracle", [(_phi_ext_text, "_phi_b", oracles.phi_ext),
+                                               (_psi_ext_text, "_psi_b", oracles.psi_ext)])
+def test_a_short_ext_calls_its_dyck_core_once_per_word(monkeypatch, ext, core, oracle):
+    calls = []
+    real = getattr(dyckmaps.maps, core)
+    monkeypatch.setattr(dyckmaps.maps, core, lambda data: calls.append(data) or real(data))
+    text = _alternating_factors(7, np.random.default_rng(17))
+    assert len(text) < _LONG and ext(text) == oracle(text)
+    assert len(calls) == 1 and len(calls[0]) == len(text)
 
 
 def _long_words():
@@ -186,8 +215,8 @@ def test_text_maps_equal_the_transducers_on_long_words(name):
     text, dyck = LONG_WORDS[name]
     assert len(text) >= _LONG
     data = text.encode("ascii")
-    want = {_phi_ext_text: _ext_b(data, _phi_b, _phi_beta_b),
-            _psi_ext_text: _ext_b(data, _psi_b, _beta_psi_b)}
+    want = {_phi_ext_text: _ext_b(data, _phi_b, _beta_b, bytes),
+            _psi_ext_text: _ext_b(data, _psi_b, bytes, _beta_b)}
     if dyck:
         want.update({_phi_text: _phi_b(data), _psi_text: _psi_b(data)})
     for fn, image in want.items():
