@@ -20,11 +20,15 @@ vertices keyed by word and height.  psi keeps a run transducer, a
 left-to-right stack machine on the reversed-and-flipped word; its twin
 loops over the steps of a matrix of words under ``_LONG`` steps and runs
 its own rank core, one stable argsort of the vertex heights per parity, on
-each longer word.  The sort keys are uint16 (a radix sort) while the words
-times the heights fit in 2^16 and int32 above.  A rank core peaks at about
-11 bytes per step, an extension on a long word at about 13-14.  Both forms
-of an extension call the Dyck core once per word.  Every twin takes the
-matrix of no steps, the chunk of the empty word, without a special case.
+each longer word, from the heights the twin is given.  The sort keys are
+uint16 (a radix sort) while the words times the heights fit in 2^16 and
+int32 above.  Both forms of an extension call the Dyck core once per word;
+the extensions of a matrix with no step below the axis, so with no
+negative factor, are its Dyck maps, with no beta gather.  The public phi
+and psi check a fresh long word from the height scan their twin reads.
+At 10^6 steps a rank core peaks at about 11 bytes per step, and phi, psi
+and the extensions on a fresh word at 13-14.  Every twin takes the matrix
+of no steps, the chunk of the empty word, without a special case.
 """
 
 from __future__ import annotations
@@ -43,8 +47,8 @@ from .decompose import (
 from .errors import DyckError
 from .render import _MAX_CELLS
 from .words import (_D, _FLIP_B, _FLIP_BITS, _FLIP_TABLE, _LONG, _U, PathWord,
-                    _cumsum_down, _flips, _row_texts, _rows, _up_and_heights,
-                    require_closed, require_dyck)
+                    _cumsum_down, _dyck_rows, _flips, _row_texts, _rows,
+                    _up_and_heights, require_closed, require_dyck)
 
 
 def _phi_b(data: bytes) -> bytes:
@@ -262,7 +266,8 @@ def _psi_rows(mat: np.ndarray, h=None) -> np.ndarray:
     """
     size, rows = mat.shape
     if size >= _LONG:
-        return np.stack([_psi_rank(mat[:, j]) for j in range(rows)], axis=1)
+        return np.stack([_psi_rank(mat[:, j], None if h is None else h[:, j])
+                         for j in range(rows)], axis=1)
     n = size // 2
     if h is None:
         h = _up_and_heights(mat)[1]
@@ -368,13 +373,10 @@ def _beta_rows(mat: np.ndarray, h=None) -> np.ndarray:
     return _gather(mat, _beta_source(np.ones(mat.shape, dtype=bool), returns))
 
 
-def _negative_factors(mat: np.ndarray, h=None) -> tuple:
+def _negative_factors(mat: np.ndarray, h: np.ndarray) -> tuple:
     """The steps of the negative crossing factors of balanced words, one per
     column, and the flat positions of those that end on the axis, the
-    arguments of :func:`_beta_source`.  The heights are freed on return,
-    before the maps' next arrays, which keeps long words lean."""
-    if h is None:
-        h = _up_and_heights(mat)[1]
+    arguments of :func:`_beta_source`."""
     negative = _negative_steps(mat, h)
     return negative, np.flatnonzero((h == 0) & negative)
 
@@ -385,9 +387,14 @@ def _phi_ext_rows(mat: np.ndarray, h=None) -> np.ndarray:
     The formula of :func:`_ext_b`, with one phi for all the words: one
     gather takes every negative factor through beta after a flip, which
     leaves a Dyck word; phi maps it prime by prime, so factor by factor;
-    the negative factors flip back.
+    the negative factors flip back.  A matrix with no step below the axis
+    has no negative factor, and phi maps it and its heights as they are.
     """
+    h = _up_and_heights(mat)[1] if h is None else h
+    if h.min(initial=0) >= 0:
+        return _phi_rows(mat, h)
     negative, returns = _negative_factors(mat, h)
+    del h  # unless the caller holds them, the heights go before beta's arrays
     flips, source = _flips(negative), _beta_source(negative, returns)
     del negative, returns
     dyck = _gather(mat, source)
@@ -403,9 +410,14 @@ def _psi_ext_rows(mat: np.ndarray, h=None) -> np.ndarray:
     psi maps a Dyck word prime by prime, each to a prime of its length, so
     its image returns to the axis where the flipped words do, and beta's
     gather source is that of the words, built after psi, so that on a long
-    word the two never share the heap.
+    word the two never share the heap.  A matrix with no step below the
+    axis has no negative factor, and psi maps it and its heights as they are.
     """
+    h = _up_and_heights(mat)[1] if h is None else h
+    if h.min(initial=0) >= 0:
+        return _psi_rows(mat, h)
     negative, returns = _negative_factors(mat, h)
+    del h
     flips = _flips(negative)
     return _gather(_psi_rows(mat ^ flips), _beta_source(negative, returns)) ^ flips
 
@@ -417,8 +429,9 @@ def _psi_ext_rows(mat: np.ndarray, h=None) -> np.ndarray:
 # :func:`_phi_rows`.  A vertex's height has the parity of its position, so
 # each parity sorts apart.
 
-def _psi_rank(row: np.ndarray) -> np.ndarray:
-    """:func:`_psi_b` on one Dyck word.
+def _psi_rank(row: np.ndarray, h=None) -> np.ndarray:
+    """:func:`_psi_b` on one Dyck word; ``h`` holds its vertex heights if
+    known, else they are scanned here.
 
     The j-th U gives output bytes 2j and 2j+1: UD if one D follows it and
     DD if more do.  If a U follows it, they are UU if a U or the end of the
@@ -426,17 +439,16 @@ def _psi_rank(row: np.ndarray) -> np.ndarray:
     next vertex of the U's height in level order.
     """
     size = len(row)
-    up, h = _up_and_heights(row[:, None])
+    h = _up_and_heights(row[:, None])[1][:, 0] if h is None else h
     after = np.ones(size + 2, dtype=bool)  # the step after each vertex; U past the end
-    after[:size] = up[:, 0]
-    up = after[:size]
+    up = np.equal(row, _U, out=after[:size])
     key = _key_type(int(h.max(initial=0)), 1)
     keys = np.zeros(size + 1, dtype=key)  # every vertex, the start included
-    keys[1:] = h[:, 0]
+    keys[1:] = h
     del h
     then_up = np.empty(size + 1, dtype=bool)  # the step after the level's next vertex
     for parity in (0, 1):
-        vertex = np.argsort(keys[parity::2], kind="stable").astype(_AT)
+        vertex = np.argsort(keys[parity::2], kind="stable")  # intp: no cast to gather
         vertex *= 2
         vertex += parity
         then_up[vertex[:-1]] = after[vertex[1:]]
@@ -464,20 +476,34 @@ _ROWS_OF = {
 }
 
 
+def _dyck_map(w: PathWord, text_map, rows_map) -> PathWord:
+    """``text_map`` of a word that :func:`require_dyck` passes.  A word of at
+    least ``_LONG`` steps with no cached scan is checked by
+    :func:`~dyckmaps.words._dyck_rows` from one height scan, which its twin
+    ``rows_map`` then takes; a word that fails goes on to ``require_dyck``,
+    which names the fault."""
+    text = w.text
+    if len(text) >= _LONG and w._scanned is None:
+        mat = _rows([text])
+        h = _up_and_heights(mat)[1]
+        if _dyck_rows(mat, h)[0]:
+            return PathWord(_row_texts(rows_map(mat, h))[0])
+    require_dyck(w)
+    return PathWord(text_map(text))
+
+
 def phi(w: PathWord) -> PathWord:
     """Dyck bijection sending k up-steps at odd height to k peaks.
 
     Preserves semilength and the number of contacts; phi(empty) = empty.
     Inverse of :func:`psi`.
     """
-    require_dyck(w)
-    return PathWord(_phi_text(w.text))
+    return _dyck_map(w, _phi_text, _phi_rows)
 
 
 def psi(w: PathWord) -> PathWord:
     """Inverse of :func:`phi`; sends k peaks to k up-steps at odd height."""
-    require_dyck(w)
-    return PathWord(_psi_text(w.text))
+    return _dyck_map(w, _psi_text, _psi_rows)
 
 
 def alpha(w: PathWord) -> PathWord:

@@ -60,6 +60,39 @@ def test_phi_psi_reject_non_dyck():
             psi(parse_word(bad))
 
 
+def _count_height_scans(monkeypatch):
+    calls = []
+    real = dyckmaps.words._up_and_heights
+    for module in (dyckmaps.words, dyckmaps.maps):
+        monkeypatch.setattr(module, "_up_and_heights", lambda mat: calls.append(1) or real(mat))
+    return calls
+
+
+@pytest.mark.parametrize("op, oracle", [(phi, oracles.phi), (psi, oracles.psi)])
+def test_a_fresh_long_dyck_word_is_scanned_once(monkeypatch, op, oracle):
+    calls = _count_height_scans(monkeypatch)
+    # the maps go prime by prime, and UUDUDD is prime
+    assert op(PathWord("UUDUDD" * 1000)).text == oracle("UUDUDD") * 1000
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("op", [phi, psi])
+@pytest.mark.parametrize("text, reason", [
+    ("UD" * 3000 + "DU", "vertex below axis at step 6001"),
+    ("D" + "UD" * 3000 + "U", "vertex below axis at step 1"),
+    ("UD" * 3000 + "UU", "path ends at height 2 instead of 0"),
+    ("U" * 3001 + "D" * 3000, "path ends at height 1 instead of 0"),
+], ids=["dips", "starts-below", "open", "open-above"])
+@pytest.mark.parametrize("cached", [False, True], ids=["fresh", "scanned"])
+def test_long_non_dyck_words_are_refused_with_their_reason(op, text, reason, cached):
+    word = PathWord(text)
+    if cached:
+        word.min_height  # a word with a cached scan goes straight to require_dyck
+    with pytest.raises(NotADyckWordError) as info:
+        op(word)
+    assert str(info.value) == f"not a Dyck word: {reason}"
+
+
 def test_phi_matches_recursive_transcription_exhaustively():
     for n in range(10):
         for text in oracles.all_dyck(n):

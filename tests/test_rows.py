@@ -189,6 +189,32 @@ def test_a_short_ext_calls_its_dyck_core_once_per_word(monkeypatch, ext, core, o
     assert len(calls) == 1 and len(calls[0]) == len(text)
 
 
+def _refuse_beta(*args):
+    raise AssertionError("the beta gather ran")
+
+
+@pytest.mark.parametrize("ext, dyck_rows, core, before, after",
+                         [(_phi_ext_rows, _phi_rows, _phi_b, _beta_b, bytes),
+                          (_psi_ext_rows, _psi_rows, _psi_b, bytes, _beta_b)])
+def test_an_extension_maps_a_matrix_with_no_negative_factor_by_its_dyck_map(
+        monkeypatch, ext, dyck_rows, core, before, after):
+    """The test is per matrix: one balanced column sends every column
+    through the beta gather, which still fixes the Dyck ones."""
+    rng = np.random.default_rng(23)
+    texts = [_random_dyck_text(20, rng) for _ in range(64)]
+    for mat in (_rows(texts), np.empty((0, 3), np.uint8)):
+        want = [_ext_b(t.encode("ascii"), core, before, after).decode("ascii")
+                for t in _texts_of(mat)]
+        with monkeypatch.context() as patch:
+            patch.setattr(dyckmaps.maps, "_beta_source", _refuse_beta)
+            image = ext(mat)
+        assert np.array_equal(image, dyck_rows(mat)) and _texts_of(image) == want
+    texts.insert(40, "DU" * 20)
+    image = ext(_rows(texts))
+    assert _texts_of(image) == [_ext_b(t.encode("ascii"), core, before, after).decode("ascii")
+                                for t in texts]
+
+
 def _long_words():
     """(word, is Dyck) of at least _LONG steps; heights of 2^16 and above
     need int32 sort keys."""
@@ -231,6 +257,36 @@ def test_crossing_factors_of_long_words_equal_the_loop(monkeypatch, name):
     assert fast == _crossing_factors(data)
     if name == "negative-factors":
         assert len(fast) == 600 and fast[0][2] is True
+
+
+@pytest.mark.parametrize("name", [name for name, (_, dyck) in LONG_WORDS.items() if dyck])
+def test_psi_rows_takes_the_heights_of_long_words(name):
+    mat = _rows([LONG_WORDS[name][0]])
+    assert np.array_equal(_psi_rows(mat, _up_and_heights(mat)[1]), _psi_rows(mat))
+
+
+@pytest.mark.parametrize("ext", [_phi_ext_rows, _psi_ext_rows])
+def test_the_extensions_leave_the_heights_they_are_given(ext):
+    """The sweep's chunk check scans the words again with those heights."""
+    rng = np.random.default_rng(29)
+    matrices = [_rows([_random_dyck_text(20, rng) for _ in range(8)]),
+                _rows([_random_balanced_text(20, rng) for _ in range(8)]),
+                _rows([LONG_WORDS["random-dyck"][0]]),
+                _rows([LONG_WORDS["random-balanced"][0]])]
+    for mat in matrices:
+        h = _up_and_heights(mat)[1]
+        kept = h.copy()
+        ext(mat, h)
+        assert np.array_equal(h, kept)
+
+
+@pytest.mark.parametrize("name", LONG_WORDS)
+def test_the_scan_of_one_column_equals_that_of_a_wider_matrix(name):
+    text = LONG_WORDS[name][0]
+    one, two = _scan_rows(_rows([text])), _scan_rows(_rows([text, text]))
+    for field, a, b in zip(one._fields, one, two):
+        assert a.shape == (1,) and a.dtype == b.dtype, field
+        assert a.tolist() == b[:1].tolist(), field
 
 
 @pytest.mark.parametrize("fn", [_phi_text, _psi_text])
