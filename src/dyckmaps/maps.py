@@ -25,9 +25,9 @@ uint16 (a radix sort) while the words times the heights fit in 2^16 and
 int32 above.  Both forms of an extension call the Dyck core once per word;
 the extensions of a matrix with no step below the axis, so with no
 negative factor, are its Dyck maps, with no beta gather.  The public phi
-and psi check a fresh long word from the height scan their twin reads.
+and psi check a long word from the height scan their twin reads.
 At 10^6 steps a rank core peaks at about 11 bytes per step, and phi, psi
-and the extensions on a fresh word at 13-14.  Every twin takes the matrix
+and the extensions at 13-14.  Every twin takes the matrix
 of no steps, the chunk of the empty word, without a special case.
 """
 
@@ -478,12 +478,11 @@ _ROWS_OF = {
 
 def _dyck_map(w: PathWord, text_map, rows_map) -> PathWord:
     """``text_map`` of a word that :func:`require_dyck` passes.  A word of at
-    least ``_LONG`` steps with no cached scan is checked by
-    :func:`~dyckmaps.words._dyck_rows` from one height scan, which its twin
-    ``rows_map`` then takes; a word that fails goes on to ``require_dyck``,
-    which names the fault."""
+    least ``_LONG`` steps is checked by :func:`~dyckmaps.words._dyck_rows`
+    from one height scan, which its twin ``rows_map`` then takes; a word
+    that fails goes on to ``require_dyck``, which names the fault."""
     text = w.text
-    if len(text) >= _LONG and w._scanned is None:
+    if len(text) >= _LONG:
         mat = _rows([text])
         h = _up_and_heights(mat)[1]
         if _dyck_rows(mat, h)[0]:

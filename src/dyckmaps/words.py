@@ -180,8 +180,9 @@ def _scan_text(text: str) -> _Scan:
 
 def _count(mask: np.ndarray) -> np.ndarray:
     """The True entries of each column of a mask, as int32, which holds any
-    word length.  One column, a long word's, is counted in its flat form:
-    the column reduction costs about three times as much."""
+    word length.  One column, a long word's, is counted by
+    ``np.count_nonzero``: summing it as int32 costs about three times as
+    much."""
     if mask.shape[1] == 1:
         return np.array([np.count_nonzero(mask)], dtype=np.int32)
     return np.add.reduce(mask, axis=0, dtype=np.int32)

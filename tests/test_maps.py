@@ -69,10 +69,14 @@ def _count_height_scans(monkeypatch):
 
 
 @pytest.mark.parametrize("op, oracle", [(phi, oracles.phi), (psi, oracles.psi)])
-def test_a_fresh_long_dyck_word_is_scanned_once(monkeypatch, op, oracle):
+@pytest.mark.parametrize("cached", [False, True], ids=["fresh", "scanned"])
+def test_a_long_dyck_word_is_scanned_once(monkeypatch, op, oracle, cached):
+    word = PathWord("UUDUDD" * 1000)
+    if cached:
+        word.min_height
     calls = _count_height_scans(monkeypatch)
     # the maps go prime by prime, and UUDUDD is prime
-    assert op(PathWord("UUDUDD" * 1000)).text == oracle("UUDUDD") * 1000
+    assert op(word).text == oracle("UUDUDD") * 1000
     assert len(calls) == 1
 
 
@@ -87,7 +91,7 @@ def test_a_fresh_long_dyck_word_is_scanned_once(monkeypatch, op, oracle):
 def test_long_non_dyck_words_are_refused_with_their_reason(op, text, reason, cached):
     word = PathWord(text)
     if cached:
-        word.min_height  # a word with a cached scan goes straight to require_dyck
+        word.min_height
     with pytest.raises(NotADyckWordError) as info:
         op(word)
     assert str(info.value) == f"not a Dyck word: {reason}"
