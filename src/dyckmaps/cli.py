@@ -9,10 +9,10 @@ answers a chunk of lines at a time.  ``map`` (without ``--trace``) and
 ``stats`` have matrix twins: their chunk ends once it holds at least
 ``_CHUNK_CHARS`` characters, or at the end of the input, and each run of at
 least ``_MIN_ROWS`` equal-length lines of a chunk is parsed and checked as
-one matrix and goes through the matrix twins of the maps or the matrix scan
-of the statistics; the output is the same as word by word.  ``classify``,
-``render`` and ``map --trace`` have no twin and read one line per chunk, as
-every command does on a terminal.
+one matrix and goes through the twin of the op's ``maps._MAPS`` record or
+the matrix scan of the statistics; the output is the same as word by word.
+``classify``, ``render`` and ``map --trace`` have no twin and read one
+line per chunk, as every command does on a terminal.
 """
 
 from __future__ import annotations
@@ -27,19 +27,9 @@ from . import __version__
 from .decompose import crossing_factorize, first_return_split
 from .errors import DyckError
 from .generate import _text_blocks, catalan, central_binomial, distribution
-from .maps import (
-    _ROWS_OF,
-    _alpha_text,
-    _beta_text,
-    _phi_ext_text,
-    _phi_text,
-    _psi_ext_text,
-    _psi_text,
-    phi_stages,
-    psi_stages,
-)
+from .maps import _MAPS, phi_stages, psi_stages
 from .render import render_ascii
-from .stats import StatRecord, _require_balanced, _stat_records_rows, stat_record
+from .stats import StatRecord, _stat_records_rows, stat_record
 from .verify import (
     VerificationReport,
     verify_involutions_and_transport,
@@ -56,8 +46,6 @@ from .words import (
     _up_and_heights,
     classify,
     parse_word,
-    require_closed,
-    require_dyck,
 )
 
 _MAX_N = 30  # the range of --n and --max-n
@@ -75,22 +63,7 @@ _CHUNK_CHARS = 1 << 17
 # and psi-ext break even at 20-32 words of 20 or 400 steps, the others at 4-20.
 _MIN_ROWS = 32
 
-# op: (domain check, map on canonical text)
-_MAP_OPS = {
-    "phi": (require_dyck, _phi_text),
-    "psi": (require_dyck, _psi_text),
-    "alpha": (require_closed, _alpha_text),
-    "beta": (require_dyck, _beta_text),
-    "phi-ext": (require_closed, _phi_ext_text),
-    "psi-ext": (require_closed, _psi_ext_text),
-}
 _STAGED_OPS = {"phi": phi_stages, "psi": psi_stages}
-
-
-# a domain check and its form on a uint8 matrix, which passes the same words;
-# every check of a command with a matrix twin has one
-_ROW_CHECKS = {require_dyck: _dyck_rows, require_closed: _closed_rows,
-               _require_balanced: _closed_rows}
 
 
 class _LineError(Exception):
@@ -109,7 +82,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_map = sub.add_parser("map", help="transform words from stdin")
-    p_map.add_argument("--op", required=True, choices=sorted(_MAP_OPS))
+    p_map.add_argument("--op", required=True, choices=sorted(_MAPS))
     p_map.add_argument(
         "--trace", action="store_true",
         help="emit '#'-prefixed bracketed stage lines before each result",
@@ -164,14 +137,15 @@ def _chunks(stdin, limit: int):
         yield chunk
 
 
-def _per_chunk(stdin, stdout, one, *, many=None, check=lambda word: None) -> int:
-    """Print ``one(word)`` for each input line, after ``check`` on each parsed
-    word, a chunk of lines at a time.  A run of at least ``_MIN_ROWS`` lines
-    of one length below ``_LONG`` goes from its text to a uint8 matrix,
-    which the row form of ``check`` checks and the matrix twin ``many``
-    answers, given the heights that a Dyck check scans (else None); only
-    the lines from the first column that fails there on are parsed, checked
-    and answered word by word, like every other line.  A chunk is one line
+def _per_chunk(stdin, stdout, one, *, many=None, dyck=False) -> int:
+    """Print ``one(word)`` for each parsed input line, a chunk of lines at a
+    time; ``one`` checks its word.  A run of at least ``_MIN_ROWS`` lines of
+    one length below ``_LONG`` goes from its text to a uint8 matrix, which
+    is checked by :func:`~dyckmaps.words._dyck_rows` if ``dyck``, else by
+    :func:`~dyckmaps.words._closed_rows`, and answered by the matrix twin
+    ``many``, given the heights that the Dyck check scans (else None); only
+    the lines from the first column that fails there on are parsed and
+    answered word by word, like every other line.  A chunk is one line
     without a twin, since one answer can reach the render or trace cap, and
     on a terminal.  The first DyckError ends the command once the answers to
     the lines before it are printed, and names its line."""
@@ -187,8 +161,8 @@ def _per_chunk(stdin, stdout, one, *, many=None, check=lambda word: None) -> int
         for size, rows in by_length.items():
             if many is not None and len(rows) >= _MIN_ROWS and 0 < size < _LONG:
                 mat, passed = _parse_rows([texts[i] for i in rows])
-                h = _up_and_heights(mat)[1] if _ROW_CHECKS[check] is _dyck_rows else None
-                passed &= _ROW_CHECKS[check](mat) if h is None else _dyck_rows(mat, h)
+                h = _up_and_heights(mat)[1] if dyck else None
+                passed &= _dyck_rows(mat, h) if dyck else _closed_rows(mat)
                 k = len(rows) if passed.all() else int(passed.argmin())
                 if k:
                     h = None if h is None else h[:, :k]
@@ -199,9 +173,7 @@ def _per_chunk(stdin, stdout, one, *, many=None, check=lambda word: None) -> int
                 if i >= bad:
                     break
                 try:
-                    word = parse_word(texts[i])
-                    check(word)
-                    answers[i] = one(word)
+                    answers[i] = one(parse_word(texts[i]))
                 except DyckError as exc:
                     bad, error = i, exc
         stdout.write("".join([answer + "\n" for answer in answers[:bad]]))
@@ -214,10 +186,9 @@ def _per_chunk(stdin, stdout, one, *, many=None, check=lambda word: None) -> int
 def _cmd_map(args, stdin, stdout) -> int:
     if args.trace:
         return _per_chunk(stdin, stdout, lambda word: "\n".join(_trace_lines(args, word)))
-    check, text_map = _MAP_OPS[args.op]
-    twin = _ROWS_OF[text_map]
-    return _per_chunk(stdin, stdout, lambda word: text_map(word.text),
-                      many=lambda mat, h: _row_texts(twin(mat, h)), check=check)
+    op = _MAPS[args.op]
+    return _per_chunk(stdin, stdout, op.image,
+                      many=lambda mat, h: _row_texts(op.rows(mat, h)), dyck=op.dyck)
 
 
 def _json_line(rec) -> str:
@@ -229,7 +200,6 @@ def _cmd_stats(args, stdin, stdout) -> int:
     return _per_chunk(
         stdin, stdout, lambda word: show(stat_record(word)),
         many=lambda mat, h: [show(rec) for rec in _stat_records_rows(mat)],
-        check=_require_balanced,
     )
 
 
@@ -239,9 +209,8 @@ def _trace_lines(args, word) -> list:
     if staged is not None:
         result, stages = staged(word)
         return [f"# {line}" for line in stages] + [result.text]
-    check, text_map = _MAP_OPS[args.op]
-    check(word)
-    return _simple_trace(args.op, word) + [text_map(word.text)]
+    image = _MAPS[args.op].image(word)  # checks the word before its trace
+    return _simple_trace(args.op, word) + [image]
 
 
 def _simple_trace(op: str, word) -> list:

@@ -27,11 +27,14 @@ the extensions of a matrix with no step below the axis, so with no
 negative factor, are its Dyck maps, with no beta gather.  The public phi
 and psi check a long word from the height scan their twin reads.
 At 10^6 steps a rank core peaks at about 11 bytes per step, and phi, psi
-and the extensions at 13-14.  Every twin takes the matrix
-of no steps, the chunk of the empty word, without a special case.
+and the extensions at 13-14.  Every twin takes the matrix of no steps, the
+chunk of the empty word, without a special case.  ``_MAPS`` holds each
+map's domain, text form and twin, which the CLI and the sweeps read.
 """
 
 from __future__ import annotations
+
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -464,15 +467,25 @@ def _psi_rank(row: np.ndarray, h=None) -> np.ndarray:
     return out
 
 
-# The matrix twin of each str-level map: the sweeps and the CLI run a map
-# through its twin on equal-length words.
-_ROWS_OF = {
-    _phi_text: _phi_rows,
-    _psi_text: _psi_rows,
-    _alpha_text: _alpha_rows,
-    _beta_text: _beta_rows,
-    _phi_ext_text: _phi_ext_rows,
-    _psi_ext_text: _psi_ext_rows,
+class _Map(NamedTuple):
+    """A map as the CLI and the sweeps run it; ``image`` checks, then maps, a word."""
+
+    dyck: bool  # its domain: Dyck words, else balanced words
+    text: Callable[[str], str]  # the map on canonical text
+    rows: Callable  # its matrix twin on equal-length words: (mat, h=None)
+
+    def image(self, w: PathWord) -> str:
+        (require_dyck if self.dyck else require_closed)(w)
+        return self.text(w.text)
+
+
+_MAPS = {  # one record per name of ``map --op``
+    "phi": _Map(True, _phi_text, _phi_rows),
+    "psi": _Map(True, _psi_text, _psi_rows),
+    "alpha": _Map(False, _alpha_text, _alpha_rows),
+    "beta": _Map(True, _beta_text, _beta_rows),
+    "phi-ext": _Map(False, _phi_ext_text, _phi_ext_rows),
+    "psi-ext": _Map(False, _psi_ext_text, _psi_ext_rows),
 }
 
 

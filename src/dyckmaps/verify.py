@@ -12,7 +12,7 @@ the rank ranges of :func:`~dyckmaps.generate._rank_blocks` in lexicographic
 order.  One worker checks every chunk as a ``(2n, words)`` uint8 matrix
 whose steps run down axis 0: each map runs once on the chunk, the words
 and images are scanned once each, and the checks are predicates on whole
-columns.  Default maps run through their matrix twins.  A chunk peaks
+columns.  Default maps, ``maps._MAPS`` records, run their twins.  A chunk peaks
 under 30 bytes per step, and 4,096 words keep phi's sort keys uint16 up to
 n = 15.  :func:`verify_randomized` passes its samples to the same worker.
 
@@ -57,15 +57,7 @@ from .generate import (
     _rank_rows,
     distribution,
 )
-from .maps import (
-    _ROWS_OF,
-    _alpha_text,
-    _beta_text,
-    _phi_ext_text,
-    _phi_text,
-    _psi_ext_text,
-    _psi_text,
-)
+from .maps import _MAPS, _Map, _beta_text
 from .words import (_D, _U, _dyck_rows, _row_texts, _rows, _scan_rows, _scan_text,
                     _up_and_heights)
 
@@ -207,11 +199,12 @@ class _Theorem(NamedTuple):
 
     ``path_class``, "dyck" or "bilateral", fixes the words and class sizes.
     ``maps`` maps a name for each map (that of the argument injecting it,
-    where one does) to the map: forward then inverse, or an involution's
-    one map.  A chunk runs one round trip (:func:`_trips`) and ``checks``,
-    (name, predicate) pairs.  The exact distributions of the ``dist_keys``
-    (two tuples of statistic names, or none) must agree at every semilength;
-    ``dist_check`` holds that check's name and the noun of its failure note.
+    where one does) to the map, a ``_MAPS`` record or a function on text:
+    forward then inverse, or an involution's one map.  A chunk runs one
+    round trip (:func:`_trips`) and ``checks``, (name, predicate) pairs.
+    The exact distributions of the ``dist_keys`` (two tuples of statistic
+    names, or none) must agree at every semilength; ``dist_check`` holds
+    that check's name and the noun of its failure note.
     """
 
     path_class: str
@@ -224,11 +217,11 @@ class _Theorem(NamedTuple):
 
 def _images(fn, mat, *args):
     """fn on words, one per column: the images as a matrix, and which do
-    not fit it.  A twin in ``_ROWS_OF`` runs on the matrix with ``args``;
+    not fit it.  A ``_MAPS`` record runs its twin on the matrix with ``args``;
     any other map runs word by word through :func:`_try`; an image fits as
     text of its word's length over U and D; a misfit's column is no image."""
-    if fn in _ROWS_OF:
-        return _ROWS_OF[fn](mat, *args), False
+    if isinstance(fn, _Map):
+        return fn.rows(mat, *args), False
     texts = _row_texts(mat)
     images = [_try(fn, text) for text in texts]
     fits = np.array([image is not None and len(image) == len(text) and image.isascii()
@@ -361,7 +354,7 @@ def verify_theorem1(
     """
     theorem = _Theorem(
         "dyck",
-        {"phi_fn": phi_fn or _phi_text, "psi_fn": psi_fn or _psi_text},
+        {"phi_fn": phi_fn or _MAPS["phi"], "psi_fn": psi_fn or _MAPS["psi"]},
         ("dyck.round_trip.psi_after_phi", "dyck.round_trip.phi_after_psi"),
         (
             ("dyck.transport.peaks_from_ups_odd", _peaks_from_ups_odd),
@@ -401,8 +394,8 @@ def verify_theorem2(
     theorem = _Theorem(
         "bilateral",
         {
-            "phi_ext_fn": phi_ext_fn or _phi_ext_text,
-            "psi_ext_fn": psi_ext_fn or _psi_ext_text,
+            "phi_ext_fn": phi_ext_fn or _MAPS["phi-ext"],
+            "psi_ext_fn": psi_ext_fn or _MAPS["psi-ext"],
         },
         ("bilateral.round_trip.psi_after_phi", "bilateral.round_trip.phi_after_psi"),
         checks,
@@ -449,7 +442,7 @@ def verify_involutions_and_transport(
     beta that is expected to fail (beta does not preserve peak count).
     """
     alpha = _Theorem(
-        "bilateral", {"alpha": _alpha_text}, ("alpha.involution",),
+        "bilateral", {"alpha": _MAPS["alpha"]}, ("alpha.involution",),
         (
             ("alpha.transport.peak_valley_swap", _peak_valley_swap),
             ("alpha.transport.parity_swap", _parity_swap),
@@ -460,7 +453,7 @@ def verify_involutions_and_transport(
     if include_beta_peak_preservation:
         beta_checks += (("beta.transport.peaks_preserved", _peaks_preserved),)
     beta = _Theorem(
-        "dyck", {"beta": _beta_text}, ("beta.involution",), beta_checks, (), ()
+        "dyck", {"beta": _MAPS["beta"]}, ("beta.involution",), beta_checks, (), ()
     )
     report = _sweep(alpha, max_n, jobs)
     report.checks += _sweep(beta, max_n, jobs).checks
@@ -510,7 +503,7 @@ def verify_randomized(
     texts = [_random_balanced_text(n, rng) for _ in range(trials)]
     spec = _Theorem(
         "bilateral",
-        {"phi_ext_fn": _phi_ext_text, "psi_ext_fn": _psi_ext_text},
+        {"phi_ext_fn": _MAPS["phi-ext"], "psi_ext_fn": _MAPS["psi-ext"]},
         ("random.round_trip.psi_after_phi", "random.round_trip.phi_after_psi"),
         (("random.transport.peaks_from_ups_odd", _peaks_from_ups_odd),),
         (), (),
@@ -524,7 +517,7 @@ def verify_randomized(
     report = VerificationReport(_results(spec, (n, n), trials, failures))
     if check_scaling and n >= 64 and trials >= 2:
         doubled = [_random_balanced_text(2 * n, rng) for _ in range(trials)]
-        t_base, t_doubled = _time_maps(_phi_ext_text, (texts, doubled))
+        t_base, t_doubled = _time_maps(_MAPS["phi-ext"].text, (texts, doubled))
         ratio = t_doubled / t_base if t_base > 0 else float("inf")
         report.checks.append(
             CheckResult("random.linear_scaling", "bilateral", (n, 2 * n),

@@ -11,6 +11,7 @@ import dyckmaps.cli
 import dyckmaps.generate
 import dyckmaps.maps
 import dyckmaps.render
+import dyckmaps.stats
 import dyckmaps.verify
 import dyckmaps.words
 import oracles
@@ -457,11 +458,9 @@ def _path_spies(monkeypatch, argv, row_fail, word_fail):
             monkeypatch.setattr(dyckmaps.cli, name,
                                 guard(getattr(dyckmaps.cli, name), fails))
         return
-    check, text_map = dyckmaps.cli._MAP_OPS[argv[2]]
-    guarded = guard(text_map, word_fail)
-    monkeypatch.setitem(dyckmaps.cli._MAP_OPS, argv[2], (check, guarded))
-    monkeypatch.setitem(dyckmaps.maps._ROWS_OF, guarded,
-                        guard(dyckmaps.maps._ROWS_OF[text_map], row_fail))
+    op = dyckmaps.maps._MAPS[argv[2]]
+    monkeypatch.setitem(dyckmaps.maps._MAPS, argv[2], op._replace(
+        text=guard(op.text, word_fail), rows=guard(op.rows, row_fail)))
 
 
 @pytest.mark.parametrize("op", _DYCK_OPS)
@@ -540,6 +539,28 @@ _RUN_BAD_CASES = {
 }
 
 
+def _spy_on_the_check(monkeypatch, argv):
+    """The texts of the words that the command's domain check sees from now
+    on, in every module that binds the check."""
+    if argv[0] == "stats":
+        check = dyckmaps.stats._require_balanced
+    elif argv[-1] in _DYCK_OPS:
+        check = dyckmaps.words.require_dyck
+    else:
+        check = dyckmaps.words.require_closed
+    checked = []
+
+    def spy(word):
+        checked.append(word.text)
+        check(word)
+
+    for module in (dyckmaps.cli, dyckmaps.maps, dyckmaps.stats, dyckmaps.words):
+        for name, value in list(vars(module).items()):
+            if value is check:
+                monkeypatch.setattr(module, name, spy)
+    return checked
+
+
 @pytest.mark.parametrize("argv, bad, message", list(_RUN_BAD_CASES.values()),
                          ids=list(_RUN_BAD_CASES))
 def test_a_bad_word_in_a_run_is_checked_by_matrix_with_the_same_output(
@@ -551,26 +572,25 @@ def test_a_bad_word_in_a_run_is_checked_by_matrix_with_the_same_output(
     lines[32] = bad
     lines[39] = "UD" * 9 + "UX"
     lines[49] = "DU" * 10
-    checked = []
-    if argv[0] == "stats":
-        original = dyckmaps.cli._require_balanced
-    else:
-        original, text_map = dyckmaps.cli._MAP_OPS[argv[2]]
-
-    def spy(word):
-        checked.append(word.text)
-        original(word)
-
-    monkeypatch.setitem(dyckmaps.cli._ROW_CHECKS, spy, dyckmaps.cli._ROW_CHECKS[original])
-    if argv[0] == "stats":
-        monkeypatch.setattr(dyckmaps.cli, "_require_balanced", spy)
-    else:
-        monkeypatch.setitem(dyckmaps.cli._MAP_OPS, argv[2], (spy, text_map))
+    want = _reference(argv, "".join(line + "\n" for line in lines[:32]))
+    checked = _spy_on_the_check(monkeypatch, argv)
     code, out, err = _run(argv, "".join(line + "\n" for line in lines))
     assert code == 1
-    assert out == _reference(argv, "".join(line + "\n" for line in lines[:32]))
+    assert out == want
     assert err == f"error: {message} (line 33)\n"
     assert checked == [bad]  # the rows the matrix passed are not checked again
+
+
+@pytest.mark.parametrize("argv", [["stats"], ["stats", "--format", "json"]], ids=" ".join)
+def test_a_stats_line_taken_word_by_word_is_checked_once(monkeypatch, argv):
+    # runs under _MIN_ROWS lines, the empty word and a word of _LONG steps
+    lines = (_words(False, 10, 5, 0) + [""] + _words(False, 11, 31, 100)
+             + _words(False, dyckmaps.words._LONG // 2, 1, 200))
+    stdin_text = "".join(line + "\n" for line in lines)
+    want = _reference(argv, stdin_text)
+    checked = _spy_on_the_check(monkeypatch, argv)
+    assert _run(argv, stdin_text) == (0, want, "")
+    assert checked == lines
 
 
 @pytest.mark.parametrize("argv", _PER_LINE_CASES, ids=" ".join)

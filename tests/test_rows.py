@@ -21,11 +21,8 @@ from dyckmaps.generate import (
     _rank_rows,
 )
 from dyckmaps.maps import (
-    _alpha_rows,
-    _alpha_text,
+    _MAPS,
     _beta_b,
-    _beta_rows,
-    _beta_text,
     _ext_b,
     _phi_b,
     _phi_ext_rows,
@@ -45,11 +42,11 @@ from dyckmaps.words import _LONG, PathWord, _rows, _scan_rows, _scan_text, _up_a
 
 # every Dyck word with n <= 10 and every balanced word with n <= 8
 CASES = [("dyck", n) for n in range(11)] + [("bilateral", n) for n in range(9)]
+# the records of the CLI and the sweeps: every map on Dyck words, the maps
+# on balanced words on those too
 MAPS = {
-    "dyck": [(_phi_rows, _phi_text), (_psi_rows, _psi_text),
-             (_beta_rows, _beta_text), (_alpha_rows, _alpha_text)],
-    "bilateral": [(_phi_ext_rows, _phi_ext_text), (_psi_ext_rows, _psi_ext_text),
-                  (_alpha_rows, _alpha_text)],
+    "dyck": list(_MAPS.values()),
+    "bilateral": [op for op in _MAPS.values() if not op.dyck],
 }
 
 
@@ -89,7 +86,7 @@ def test_every_block_holds_at_most_the_chunk(path_class, n, rows):
 def test_blocks_and_twins_are_c_contiguous_steps_by_words(path_class, n):
     for block in _rank_blocks(n, path_class == "dyck", 1024):
         mat = _rank_rows(*block)
-        for image in [mat] + [rows_fn(mat) for rows_fn, _ in MAPS[path_class]]:
+        for image in [mat] + [op.rows(mat) for op in MAPS[path_class]]:
             assert image.dtype == np.uint8 and image.flags.c_contiguous
             assert image.shape == (2 * n, block[3] - block[2])
 
@@ -98,11 +95,11 @@ def test_blocks_and_twins_are_c_contiguous_steps_by_words(path_class, n):
 def test_matrix_maps_equal_the_word_maps(path_class, n):
     mat, texts = _class(path_class, n)
     h = _up_and_heights(mat)[1]
-    for rows_fn, text_fn in MAPS[path_class]:
-        image = rows_fn(mat)
+    for op in MAPS[path_class]:
+        image = op.rows(mat)
         assert image.dtype == np.uint8 and image.shape == mat.shape
-        assert _texts_of(image) == [text_fn(t) for t in texts], rows_fn.__name__
-        assert np.array_equal(rows_fn(mat, h), image), rows_fn.__name__  # heights given
+        assert _texts_of(image) == [op.text(t) for t in texts], op.rows.__name__
+        assert np.array_equal(op.rows(mat, h), image), op.rows.__name__  # heights given
 
 
 @pytest.mark.parametrize("path_class, n", CASES)
@@ -127,7 +124,7 @@ def test_row_records_equal_the_word_records(path_class, n):
 @pytest.mark.parametrize("words", [1, 600])  # 600 is past _ROW_SUMS = 512
 def test_every_twin_maps_a_matrix_of_no_steps_to_a_fresh_one(words):
     mat = np.empty((0, words), np.uint8)
-    for rows_fn in dyckmaps.maps._ROWS_OF.values():
+    for rows_fn in [op.rows for op in _MAPS.values()]:
         image = rows_fn(mat)
         assert image.shape == (0, words) and image.dtype == np.uint8, rows_fn.__name__
         assert image.flags.c_contiguous, rows_fn.__name__

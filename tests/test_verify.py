@@ -348,7 +348,8 @@ def _fake_timing(monkeypatch, n, cost, slow_words=0):
         state["now"] += factor * cost(len(text))
         return _phi_ext_text(text)
 
-    monkeypatch.setattr(dyckmaps.verify, "_phi_ext_text", phi_ext)
+    monkeypatch.setitem(dyckmaps.maps._MAPS, "phi-ext",
+                        dyckmaps.maps._MAPS["phi-ext"]._replace(text=phi_ext))
     monkeypatch.setattr(
         dyckmaps.verify, "time", SimpleNamespace(perf_counter=lambda: state["now"])
     )
@@ -420,7 +421,7 @@ def _involutions_json(n, **kwargs):
 
 
 def _with_broken(name, broken, **kwargs):
-    with mock.patch.object(dyckmaps.verify, name, broken):
+    with mock.patch.dict(dyckmaps.maps._MAPS, {name: broken}):
         return _involutions_json(4, **kwargs)
 
 
@@ -433,9 +434,9 @@ for _n in (0, 1, 2):
     )
 _GOLDEN.update({
     "involutions_broken_alpha_n4.json":
-        lambda: _with_broken("_alpha_text", _broken_alpha),
+        lambda: _with_broken("alpha", _broken_alpha),
     "involutions_broken_beta_n4.json": lambda: _with_broken(
-        "_beta_text", _broken_beta, include_beta_peak_preservation=True
+        "beta", _broken_beta, include_beta_peak_preservation=True
     ),
     "randomized_n50_trials200_seed3.json": lambda: _report_json(
         verify_randomized(50, 200, 3, check_scaling=False)
@@ -490,7 +491,7 @@ def test_default_maps_run_batched_in_chunks_of_at_most_chunk_rows(monkeypatch):
 
 # equal-valued wrappers: any injected map runs word by word
 def _phi_ext_wrapped(text):
-    return dyckmaps.verify._phi_ext_text(text)
+    return _phi_ext_text(text)
 
 
 def _beta_wrapped(text):
@@ -595,8 +596,9 @@ def _reversed_but(word):
 def test_a_twin_image_outside_the_class_sweeps_the_second_trip(monkeypatch):
     # phi and psi reverse Dyck words out of the class, so both trips fail
     # first on UD, whose images DU lie outside C_1 (psi fixes only UUDD)
-    monkeypatch.setitem(dyckmaps.maps._ROWS_OF, _phi_text, _reversed_but(None))
-    monkeypatch.setitem(dyckmaps.maps._ROWS_OF, _psi_text, _reversed_but("UUDD"))
+    maps = dyckmaps.maps._MAPS
+    monkeypatch.setitem(maps, "phi", maps["phi"]._replace(rows=_reversed_but(None)))
+    monkeypatch.setitem(maps, "psi", maps["psi"]._replace(rows=_reversed_but("UUDD")))
     report = verify_theorem1(3).to_dict()
     first, second = report["checks"][:2]
     assert (first["passed"], first["counterexample"]) == (False, "UD")
@@ -605,8 +607,8 @@ def test_a_twin_image_outside_the_class_sweeps_the_second_trip(monkeypatch):
 
 
 def test_no_twin_sees_a_word_outside_its_class(monkeypatch):
-    phi_rows = dyckmaps.maps._ROWS_OF[_phi_text]
-    psi_rows = dyckmaps.maps._ROWS_OF[_psi_text]
+    maps = dyckmaps.maps._MAPS
+    phi_rows, psi_rows = maps["phi"].rows, maps["psi"].rows
     seen = []
 
     def phi_out_of_class(mat, h=None):  # reverses the words that start UUD
@@ -621,8 +623,8 @@ def test_no_twin_sees_a_word_outside_its_class(monkeypatch):
             seen.append(dyckmaps.words._dyck_rows(mat))
         return psi_rows(mat, h)
 
-    monkeypatch.setitem(dyckmaps.maps._ROWS_OF, _phi_text, phi_out_of_class)
-    monkeypatch.setitem(dyckmaps.maps._ROWS_OF, _psi_text, psi_recording)
+    monkeypatch.setitem(maps, "phi", maps["phi"]._replace(rows=phi_out_of_class))
+    monkeypatch.setitem(maps, "psi", maps["psi"]._replace(rows=psi_recording))
     report = verify_theorem1(5).to_dict()
     first, second, peaks, contacts = report["checks"][:4]
     assert (first["passed"], first["counterexample"]) == (False, "UUDD")
@@ -671,7 +673,7 @@ def test_randomized_sweeps_its_second_trip(monkeypatch):
     def wrong(text):
         return text if text == word else _psi_ext_text(text)
 
-    monkeypatch.setattr(dyckmaps.verify, "_psi_ext_text", wrong)
+    monkeypatch.setitem(dyckmaps.maps._MAPS, "psi-ext", wrong)
     report = verify_randomized(8, trials=50, seed=1234, check_scaling=False)
     second = next(c for c in report.checks if c.name == "random.round_trip.phi_after_psi")
     assert (second.passed, second.counterexample) == (False, word)
@@ -753,9 +755,16 @@ def test_expected_failures_agree_on_both_paths(monkeypatch, n):
         n, include_contact_preservation=True, phi_ext_fn=counted).to_dict()
     # once on each word: its round trips pass, so the second follows
     assert len(calls) == sum(CENTRAL_BINOMIALS[: n + 1])
-    monkeypatch.setattr(dyckmaps.verify, "_beta_text", _beta_wrapped)  # alpha stays batched
+    beta_calls = []
+
+    def beta_counted(text):
+        beta_calls.append(text)
+        return _beta_wrapped(text)
+
+    monkeypatch.setitem(dyckmaps.maps._MAPS, "beta", beta_counted)  # alpha stays batched
     beta_per_word = verify_involutions_and_transport(
         n, include_beta_peak_preservation=True).to_dict()
+    assert len(beta_calls) == 2 * sum(CATALAN_NUMBERS[: n + 1])  # beta is its own inverse
     assert per_word == batched
     assert beta_per_word == beta_batched
     contacts = next(c for c in batched["checks"]
