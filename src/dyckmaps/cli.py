@@ -6,7 +6,7 @@ error (a bug), 3 verification failure.
 
 Every command that reads stdin runs one driver, :func:`_per_chunk`, which
 answers a chunk of lines at a time.  ``map`` (without ``--trace``) and
-``stats`` have matrix twins: their chunk ends once it holds at least
+``stats`` have matrix twins: their chunk ends once it holds more than
 ``_CHUNK_CHARS`` characters, or at the end of the input, and each run of at
 least ``_MIN_ROWS`` equal-length lines of a chunk is parsed and checked as
 one matrix and goes through the twin of the op's ``maps._MAPS`` record or
@@ -29,7 +29,7 @@ from .errors import DyckError
 from .generate import _text_blocks, catalan, central_binomial, distribution
 from .maps import _MAPS, phi_stages, psi_stages
 from .render import render_ascii
-from .stats import StatRecord, _stat_records_rows, stat_record
+from .stats import _stat_records_rows, _stat_texts_rows, stat_record
 from .verify import (
     VerificationReport,
     verify_involutions_and_transport,
@@ -55,7 +55,7 @@ _MAX_WORDS = 10**8
 # Steps verify --randomized may sample: trials words of 2 * rand-n steps and
 # as many of 4 * rand-n for the timing check
 _MAX_RANDOM_STEPS = 10**8
-# map and stats read at least this many characters of input per chunk, so
+# map and stats read more than this many characters of input per chunk, so
 # one chunk costs memory in proportion to it plus one line
 _CHUNK_CHARS = 1 << 17
 # Equal-length lines of a chunk that are parsed, checked and answered as one
@@ -122,19 +122,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _chunks(stdin, limit: int):
-    """Lists of input lines holding at least ``limit`` characters, the last
-    one fewer."""
-    chunk = []
-    size = 0
-    for line in stdin:
-        chunk.append(line)
-        size += len(line)
-        if size >= limit:
-            yield chunk
-            chunk = []
-            size = 0
-    if chunk:
-        yield chunk
+    """Lists of input lines holding more than ``limit`` characters, the last
+    one at most that many; one line each if ``limit`` is 0."""
+    if not limit:
+        return ([line] for line in stdin)
+    return iter(lambda: stdin.readlines(limit), [])  # the line loop runs in C
 
 
 def _per_chunk(stdin, stdout, one, *, many=None, dyck=False) -> int:
@@ -149,7 +141,7 @@ def _per_chunk(stdin, stdout, one, *, many=None, dyck=False) -> int:
     without a twin, since one answer can reach the render or trace cap, and
     on a terminal.  The first DyckError ends the command once the answers to
     the lines before it are printed, and names its line."""
-    limit = 1 if many is None or stdin.isatty() else _CHUNK_CHARS
+    limit = 0 if many is None or stdin.isatty() else _CHUNK_CHARS
     lineno = 0  # the lines before the chunk
     for chunk in _chunks(stdin, limit):
         texts = [line.rstrip("\r\n") for line in chunk]
@@ -196,11 +188,11 @@ def _json_line(rec) -> str:
 
 
 def _cmd_stats(args, stdin, stdout) -> int:
-    show = _json_line if args.format == "json" else StatRecord.to_text
-    return _per_chunk(
-        stdin, stdout, lambda word: show(stat_record(word)),
-        many=lambda mat, h: [show(rec) for rec in _stat_records_rows(mat)],
-    )
+    if args.format == "json":
+        return _per_chunk(stdin, stdout, lambda word: _json_line(stat_record(word)),
+                          many=lambda mat, h: [_json_line(r) for r in _stat_records_rows(mat)])
+    return _per_chunk(stdin, stdout, lambda word: stat_record(word).to_text(),
+                      many=lambda mat, h: _stat_texts_rows(mat))
 
 
 def _trace_lines(args, word) -> list:

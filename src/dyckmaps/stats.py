@@ -125,16 +125,24 @@ def _record(s: _Scan, size: int) -> StatRecord:
         downs_even=(size - s.ups) - s.downs_odd,
         max_height=s.hi,
         min_height=s.lo,
-        is_prime=(s.lo >= 0 and s.contacts == 1),
+        is_prime=(s.lo >= 0) & (s.contacts == 1),
     )
 
 
 def _stat_records_rows(mat: np.ndarray) -> list:
     """:func:`stat_record` of balanced words, one per column of a
     ``(steps, words)`` uint8 matrix, from one scan."""
-    size = mat.shape[0]
-    fields = (field.tolist() for field in _scan_rows(mat))
-    return [_record(_Scan(*scan), size) for scan in zip(*fields)]
+    rec = _record(_scan_rows(mat), mat.shape[0])  # its fields are columns
+    return [StatRecord(rec.n, *line) for line in zip(*(f.tolist() for f in rec[1:]))]
+
+
+def _stat_texts_rows(mat: np.ndarray) -> list:
+    """:meth:`StatRecord.to_text` of the records of :func:`_stat_records_rows`,
+    formatted from the scan's columns with no record per word."""
+    rec = _record(_scan_rows(mat), mat.shape[0])
+    fields = [f.tolist() for f in rec[1:-1]]
+    fields.append(np.where(rec.is_prime, "true", "false").tolist())
+    return [_TEXT_TEMPLATE.format(rec.n, *line) for line in zip(*fields)]
 
 
 def narayana(n: int, k: int) -> int:

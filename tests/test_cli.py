@@ -419,6 +419,30 @@ def _mixed_input(dyck):
     return "".join(line + "\n" for line in lines)
 
 
+@pytest.mark.parametrize("chunk_chars", [3000, None], ids=["ragged", "one-chunk"])
+def test_stats_text_lines_from_the_scan_equal_each_words_record(monkeypatch, chunk_chars):
+    dipping = "DUUD" * 5  # a bilateral word of 20 steps that dips below the axis
+    lines = (_words(False, 10, 20, 0) + [dipping] + _words(False, 10, 20, 20)
+             + [""] * 33 + _words(True, 12, 33, 100)
+             + _words(False, dyckmaps.words._LONG // 2, 1, 200)
+             + _words(False, 40, 130, 300))  # 130 words of 80 steps
+    stdin_text = "".join(line + "\n" for line in lines)
+    monkeypatch.setattr(dyckmaps.cli, "_CHUNK_CHARS", chunk_chars or len(stdin_text))
+    by_rows = []
+    texts_rows = dyckmaps.cli._stat_texts_rows
+
+    def spy(mat):
+        by_rows.append(mat.shape[1])
+        return texts_rows(mat)
+
+    monkeypatch.setattr(dyckmaps.cli, "_stat_texts_rows", spy)
+    want = "".join(dyckmaps.stat_record(dyckmaps.parse_word(line)).to_text() + "\n"
+                   for line in lines)
+    assert _run(["stats"], stdin_text) == (0, want, "")
+    # the first chunk ends with the long line; then 38 lines of 81 characters a chunk
+    assert by_rows == ([41, 33, 130] if chunk_chars is None else [41, 33, 38, 38, 38])
+
+
 class _Writes(io.StringIO):
     def __init__(self):
         super().__init__()
@@ -453,7 +477,8 @@ def _path_spies(monkeypatch, argv, row_fail, word_fail):
         return guarded
 
     if argv[0] == "stats":
-        for name, fails in [("_stat_records_rows", row_fail),
+        rows = "_stat_records_rows" if "json" in argv else "_stat_texts_rows"
+        for name, fails in [(rows, row_fail),
                             ("stat_record", lambda word: word_fail(word.text))]:
             monkeypatch.setattr(dyckmaps.cli, name,
                                 guard(getattr(dyckmaps.cli, name), fails))
@@ -689,10 +714,10 @@ def _spied_run(argv, lines):
     writes = []
 
     class Stdin(io.StringIO):
-        def __iter__(self):
-            for line in lines:
-                read.append(line)
-                yield line
+        def __next__(self):  # readlines takes its lines from here too
+            line = super().__next__()
+            read.append(line)
+            return line
 
     class Stdout(io.StringIO):
         def write(self, s):
@@ -701,7 +726,7 @@ def _spied_run(argv, lines):
             return super().write(s)
 
     out, err = Stdout(), io.StringIO()
-    code = run(argv, stdin=Stdin(), stdout=out, stderr=err)
+    code = run(argv, stdin=Stdin("".join(lines)), stdout=out, stderr=err)
     return code, out.getvalue(), err.getvalue(), writes
 
 

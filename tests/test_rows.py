@@ -37,8 +37,9 @@ from dyckmaps.maps import (
     _psi_text,
 )
 from dyckmaps.verify import _CHUNK, verify_randomized
-from dyckmaps.stats import _stat_records_rows, stat_record
-from dyckmaps.words import _LONG, PathWord, _rows, _scan_rows, _scan_text, _up_and_heights
+from dyckmaps.stats import _stat_records_rows, _stat_texts_rows, stat_record
+from dyckmaps.words import (_LONG, PathWord, _cumsum_down, _rows, _scan_rows, _scan_text,
+                            _up_and_heights)
 
 # every Dyck word with n <= 10 and every balanced word with n <= 8
 CASES = [("dyck", n) for n in range(11)] + [("bilateral", n) for n in range(9)]
@@ -119,9 +120,45 @@ def test_row_records_equal_the_word_records(path_class, n):
     # as JSON, so that a numpy int or an int for a bool shows
     got = [json.dumps(r.to_dict()) for r in _stat_records_rows(mat)]
     assert got == [json.dumps(stat_record(PathWord(t)).to_dict()) for t in texts]
+    assert _stat_texts_rows(mat) == [stat_record(PathWord(t)).to_text() for t in texts]
 
 
-@pytest.mark.parametrize("words", [1, 600])  # 600 is past _ROW_SUMS = 512
+@pytest.mark.parametrize("dyck", [True, False], ids=["dyck", "bilateral"])
+def test_twins_of_cli_sized_chunks_equal_the_word_maps(dyck):
+    # 160 words of 400 steps: the heights are summed in blocks of rows
+    sample = dyckmaps.sample_dyck if dyck else dyckmaps.sample_bilateral
+    texts = [sample(200, seed).text for seed in range(160)]
+    mat = _rows(texts)
+    h = _up_and_heights(mat)[1]
+    assert np.array_equal(h.T, [PathWord(t)._height_list() for t in texts])
+    for op in MAPS["dyck" if dyck else "bilateral"]:
+        want = [op.text(t) for t in texts]
+        assert _texts_of(op.rows(mat)) == want, op.rows.__name__
+        assert _texts_of(op.rows(mat, h)) == want, op.rows.__name__
+    assert _stat_texts_rows(mat) == [stat_record(PathWord(t)).to_text() for t in texts]
+
+
+# every pair of dtypes that the heights scan, phi and beta's sources sum in
+_SUM_TYPES = [(np.int8, np.int8), (np.int8, np.int16), (np.int32, np.int32),
+              (np.intp, np.intp)]
+
+
+@pytest.mark.parametrize("steps, words", [
+    (steps, words) for steps in [0, 1, 63, 64, 65, 400, 401, 4097]
+    for words in [1, 127, 128, 511, 512, 4096] if steps * words < 1 << 22])
+def test_cumsum_down_equals_numpys_cumsum(steps, words):
+    rng = np.random.default_rng(steps * 7919 + words)
+    for source, dtype in _SUM_TYPES:
+        x = rng.integers(-1, 2, (steps, words)).astype(source)
+        want = np.cumsum(x, axis=0, dtype=dtype)
+        got = _cumsum_down(x, dtype)
+        assert got.dtype == dtype and np.array_equal(got, want), (source, dtype)
+        if source is dtype:  # in place, as _phi_rows and _beta_source call it
+            assert _cumsum_down(x, dtype, out=x) is x
+            assert np.array_equal(x, want), (source, dtype)
+
+
+@pytest.mark.parametrize("words", [1, 600])  # 600 is past 4 * _ROW_SUMS, where rows add up
 def test_every_twin_maps_a_matrix_of_no_steps_to_a_fresh_one(words):
     mat = np.empty((0, words), np.uint8)
     for rows_fn in [op.rows for op in _MAPS.values()]:
