@@ -413,16 +413,15 @@ def _psi_ext_rows(mat: np.ndarray, h=None) -> np.ndarray:
     psi maps a Dyck word prime by prime, each to a prime of its length, so
     its image returns to the axis where the flipped words do, and beta's
     gather source is that of the words, built after psi, so that on a long
-    word the two never share the heap.  The flipped words' heights are the
-    absolute values of the words' heights.  A matrix with no step below the
+    word the two never share the heap.  A matrix with no step below the
     axis has no negative factor, and psi maps it and its heights as they are.
     """
     h = _up_and_heights(mat)[1] if h is None else h
     if h.min(initial=0) >= 0:
         return _psi_rows(mat, h)
     negative, returns = _negative_factors(mat, h)
-    # the flipped words' heights; a long word scans them again in its rank
-    # core, which keeps them off the heap beside beta's arrays
+    # |h| are the flipped words' heights; a long word scans them again in its
+    # rank core, which keeps them off the heap beside beta's arrays
     flipped = np.abs(h) if len(mat) < _LONG else None
     del h
     flips = _flips(negative)

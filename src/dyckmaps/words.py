@@ -118,7 +118,7 @@ def _cumsum_down(x: np.ndarray, dtype, out=None) -> np.ndarray:
     then one add per block carries the sum before it.  Any other sum adds
     its rows one at a time.  Best of 7 on a 2-core x86 host: int8 steps as
     int16 heights at 400 x 327, a CLI chunk of 400-step lines, took 320-400
-    us by numpy and 110-160 us in blocks; int32 in place at 20 x 4,096 took
+    us by numpy and 110-210 us in blocks; int32 in place at 20 x 4,096 took
     386 us by numpy and 46 us row by row.  numpy's in-place sum of 32 or 64
     bits stays the faster one at 200 x 327 int32 (50-60 against 90 us in
     blocks) and 400 x 327 intp (130-140 against 230-260 us), and blocks of
