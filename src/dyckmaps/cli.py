@@ -187,12 +187,16 @@ def _json_line(rec) -> str:
     return json.dumps(rec.to_dict())
 
 
+_STATS_LINES = {  # per format: the line of one word, and the lines of a matrix of words
+    "text": (lambda word: stat_record(word).to_text(), lambda mat, h: _stat_texts_rows(mat)),
+    "json": (lambda word: _json_line(stat_record(word)),
+             lambda mat, h: [_json_line(r) for r in _stat_records_rows(mat)]),
+}
+
+
 def _cmd_stats(args, stdin, stdout) -> int:
-    if args.format == "json":
-        return _per_chunk(stdin, stdout, lambda word: _json_line(stat_record(word)),
-                          many=lambda mat, h: [_json_line(r) for r in _stat_records_rows(mat)])
-    return _per_chunk(stdin, stdout, lambda word: stat_record(word).to_text(),
-                      many=lambda mat, h: _stat_texts_rows(mat))
+    one, many = _STATS_LINES[args.format]
+    return _per_chunk(stdin, stdout, one, many=many)
 
 
 def _trace_lines(args, word) -> list:

@@ -39,13 +39,14 @@ class StatRecord(NamedTuple):
 
     def to_text(self) -> str:
         """Flat key:value form, fields in declaration order."""
-        return _TEXT_TEMPLATE.format(*self[:-1], "true" if self.is_prime else "false")
+        return _TEXT_TEMPLATE.format(*self[:-1], _PRIME_TEXT[self.is_prime])
 
     def to_dict(self) -> dict:
         return dict(zip(self._fields, self))
 
 
 _TEXT_TEMPLATE = " ".join(f"{name}:{{}}" for name in StatRecord._fields)
+_PRIME_TEXT = {False: "false", True: "true"}  # is_prime in text form
 
 
 def semilength(w: PathWord) -> int:
@@ -129,20 +130,27 @@ def _record(s: _Scan, size: int) -> StatRecord:
     )
 
 
+def _stat_columns(mat: np.ndarray) -> tuple[int, list]:
+    """The semilength and the other fields, one list each, of the records of
+    balanced words, one per column of a ``(steps, words)`` uint8 matrix,
+    from one scan."""
+    rec = _record(_scan_rows(mat), mat.shape[0])  # its fields are columns
+    return rec.n, [f.tolist() for f in rec[1:]]
+
+
 def _stat_records_rows(mat: np.ndarray) -> list:
     """:func:`stat_record` of balanced words, one per column of a
     ``(steps, words)`` uint8 matrix, from one scan."""
-    rec = _record(_scan_rows(mat), mat.shape[0])  # its fields are columns
-    return [StatRecord(rec.n, *line) for line in zip(*(f.tolist() for f in rec[1:]))]
+    n, fields = _stat_columns(mat)
+    return [StatRecord(n, *line) for line in zip(*fields)]
 
 
 def _stat_texts_rows(mat: np.ndarray) -> list:
     """:meth:`StatRecord.to_text` of the records of :func:`_stat_records_rows`,
     formatted from the scan's columns with no record per word."""
-    rec = _record(_scan_rows(mat), mat.shape[0])
-    fields = [f.tolist() for f in rec[1:-1]]
-    fields.append(np.where(rec.is_prime, "true", "false").tolist())
-    return [_TEXT_TEMPLATE.format(rec.n, *line) for line in zip(*fields)]
+    n, fields = _stat_columns(mat)
+    fields[-1] = [_PRIME_TEXT[prime] for prime in fields[-1]]
+    return [_TEXT_TEMPLATE.format(n, *line) for line in zip(*fields)]
 
 
 def narayana(n: int, k: int) -> int:

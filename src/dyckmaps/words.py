@@ -118,13 +118,17 @@ def _cumsum_down(x: np.ndarray, dtype, out=None) -> np.ndarray:
     then one add per block carries the sum before it.  Any other sum adds
     its rows one at a time.  Best of 7 on a 2-core x86 host: int8 steps as
     int16 heights at 400 x 327, a CLI chunk of 400-step lines, took 320-400
-    us by numpy and 110-210 us in blocks; int32 in place at 20 x 4,096 took
-    386 us by numpy and 46 us row by row.  numpy's in-place sum of 32 or 64
-    bits stays the faster one at 200 x 327 int32 (50-60 against 90 us in
-    blocks) and 400 x 327 intp (130-140 against 230-260 us), and blocks of
-    intp lose to the row loop once a row holds 16 kB (64 x 2,016: 250
-    against 170 us).  A word of one column keeps numpy's sum: 10^6 x 1 took
-    3.1 against 7.1 ms in blocks."""
+    us by numpy and 110-210 us in blocks, and at 100 x 1,300, 250 x 520 and
+    64 x 2,016, chunks of 100-, 250- and 64-step lines, 250-300, 710-730
+    and 195 us row by row against 90-105, 145-150 and 88 us in blocks;
+    int32 in place at 20 x 4,096 took 386 us by numpy and 46 us row by row.
+    numpy's in-place sum of 32 or 64 bits stays the faster one at 200 x 327
+    int32 (50-60 against 90 us in blocks) and 400 x 327 intp (130-140
+    against 230-260 us), and blocks of intp lose to the row loop once a row
+    holds 16 kB (64 x 2,016: 250 against 170 us).  A word of one column keeps numpy's sum: 10^6 x 1 took
+    3.1 against 7.1 ms in blocks.  One block adds whole 1-D rows, not the
+    block loop's one-row slices, which took 52 against 46 us at 20 x 4,096
+    int32 in place and 48 against 37 us as int8 -> int16 at 16 x 4,096."""
     steps, words = x.shape
     in_blocks = steps >= _BLOCKS and np.dtype(dtype).itemsize <= 2
     if words < (_ROW_SUMS if in_blocks else 4 * _ROW_SUMS) or not steps:
