@@ -24,12 +24,13 @@ each longer word, from the heights the twin is given.  The sort keys are
 uint16 (a radix sort) while the words times the heights fit in 2^16 and
 int32 above.  Both forms of an extension call the Dyck core once per word;
 the extensions of a matrix with no step below the axis, so with no
-negative factor, are its Dyck maps, with no beta gather.  The public phi
-and psi check a long word from the height scan their twin reads.
-At 10^6 steps a rank core peaks at about 11 bytes per step, and phi, psi
-and the extensions at 13-14.  Every twin takes the matrix of no steps, the
-chunk of the empty word, without a special case.  ``_MAPS`` holds each
-map's domain, text form and twin, which the CLI and the sweeps read.
+negative factor, are its Dyck maps, with no beta gather.  ``_MAPS`` holds
+each map's domain, text form and twin for the CLI and the sweeps; its
+``image`` checks and maps one word for the public maps, ``map`` lines and
+traces, and a Dyck-domain map checks a long word from the height scan its
+twin reads.  At 10^6 steps a rank core peaks at about 11 bytes per step, and
+phi, psi, beta and the extensions at 13-14.  Every twin takes the matrix of
+no steps, the chunk of the empty word, without a special case.
 """
 
 from __future__ import annotations
@@ -152,7 +153,7 @@ def _ext_b(data: bytes, core, before, after) -> bytes:
     return b"".join(parts)
 
 
-# str-level wrappers used by the verification engine and the public maps;
+# str-level wrappers used by the verification engine and ``_Map.image``;
 # a word of at least _LONG steps goes through the matrix twin as one column
 
 def _phi_text(text: str) -> str:
@@ -321,7 +322,8 @@ def _beta_source(negative: np.ndarray, returns) -> np.ndarray:
     ``(steps, words)`` matrix takes each step from: its flat positions, as
     an intp matrix of the same shape for :func:`_gather`.  ``negative``
     marks the steps of those factors, which are Dyck up to a flip, and
-    ``returns`` lists the flat positions of their steps that end on the axis.
+    ``returns`` lists flat positions of their steps that end on the axis,
+    each factor's first return among them.
 
     Beta, U W1 D W2 -> U W2 D W1, moves the pieces U, W2, D and W1 of a
     factor as blocks, so a step's source less its position is constant on
@@ -369,10 +371,16 @@ def _gather(words: np.ndarray, source: np.ndarray) -> np.ndarray:
 
 
 def _beta_rows(mat: np.ndarray, h=None) -> np.ndarray:
-    """:func:`_beta_b` on Dyck words, one per column: each word is one factor."""
+    """:func:`_beta_b` on Dyck words, one per column: each word is one factor,
+    whose first return is the first step of its column to end on the axis."""
     if h is None:
         h = _up_and_heights(mat)[1]
-    returns = np.flatnonzero(h == 0)
+    rows = mat.shape[1]
+    zero = np.ones((len(mat) + 1, rows), dtype=bool)  # a last row for the matrix of no steps
+    np.equal(h, 0, out=zero[:-1])
+    returns = zero.argmax(axis=0) * rows
+    del zero
+    returns += np.arange(rows)
     return _gather(mat, _beta_source(np.ones(mat.shape, dtype=bool), returns))
 
 
@@ -472,15 +480,24 @@ def _psi_rank(row: np.ndarray, h=None) -> np.ndarray:
 
 
 class _Map(NamedTuple):
-    """A map as the CLI and the sweeps run it; ``image`` checks, then maps, a word."""
+    """A map as the API, the CLI and the sweeps run it; ``image`` checks, then maps, a word."""
 
     dyck: bool  # its domain: Dyck words, else balanced words
     text: Callable[[str], str]  # the map on canonical text
     rows: Callable  # its matrix twin on equal-length words: (mat, h=None)
 
     def image(self, w: PathWord) -> str:
+        """A Dyck-domain word of at least ``_LONG`` steps is checked by ``_dyck_rows``
+        from one height scan, which the twin then takes; a word that fails goes
+        on to :func:`require_dyck`, which names the fault."""
+        text = w.text
+        if self.dyck and len(text) >= _LONG:
+            mat = _rows([text])
+            h = _up_and_heights(mat)[1]
+            if _dyck_rows(mat, h)[0]:
+                return _row_texts(self.rows(mat, h))[0]
         (require_dyck if self.dyck else require_closed)(w)
-        return self.text(w.text)
+        return self.text(text)
 
 
 _MAPS = {  # one record per name of ``map --op``
@@ -493,33 +510,18 @@ _MAPS = {  # one record per name of ``map --op``
 }
 
 
-def _dyck_map(w: PathWord, text_map, rows_map) -> PathWord:
-    """``text_map`` of a word that :func:`require_dyck` passes.  A word of at
-    least ``_LONG`` steps is checked by :func:`~dyckmaps.words._dyck_rows`
-    from one height scan, which its twin ``rows_map`` then takes; a word
-    that fails goes on to ``require_dyck``, which names the fault."""
-    text = w.text
-    if len(text) >= _LONG:
-        mat = _rows([text])
-        h = _up_and_heights(mat)[1]
-        if _dyck_rows(mat, h)[0]:
-            return PathWord(_row_texts(rows_map(mat, h))[0])
-    require_dyck(w)
-    return PathWord(text_map(text))
-
-
 def phi(w: PathWord) -> PathWord:
     """Dyck bijection sending k up-steps at odd height to k peaks.
 
     Preserves semilength and the number of contacts; phi(empty) = empty.
     Inverse of :func:`psi`.
     """
-    return _dyck_map(w, _phi_text, _phi_rows)
+    return PathWord(_MAPS["phi"].image(w))
 
 
 def psi(w: PathWord) -> PathWord:
     """Inverse of :func:`phi`; sends k peaks to k up-steps at odd height."""
-    return _dyck_map(w, _psi_text, _psi_rows)
+    return PathWord(_MAPS["psi"].image(w))
 
 
 def alpha(w: PathWord) -> PathWord:
@@ -528,8 +530,7 @@ def alpha(w: PathWord) -> PathWord:
     Swaps peaks with valleys and steps at odd height with steps at even
     height (an up-step at height j maps to a down-step at height 1-j).
     """
-    require_closed(w)
-    return PathWord(_alpha_text(w.text))
+    return PathWord(_MAPS["alpha"].image(w))
 
 
 def beta(w: PathWord) -> PathWord:
@@ -540,8 +541,7 @@ def beta(w: PathWord) -> PathWord:
     up-steps at even height.  It does not preserve the number of contacts.
     Extended by beta(empty) = empty to make the map total.
     """
-    require_dyck(w)
-    return PathWord(_beta_text(w.text))
+    return PathWord(_MAPS["beta"].image(w))
 
 
 def phi_ext(w: PathWord) -> PathWord:
@@ -552,14 +552,12 @@ def phi_ext(w: PathWord) -> PathWord:
     mapped factor by factor.  Sends k up-steps at odd height to k peaks and
     preserves length, crossings, and each factor's class.
     """
-    require_closed(w)
-    return PathWord(_phi_ext_text(w.text))
+    return PathWord(_MAPS["phi-ext"].image(w))
 
 
 def psi_ext(w: PathWord) -> PathWord:
     """Inverse of :func:`phi_ext` (negative factors use alpha o beta o psi o alpha)."""
-    require_closed(w)
-    return PathWord(_psi_ext_text(w.text))
+    return PathWord(_MAPS["psi-ext"].image(w))
 
 
 # --- staged (traced) evaluation ------------------------------------------

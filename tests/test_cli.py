@@ -513,13 +513,34 @@ def test_runs_of_32_equal_lengths_take_the_row_twin(monkeypatch, argv):
     lines = (_words(dyck, 10, 32, 0) + [""] * 32 + _words(dyck, 11, 31, 50)
              + _words(dyck, long_n, 32, 100))
     stdin_text = "".join(line + "\n" for line in lines)
+    want = _reference(argv, stdin_text)  # the public maps run the records patched below
     monkeypatch.setattr(dyckmaps.cli, "_CHUNK_CHARS", len(stdin_text))  # one chunk
+    # a Dyck map's long line, one by one, reaches the twin as one column
+    shapes = [(20, 32), (2 * long_n, 1)] if argv[0] == "map" and dyck else [(20, 32)]
     _path_spies(monkeypatch, argv,
-                row_fail=lambda mat: mat.shape[1] != 32 or mat.shape[0] != 20,
+                row_fail=lambda mat: mat.shape not in shapes,
                 word_fail=lambda text: len(text) == 20)
     code, out, err = _run(argv, stdin_text)
     assert (code, err) == (0, "")
-    assert out == _reference(argv, stdin_text)
+    assert out == want
+
+
+@pytest.mark.parametrize("op", _DYCK_OPS)
+def test_a_long_dyck_line_scans_its_heights_once(monkeypatch, op):
+    argv = ["map", "--op", op]
+    stdin_text = _words(True, dyckmaps.words._LONG // 2, 1, 0)[0] + "\n"
+    want = _reference(argv, stdin_text)
+    scans = []
+    heights = dyckmaps.words._up_and_heights
+
+    def counted(mat):
+        scans.append(mat.shape)
+        return heights(mat)
+
+    for module in (dyckmaps.cli, dyckmaps.words, dyckmaps.maps):
+        monkeypatch.setattr(module, "_up_and_heights", counted)
+    assert _run(argv, stdin_text) == (0, want, "")
+    assert scans == [(dyckmaps.words._LONG, 1)]  # for the check, and passed on to the twin
 
 
 _GOOD_LINE = "UUDUDDUDUUUDDDUUDUDD"  # a Dyck word of 20 steps

@@ -68,19 +68,21 @@ def _count_height_scans(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("op, oracle", [(phi, oracles.phi), (psi, oracles.psi)])
+@pytest.mark.parametrize("op, oracle", [(phi, oracles.phi), (psi, oracles.psi),
+                                        (beta, oracles.beta)])
 @pytest.mark.parametrize("cached", [False, True], ids=["fresh", "scanned"])
 def test_a_long_dyck_word_is_scanned_once(monkeypatch, op, oracle, cached):
     word = PathWord("UUDUDD" * 1000)
     if cached:
         word.min_height
     calls = _count_height_scans(monkeypatch)
-    # the maps go prime by prime, and UUDUDD is prime
-    assert op(word).text == oracle("UUDUDD") * 1000
+    # phi and psi go prime by prime, and UUDUDD is prime; beta's oracle does not recurse
+    want = oracle(word.text) if op is beta else oracle("UUDUDD") * 1000
+    assert op(word).text == want
     assert len(calls) == 1
 
 
-@pytest.mark.parametrize("op", [phi, psi])
+@pytest.mark.parametrize("op", [phi, psi, beta])
 @pytest.mark.parametrize("text, reason", [
     ("UD" * 3000 + "DU", "vertex below axis at step 6001"),
     ("D" + "UD" * 3000 + "U", "vertex below axis at step 1"),

@@ -13,6 +13,7 @@ import pytest
 import dyckmaps.decompose
 import dyckmaps.maps
 import oracles
+from dyckmaps import beta
 from dyckmaps.decompose import _crossing_factors
 from dyckmaps.generate import (
     _random_balanced_text,
@@ -270,6 +271,10 @@ def _long_words():
 LONG_WORDS = _long_words()
 
 
+def _public_beta(text):
+    return beta(PathWord(text)).text
+
+
 @pytest.mark.parametrize("name", LONG_WORDS)
 def test_text_maps_equal_the_transducers_on_long_words(name):
     text, dyck = LONG_WORDS[name]
@@ -278,7 +283,8 @@ def test_text_maps_equal_the_transducers_on_long_words(name):
     want = {_phi_ext_text: _ext_b(data, _phi_b, _beta_b, bytes),
             _psi_ext_text: _ext_b(data, _psi_b, bytes, _beta_b)}
     if dyck:
-        want.update({_phi_text: _phi_b(data), _psi_text: _psi_b(data)})
+        want.update({_phi_text: _phi_b(data), _psi_text: _psi_b(data),
+                     _public_beta: _beta_b(data)})
     for fn, image in want.items():
         assert fn(text) == image.decode("ascii"), fn.__name__
 
@@ -323,7 +329,7 @@ def test_the_scan_of_one_column_equals_that_of_a_wider_matrix(name):
         assert a.tolist() == b[:1].tolist(), field
 
 
-@pytest.mark.parametrize("fn", [_phi_text, _psi_text])
+@pytest.mark.parametrize("fn", [_phi_text, _psi_text, _public_beta])
 def test_long_maps_peak_under_40_bytes_per_step(fn):
     size = 1 << 20
     text = _random_dyck_text(size // 2, np.random.default_rng(5))
