@@ -29,7 +29,7 @@ from .errors import DyckError
 from .generate import _text_blocks, catalan, central_binomial, distribution
 from .maps import _MAPS, phi_stages, psi_stages
 from .render import render_ascii
-from .stats import _stat_records_rows, _stat_texts_rows, stat_record
+from .stats import _JSON_TEMPLATE, _TEXT_TEMPLATE, _stat_line, _stat_lines_rows, stat_record
 from .verify import (
     VerificationReport,
     verify_involutions_and_transport,
@@ -183,20 +183,10 @@ def _cmd_map(args, stdin, stdout) -> int:
                       many=lambda mat, h: _row_texts(op.rows(mat, h)), dyck=op.dyck)
 
 
-def _json_line(rec) -> str:
-    return json.dumps(rec.to_dict())
-
-
-_STATS_LINES = {  # per format: the line of one word, and the lines of a matrix of words
-    "text": (lambda word: stat_record(word).to_text(), lambda mat, h: _stat_texts_rows(mat)),
-    "json": (lambda word: _json_line(stat_record(word)),
-             lambda mat, h: [_json_line(r) for r in _stat_records_rows(mat)]),
-}
-
-
 def _cmd_stats(args, stdin, stdout) -> int:
-    one, many = _STATS_LINES[args.format]
-    return _per_chunk(stdin, stdout, one, many=many)
+    template = _JSON_TEMPLATE if args.format == "json" else _TEXT_TEMPLATE
+    return _per_chunk(stdin, stdout, lambda word: _stat_line(stat_record(word), template),
+                      many=lambda mat, h: _stat_lines_rows(mat, template))
 
 
 def _trace_lines(args, word) -> list:

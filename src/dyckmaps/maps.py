@@ -11,11 +11,14 @@ psi_ext       odd-height up-steps with peaks on the whole bilateral class:
               phi / psi of the word with its negative crossing factors
               flipped, and beta-swapped before phi or after psi.
 
-phi and psi run in O(length) with no recursion.  Each has a per-word form
-for a word under ``words._LONG`` = 4,096 steps and a twin on a matrix of
-equal-length words, one per column, which also takes a longer word as one
-column.  phi reads its blocks level by level: its per-word form walks that
-level rule, and its twin is a rank core, one stable argsort of the odd
+Every map has one per-word core on ASCII bytes and a twin on a matrix of
+equal-length words, one per column; ``_MAPS`` holds each map's domain,
+core and twin.  A record's ``text`` runs the core on a word under
+``words._LONG`` = 4,096 steps and the twin on a longer one, as one column,
+and its ``image``, which the public maps, ``map`` lines and traces run,
+checks such a word on that matrix first.  phi and psi run in O(length)
+with no recursion.  phi reads its blocks level by level: its core walks
+that level rule, and its twin is a rank core, one stable argsort of the odd
 vertices keyed by word and height.  psi keeps a run transducer, a
 left-to-right stack machine on the reversed-and-flipped word; its twin
 loops over the steps of a matrix of words under ``_LONG`` steps and runs
@@ -24,13 +27,10 @@ each longer word, from the heights the twin is given.  The sort keys are
 uint16 (a radix sort) while the words times the heights fit in 2^16 and
 int32 above.  Both forms of an extension call the Dyck core once per word;
 the extensions of a matrix with no step below the axis, so with no
-negative factor, are its Dyck maps, with no beta gather.  ``_MAPS`` holds
-each map's domain, text form and twin for the CLI and the sweeps; its
-``image`` checks and maps one word for the public maps, ``map`` lines and
-traces, and a Dyck-domain map checks a long word from the height scan its
-twin reads.  At 10^6 steps a rank core peaks at about 11 bytes per step, and
-phi, psi, beta and the extensions at 13-14.  Every twin takes the matrix of
-no steps, the chunk of the empty word, without a special case.
+negative factor, are its Dyck maps, with no beta gather.  At 10^6 steps a
+rank core peaks at about 11 bytes per step, and phi, psi, beta and the
+extensions at 13-14.  Every twin takes the matrix of no steps, the chunk
+of the empty word, without a special case.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ from .decompose import (
 )
 from .errors import DyckError
 from .render import _MAX_CELLS
-from .words import (_D, _FLIP_B, _FLIP_BITS, _FLIP_TABLE, _LONG, _U, PathWord,
+from .words import (_D, _FLIP_B, _FLIP_BITS, _LONG, _U, PathWord, _closed_rows,
                     _cumsum_down, _dyck_rows, _flips, _row_texts, _rows,
                     _up_and_heights, require_closed, require_dyck)
 
@@ -83,13 +83,14 @@ def _phi_b(data: bytes) -> bytes:
     return bytes(out)
 
 
-def _psi_mirror_b(data: bytes) -> bytes:
+def _psi_b(data: bytes) -> bytes:
     """Mirror-image transducer inverting _phi_b.
 
     On the reversed/flipped word each prime factor starts with a maximal
     U-run of length s+1; the run collapses to the anchor peak and the s
     level-closing D's fan back out around the inner factors.
     """
+    data = data.translate(_FLIP_B)[::-1]
     out = bytearray(len(data))
     pos = 0
     stack = []
@@ -120,12 +121,11 @@ def _psi_mirror_b(data: bytes) -> bytes:
                 out[pos + 1] = _D
             pos += 2
             i += 1
-    return bytes(out)
+    return bytes(out).translate(_FLIP_B)[::-1]
 
 
-def _psi_b(data: bytes) -> bytes:
-    mirrored = data.translate(_FLIP_B)[::-1]
-    return _psi_mirror_b(mirrored).translate(_FLIP_B)[::-1]
+def _alpha_b(data: bytes) -> bytes:
+    return data.translate(_FLIP_B)
 
 
 def _beta_b(data: bytes) -> bytes:
@@ -153,39 +153,12 @@ def _ext_b(data: bytes, core, before, after) -> bytes:
     return b"".join(parts)
 
 
-# str-level wrappers used by the verification engine and ``_Map.image``;
-# a word of at least _LONG steps goes through the matrix twin as one column
-
-def _phi_text(text: str) -> str:
-    if len(text) >= _LONG:
-        return _row_texts(_phi_rows(_rows([text])))[0]
-    return _phi_b(text.encode("ascii")).decode("ascii")
+def _phi_ext_b(data: bytes) -> bytes:
+    return _ext_b(data, _phi_b, _beta_b, bytes)
 
 
-def _psi_text(text: str) -> str:
-    if len(text) >= _LONG:
-        return _row_texts(_psi_rows(_rows([text])))[0]
-    return _psi_b(text.encode("ascii")).decode("ascii")
-
-
-def _alpha_text(text: str) -> str:
-    return text.translate(_FLIP_TABLE)
-
-
-def _beta_text(text: str) -> str:
-    return _beta_b(text.encode("ascii")).decode("ascii")
-
-
-def _phi_ext_text(text: str) -> str:
-    if len(text) >= _LONG:
-        return _row_texts(_phi_ext_rows(_rows([text])))[0]
-    return _ext_b(text.encode("ascii"), _phi_b, _beta_b, bytes).decode("ascii")
-
-
-def _psi_ext_text(text: str) -> str:
-    if len(text) >= _LONG:
-        return _row_texts(_psi_ext_rows(_rows([text])))[0]
-    return _ext_b(text.encode("ascii"), _psi_b, bytes, _beta_b).decode("ascii")
+def _psi_ext_b(data: bytes) -> bytes:
+    return _ext_b(data, _psi_b, bytes, _beta_b)
 
 
 # --- matrix twins ----------------------------------------------------------
@@ -261,9 +234,10 @@ def _psi_rows(mat: np.ndarray, h=None) -> np.ndarray:
     """:func:`_psi_b` on Dyck words, one per column.
 
     The flipped and reversed words have their D's where the words have U's.
-    ``_psi_mirror_b`` emits two bytes per such D: after a U-run of length
-    s+1, U then U (pushing s) or D (s = 0); after another D, D then U or D,
-    as the top count, less one, stays above zero or runs out and is popped.
+    The transducer of :func:`_psi_b` emits two bytes per such D: after a
+    U-run of length s+1, U then U (pushing s) or D (s = 0); after another D,
+    D then U or D, as the top count, less one, stays above zero or runs out
+    and is popped.
     The loop runs over the n D's of all words at once, each word with its
     own depth into a ``(words, n+1)`` stack.  Words of at least ``_LONG``
     steps go through :func:`_psi_rank` one by one.
@@ -393,7 +367,7 @@ def _negative_factors(mat: np.ndarray, h: np.ndarray) -> tuple:
 
 
 def _phi_ext_rows(mat: np.ndarray, h=None) -> np.ndarray:
-    """:func:`_phi_ext_text` on balanced words, one per column.
+    """:func:`_phi_ext_b` on balanced words, one per column.
 
     The formula of :func:`_ext_b`, with one phi for all the words: one
     gather takes every negative factor through beta after a flip, which
@@ -415,7 +389,7 @@ def _phi_ext_rows(mat: np.ndarray, h=None) -> np.ndarray:
 
 
 def _psi_ext_rows(mat: np.ndarray, h=None) -> np.ndarray:
-    """:func:`_psi_ext_text` on balanced words, one per column, as in
+    """:func:`_psi_ext_b` on balanced words, one per column, as in
     :func:`_ext_b`: flip the negative factors, psi, beta on them, flip back.
 
     psi maps a Dyck word prime by prime, each to a prime of its length, so
@@ -483,30 +457,37 @@ class _Map(NamedTuple):
     """A map as the API, the CLI and the sweeps run it; ``image`` checks, then maps, a word."""
 
     dyck: bool  # its domain: Dyck words, else balanced words
-    text: Callable[[str], str]  # the map on canonical text
+    word: Callable[[bytes], bytes]  # its per-word core on ASCII steps
     rows: Callable  # its matrix twin on equal-length words: (mat, h=None)
 
+    def text(self, text: str) -> str:
+        """The map on canonical text: from ``_LONG`` steps on by the twin, on
+        the word as one column, else by the per-word core."""
+        if len(text) >= _LONG:
+            return _row_texts(self.rows(_rows([text])))[0]
+        return self.word(text.encode("ascii")).decode("ascii")
+
     def image(self, w: PathWord) -> str:
-        """A Dyck-domain word of at least ``_LONG`` steps is checked by ``_dyck_rows``
-        from one height scan, which the twin then takes; a word that fails goes
-        on to :func:`require_dyck`, which names the fault."""
+        """A word of ``_LONG`` steps or more is checked on its twin's matrix, by
+        ``_dyck_rows`` from a height scan that the twin then takes or by
+        ``_closed_rows``; any other goes to the domain's ``require_*``, then the core."""
         text = w.text
-        if self.dyck and len(text) >= _LONG:
+        if len(text) >= _LONG:
             mat = _rows([text])
-            h = _up_and_heights(mat)[1]
-            if _dyck_rows(mat, h)[0]:
+            h = _up_and_heights(mat)[1] if self.dyck else None
+            if (_dyck_rows(mat, h) if self.dyck else _closed_rows(mat))[0]:
                 return _row_texts(self.rows(mat, h))[0]
         (require_dyck if self.dyck else require_closed)(w)
-        return self.text(text)
+        return self.word(text.encode("ascii")).decode("ascii")
 
 
 _MAPS = {  # one record per name of ``map --op``
-    "phi": _Map(True, _phi_text, _phi_rows),
-    "psi": _Map(True, _psi_text, _psi_rows),
-    "alpha": _Map(False, _alpha_text, _alpha_rows),
-    "beta": _Map(True, _beta_text, _beta_rows),
-    "phi-ext": _Map(False, _phi_ext_text, _phi_ext_rows),
-    "psi-ext": _Map(False, _psi_ext_text, _psi_ext_rows),
+    "phi": _Map(True, _phi_b, _phi_rows),
+    "psi": _Map(True, _psi_b, _psi_rows),
+    "alpha": _Map(False, _alpha_b, _alpha_rows),
+    "beta": _Map(True, _beta_b, _beta_rows),
+    "phi-ext": _Map(False, _phi_ext_b, _phi_ext_rows),
+    "psi-ext": _Map(False, _psi_ext_b, _psi_ext_rows),
 }
 
 

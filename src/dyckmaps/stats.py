@@ -39,14 +39,21 @@ class StatRecord(NamedTuple):
 
     def to_text(self) -> str:
         """Flat key:value form, fields in declaration order."""
-        return _TEXT_TEMPLATE.format(*self[:-1], _PRIME_TEXT[self.is_prime])
+        return _stat_line(self, _TEXT_TEMPLATE)
 
     def to_dict(self) -> dict:
         return dict(zip(self._fields, self))
 
 
+# a record's line per ``stats --format``: its fields in order, is_prime
+# as _PRIME_TEXT, which is also its JSON form
 _TEXT_TEMPLATE = " ".join(f"{name}:{{}}" for name in StatRecord._fields)
-_PRIME_TEXT = {False: "false", True: "true"}  # is_prime in text form
+_JSON_TEMPLATE = "{{" + ", ".join(f'"{name}": {{}}' for name in StatRecord._fields) + "}}"
+_PRIME_TEXT = {False: "false", True: "true"}
+
+
+def _stat_line(rec: StatRecord, template: str) -> str:
+    return template.format(*rec[:-1], _PRIME_TEXT[rec.is_prime])
 
 
 def semilength(w: PathWord) -> int:
@@ -130,27 +137,13 @@ def _record(s: _Scan, size: int) -> StatRecord:
     )
 
 
-def _stat_columns(mat: np.ndarray) -> tuple[int, list]:
-    """The semilength and the other fields, one list each, of the records of
-    balanced words, one per column of a ``(steps, words)`` uint8 matrix,
-    from one scan."""
+def _stat_lines_rows(mat: np.ndarray, template: str) -> list:
+    """:func:`_stat_line` of the records of balanced words, one per column of
+    a ``(steps, words)`` uint8 matrix, formatted from one scan's columns."""
     rec = _record(_scan_rows(mat), mat.shape[0])  # its fields are columns
-    return rec.n, [f.tolist() for f in rec[1:]]
-
-
-def _stat_records_rows(mat: np.ndarray) -> list:
-    """:func:`stat_record` of balanced words, one per column of a
-    ``(steps, words)`` uint8 matrix, from one scan."""
-    n, fields = _stat_columns(mat)
-    return [StatRecord(n, *line) for line in zip(*fields)]
-
-
-def _stat_texts_rows(mat: np.ndarray) -> list:
-    """:meth:`StatRecord.to_text` of the records of :func:`_stat_records_rows`,
-    formatted from the scan's columns with no record per word."""
-    n, fields = _stat_columns(mat)
-    fields[-1] = [_PRIME_TEXT[prime] for prime in fields[-1]]
-    return [_TEXT_TEMPLATE.format(n, *line) for line in zip(*fields)]
+    fields = [f.tolist() for f in rec[1:-1]]
+    fields.append([_PRIME_TEXT[prime] for prime in rec.is_prime.tolist()])
+    return [template.format(rec.n, *line) for line in zip(*fields)]
 
 
 def narayana(n: int, k: int) -> int:

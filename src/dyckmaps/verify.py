@@ -57,7 +57,7 @@ from .generate import (
     _rank_rows,
     distribution,
 )
-from .maps import _MAPS, _Map, _beta_text
+from .maps import _MAPS, _Map, _beta_b
 from .words import (_D, _U, _dyck_rows, _row_texts, _rows, _scan_rows, _scan_text,
                     _up_and_heights)
 
@@ -425,7 +425,8 @@ def _peaks_preserved(mat, image, h, hi, s, si):
 
 
 def _beta_moves_contacts(text) -> bool:
-    return _scan_text(_beta_text(text)).contacts != _scan_text(text).contacts
+    image = _beta_b(text.encode("ascii")).decode("ascii")
+    return _scan_text(image).contacts != _scan_text(text).contacts
 
 
 def verify_involutions_and_transport(

@@ -419,7 +419,7 @@ def _dyck_rows(mat: np.ndarray, h=None) -> np.ndarray:
 
 def _closed_rows(mat: np.ndarray) -> np.ndarray:
     """Which columns of a ``(steps, words)`` uint8 matrix end at height 0."""
-    return 2 * (mat == _U).sum(axis=0, dtype=np.int32) == len(mat)
+    return 2 * _count(mat == _U) == len(mat)
 
 
 def _ups(text: str) -> int:

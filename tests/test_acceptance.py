@@ -27,13 +27,7 @@ from dyckmaps.generate import (
     _dyck_texts,
     _random_balanced_text,
 )
-from dyckmaps.maps import (
-    _beta_text,
-    _phi_ext_text,
-    _phi_text,
-    _psi_ext_text,
-    _psi_text,
-)
+from dyckmaps.maps import _MAPS
 from dyckmaps.verify import _time_maps
 from dyckmaps.words import _scan_text
 
@@ -56,7 +50,7 @@ def test_golden_example_exact_and_fast():
     ok &= ups_at_odd_height(w) == 4 and contacts(w) == 1
     ok &= peaks(image) == 4 and contacts(image) == 1
     best = min(
-        _timed_once(_phi_text, GOLDEN_TOP) for _ in range(30)
+        _timed_once(_MAPS["phi"].text, GOLDEN_TOP) for _ in range(30)
     )
     ok &= best < 1e-3
     assert _report(
@@ -80,8 +74,9 @@ def test_theorem1_exhaustive_to_n12():
         count = 0
         for text in _dyck_texts(n):
             count += 1
-            image = _phi_text(text)
-            if _psi_text(image) != text or _phi_text(_psi_text(text)) != text:
+            image = _MAPS["phi"].text(text)
+            if (_MAPS["psi"].text(image) != text
+                    or _MAPS["phi"].text(_MAPS["psi"].text(text)) != text):
                 failures += 1
                 continue
             s = _scan_text(text)
@@ -137,8 +132,9 @@ def test_theorem2_exhaustive_to_n10():
         pks = {}
         for text in _balanced_texts(n):
             count += 1
-            image = _phi_ext_text(text)
-            if _psi_ext_text(image) != text or _phi_ext_text(_psi_ext_text(text)) != text:
+            image = _MAPS["phi-ext"].text(text)
+            if (_MAPS["psi-ext"].text(image) != text
+                    or _MAPS["phi-ext"].text(_MAPS["psi-ext"].text(text)) != text):
                 failures += 1
                 continue
             s = _scan_text(text)
@@ -178,8 +174,8 @@ def test_involution_suite():
         for text in _dyck_texts(n):
             if not text:
                 continue
-            swapped = _beta_text(text)
-            if _beta_text(swapped) != text:
+            swapped = _MAPS["beta"].text(text)
+            if _MAPS["beta"].text(swapped) != text:
                 beta_involution_ok = False
             s = _scan_text(text)
             sb = _scan_text(swapped)
@@ -191,7 +187,7 @@ def test_involution_suite():
             for n in range(4)
             for text in _dyck_texts(n)
             if text
-            and _scan_text(_beta_text(text)).contacts != _scan_text(text).contacts
+            and _scan_text(_MAPS["beta"].text(text)).contacts != _scan_text(text).contacts
         ),
         None,
     )
@@ -204,7 +200,7 @@ def test_involution_suite():
             text
             for n in range(11)
             for text in _dyck_texts(n)
-            if text and _scan_text(_beta_text(text)).peaks != _scan_text(text).peaks
+            if text and _scan_text(_MAPS["beta"].text(text)).peaks != _scan_text(text).peaks
         ),
         None,
     )
@@ -218,8 +214,8 @@ def test_involution_suite():
     assert peaks_preserved, (
         f"the first-return swap does not preserve peak count: "
         f"{peak_counterexample} has {_scan_text(peak_counterexample).peaks} peaks "
-        f"but maps to {_beta_text(peak_counterexample)} with "
-        f"{_scan_text(_beta_text(peak_counterexample)).peaks}"
+        f"but maps to {_MAPS['beta'].text(peak_counterexample)} with "
+        f"{_scan_text(_MAPS['beta'].text(peak_counterexample)).peaks}"
     )
 
 
@@ -229,8 +225,9 @@ def test_scale_and_performance():
     ok_small = True
     for _ in range(10_000):
         text = _random_balanced_text(200, rng)  # 400 steps
-        image = _phi_ext_text(text)
-        if _psi_ext_text(image) != text or _phi_ext_text(_psi_ext_text(text)) != text:
+        image = _MAPS["phi-ext"].text(text)
+        if (_MAPS["psi-ext"].text(image) != text
+                or _MAPS["phi-ext"].text(_MAPS["psi-ext"].text(text)) != text):
             ok_small = False
             break
         if _scan_text(image).peaks != _scan_text(text).ups_odd:
@@ -240,8 +237,8 @@ def test_scale_and_performance():
     ok_big = True
     big = [_random_balanced_text(500_000, rng) for _ in range(10)]
     for text in big:
-        image = _phi_ext_text(text)
-        if _psi_ext_text(image) != text:
+        image = _MAPS["phi-ext"].text(text)
+        if _MAPS["psi-ext"].text(image) != text:
             ok_big = False
             break
         if _scan_text(image).peaks != _scan_text(text).ups_odd:
@@ -250,16 +247,16 @@ def test_scale_and_performance():
 
     half = [_random_balanced_text(250_000, rng) for _ in range(10)]
     # the batches take turns, so that a slow stretch of the host falls on both
-    t_half, t_full = _time_maps(_phi_ext_text, (half, big), repeats=3)
+    t_half, t_full = _time_maps(_MAPS["phi-ext"].text, (half, big), repeats=3)
     ratio = t_full / t_half
     ok_linear = ratio <= 2.5
 
     tall = "U" * 500_000 + "D" * 500_000  # height 5 * 10^5
     ok_tall = (
-        _psi_text(_phi_text(tall)) == tall
-        and _phi_text(_psi_text(tall)) == tall
-        and _psi_ext_text(_phi_ext_text(tall)) == tall
-        and _beta_text(_beta_text(tall)) == tall
+        _MAPS["psi"].text(_MAPS["phi"].text(tall)) == tall
+        and _MAPS["phi"].text(_MAPS["psi"].text(tall)) == tall
+        and _MAPS["psi-ext"].text(_MAPS["phi-ext"].text(tall)) == tall
+        and _MAPS["beta"].text(_MAPS["beta"].text(tall)) == tall
     )
 
     ok = ok_small and ok_big and ok_linear and ok_tall

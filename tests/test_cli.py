@@ -429,13 +429,13 @@ def test_stats_text_lines_from_the_scan_equal_each_words_record(monkeypatch, chu
     stdin_text = "".join(line + "\n" for line in lines)
     monkeypatch.setattr(dyckmaps.cli, "_CHUNK_CHARS", chunk_chars or len(stdin_text))
     by_rows = []
-    texts_rows = dyckmaps.cli._stat_texts_rows
+    lines_rows = dyckmaps.cli._stat_lines_rows
 
-    def spy(mat):
+    def spy(mat, template):
         by_rows.append(mat.shape[1])
-        return texts_rows(mat)
+        return lines_rows(mat, template)
 
-    monkeypatch.setattr(dyckmaps.cli, "_stat_texts_rows", spy)
+    monkeypatch.setattr(dyckmaps.cli, "_stat_lines_rows", spy)
     want = "".join(dyckmaps.stat_record(dyckmaps.parse_word(line)).to_text() + "\n"
                    for line in lines)
     assert _run(["stats"], stdin_text) == (0, want, "")
@@ -466,7 +466,7 @@ def test_chunked_output_equals_the_per_word_reference(monkeypatch, argv):
 
 def _path_spies(monkeypatch, argv, row_fail, word_fail):
     """Make the row twin of the command raise on matrices for which
-    ``row_fail(mat)`` holds, and its per-word function on texts for which
+    ``row_fail(mat)`` holds, and its per-word function on words whose text
     ``word_fail(text)`` holds."""
 
     def guard(fn, fails):
@@ -477,15 +477,15 @@ def _path_spies(monkeypatch, argv, row_fail, word_fail):
         return guarded
 
     if argv[0] == "stats":
-        rows = "_stat_records_rows" if "json" in argv else "_stat_texts_rows"
-        for name, fails in [(rows, row_fail),
+        for name, fails in [("_stat_lines_rows", row_fail),
                             ("stat_record", lambda word: word_fail(word.text))]:
             monkeypatch.setattr(dyckmaps.cli, name,
                                 guard(getattr(dyckmaps.cli, name), fails))
         return
     op = dyckmaps.maps._MAPS[argv[2]]
     monkeypatch.setitem(dyckmaps.maps._MAPS, argv[2], op._replace(
-        text=guard(op.text, word_fail), rows=guard(op.rows, row_fail)))
+        word=guard(op.word, lambda data: word_fail(data.decode("ascii"))),
+        rows=guard(op.rows, row_fail)))
 
 
 @pytest.mark.parametrize("op", _DYCK_OPS)
@@ -515,8 +515,8 @@ def test_runs_of_32_equal_lengths_take_the_row_twin(monkeypatch, argv):
     stdin_text = "".join(line + "\n" for line in lines)
     want = _reference(argv, stdin_text)  # the public maps run the records patched below
     monkeypatch.setattr(dyckmaps.cli, "_CHUNK_CHARS", len(stdin_text))  # one chunk
-    # a Dyck map's long line, one by one, reaches the twin as one column
-    shapes = [(20, 32), (2 * long_n, 1)] if argv[0] == "map" and dyck else [(20, 32)]
+    # a map's long line, one by one, reaches the twin as one column
+    shapes = [(20, 32), (2 * long_n, 1)] if argv[0] == "map" else [(20, 32)]
     _path_spies(monkeypatch, argv,
                 row_fail=lambda mat: mat.shape not in shapes,
                 word_fail=lambda text: len(text) == 20)
@@ -541,6 +541,19 @@ def test_a_long_dyck_line_scans_its_heights_once(monkeypatch, op):
         monkeypatch.setattr(module, "_up_and_heights", counted)
     assert _run(argv, stdin_text) == (0, want, "")
     assert scans == [(dyckmaps.words._LONG, 1)]  # for the check, and passed on to the twin
+
+
+def _refuse_require_closed(w):
+    raise AssertionError("require_closed ran")
+
+
+@pytest.mark.parametrize("op", ["alpha", "phi-ext", "psi-ext"])
+def test_a_long_balanced_line_is_checked_on_the_twins_matrix(monkeypatch, op):
+    argv = ["map", "--op", op]
+    stdin_text = _words(False, dyckmaps.words._LONG // 2, 1, 0)[0] + "\n"
+    want = _reference(argv, stdin_text)
+    monkeypatch.setattr(dyckmaps.maps, "require_closed", _refuse_require_closed)
+    assert _run(argv, stdin_text) == (0, want, "")
 
 
 _GOOD_LINE = "UUDUDDUDUUUDDDUUDUDD"  # a Dyck word of 20 steps

@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, settings
 
+import dyckmaps
 import dyckmaps.maps
 import dyckmaps.words
 import oracles
@@ -28,7 +29,7 @@ from dyckmaps import (
     ups_at_odd_height,
     valleys,
 )
-from dyckmaps.maps import _beta_text, _phi_text, _psi_text
+from dyckmaps.maps import _MAPS
 
 GOLDEN_TOP = "UUUUDDDUUUUDDUDDDD"
 GOLDEN_BOTTOM = "UUUDDUUUDUUDDDUDDD"
@@ -99,24 +100,37 @@ def test_long_non_dyck_words_are_refused_with_their_reason(op, text, reason, cac
     assert str(info.value) == f"not a Dyck word: {reason}"
 
 
+def _refuse_require_closed(w):
+    raise AssertionError("require_closed ran")
+
+
+@pytest.mark.parametrize("op, name", [(alpha, "alpha"), (phi_ext, "phi-ext"),
+                                      (psi_ext, "psi-ext")], ids=["alpha", "phi_ext", "psi_ext"])
+def test_a_long_balanced_word_is_checked_on_the_twins_matrix(monkeypatch, op, name):
+    text = dyckmaps.sample_bilateral(3000, 7).text
+    want = _MAPS[name].word(text.encode("ascii")).decode("ascii")
+    monkeypatch.setattr(dyckmaps.maps, "require_closed", _refuse_require_closed)
+    assert op(PathWord(text)).text == want
+
+
 def test_phi_matches_recursive_transcription_exhaustively():
     for n in range(10):
         for text in oracles.all_dyck(n):
-            assert _phi_text(text) == oracles.phi(text)
-            assert _psi_text(text) == oracles.psi(text)
+            assert _MAPS["phi"].text(text) == oracles.phi(text)
+            assert _MAPS["psi"].text(text) == oracles.psi(text)
 
 
 def test_round_trips_exhaustive():
     for n in range(9):
         for text in oracles.all_dyck(n):
-            assert _psi_text(_phi_text(text)) == text
-            assert _phi_text(_psi_text(text)) == text
+            assert _MAPS["psi"].text(_MAPS["phi"].text(text)) == text
+            assert _MAPS["phi"].text(_MAPS["psi"].text(text)) == text
 
 
 def test_statistic_transport_exhaustive():
     for n in range(8):
         for text in oracles.all_dyck(n):
-            image = _phi_text(text)
+            image = _MAPS["phi"].text(text)
             assert oracles.peaks(image) == oracles.ups_odd(text)
             assert oracles.contacts(image) == oracles.contacts(text)
 
@@ -180,7 +194,7 @@ def test_beta_involution_and_parity_shift():
 
 def test_beta_text_map_fixes_the_empty_word():
     # the text map itself defines beta(empty) = empty, so sweeps need no branch
-    assert _beta_text("") == ""
+    assert _MAPS["beta"].text("") == ""
 
 
 def test_beta_changes_contacts_somewhere_small():

@@ -23,22 +23,20 @@ from dyckmaps.generate import (
 )
 from dyckmaps.maps import (
     _MAPS,
+    _alpha_b,
     _beta_b,
     _ext_b,
     _phi_b,
     _phi_ext_rows,
-    _phi_ext_text,
     _phi_rows,
-    _phi_text,
     _psi_b,
     _psi_ext_rows,
-    _psi_ext_text,
     _psi_rank,
     _psi_rows,
-    _psi_text,
 )
 from dyckmaps.verify import _CHUNK, verify_randomized
-from dyckmaps.stats import _stat_records_rows, _stat_texts_rows, stat_record
+from dyckmaps.stats import (_JSON_TEMPLATE, _TEXT_TEMPLATE, _stat_line, _stat_lines_rows,
+                            stat_record)
 from dyckmaps.words import (_LONG, PathWord, _cumsum_down, _rows, _scan_rows, _scan_text,
                             _up_and_heights)
 
@@ -118,10 +116,12 @@ def test_row_scan_equals_the_word_scan_in_every_field(path_class, n):
 @pytest.mark.parametrize("path_class, n", CASES)
 def test_row_records_equal_the_word_records(path_class, n):
     mat, texts = _class(path_class, n)
-    # as JSON, so that a numpy int or an int for a bool shows
-    got = [json.dumps(r.to_dict()) for r in _stat_records_rows(mat)]
-    assert got == [json.dumps(stat_record(PathWord(t)).to_dict()) for t in texts]
-    assert _stat_texts_rows(mat) == [stat_record(PathWord(t)).to_text() for t in texts]
+    records = [stat_record(PathWord(t)) for t in texts]
+    # against json.dumps, so that a numpy int or an int for a bool shows
+    want = [json.dumps(r.to_dict()) for r in records]
+    assert _stat_lines_rows(mat, _JSON_TEMPLATE) == want
+    assert [_stat_line(r, _JSON_TEMPLATE) for r in records] == want
+    assert _stat_lines_rows(mat, _TEXT_TEMPLATE) == [r.to_text() for r in records]
 
 
 @pytest.mark.parametrize("dyck", [True, False], ids=["dyck", "bilateral"])
@@ -136,7 +136,8 @@ def test_twins_of_cli_sized_chunks_equal_the_word_maps(dyck):
         want = [op.text(t) for t in texts]
         assert _texts_of(op.rows(mat)) == want, op.rows.__name__
         assert _texts_of(op.rows(mat, h)) == want, op.rows.__name__
-    assert _stat_texts_rows(mat) == [stat_record(PathWord(t)).to_text() for t in texts]
+    assert _stat_lines_rows(mat, _TEXT_TEMPLATE) == [
+        stat_record(PathWord(t)).to_text() for t in texts]
 
 
 # every pair of dtypes that the heights scan, phi and beta's sources sum in
@@ -194,8 +195,9 @@ def test_the_long_ext_path_equals_the_factor_loop_on_every_balanced_word(monkeyp
     monkeypatch.setattr(dyckmaps.maps, "_LONG", 1)  # every word takes the long path
     for text in _class("bilateral", n)[1]:
         data = text.encode("ascii")
-        assert _phi_ext_text(text) == _ext_b(data, _phi_b, _beta_b, bytes).decode("ascii"), text
-        assert _psi_ext_text(text) == _ext_b(data, _psi_b, bytes, _beta_b).decode("ascii"), text
+        phi_ext, psi_ext = _MAPS["phi-ext"].text(text), _MAPS["psi-ext"].text(text)
+        assert phi_ext == _ext_b(data, _phi_b, _beta_b, bytes).decode("ascii"), text
+        assert psi_ext == _ext_b(data, _psi_b, bytes, _beta_b).decode("ascii"), text
 
 
 def _alternating_factors(count, rng):
@@ -209,12 +211,14 @@ def test_a_short_word_of_many_factors_equals_the_oracles():
     """The exhaustive oracle cases stop at six factors; this word has 60."""
     text = _alternating_factors(60, np.random.default_rng(13))
     assert len(text) < _LONG and len(_crossing_factors(text.encode("ascii"))) == 60
-    assert _phi_ext_text(text) == oracles.phi_ext(text)
-    assert _psi_ext_text(text) == oracles.psi_ext(text)
+    assert _MAPS["phi-ext"].text(text) == oracles.phi_ext(text)
+    assert _MAPS["psi-ext"].text(text) == oracles.psi_ext(text)
 
 
-@pytest.mark.parametrize("ext, core, oracle", [(_phi_ext_text, "_phi_b", oracles.phi_ext),
-                                               (_psi_ext_text, "_psi_b", oracles.psi_ext)])
+@pytest.mark.parametrize("ext, core, oracle", [
+    (_MAPS["phi-ext"].text, "_phi_b", oracles.phi_ext),
+    (_MAPS["psi-ext"].text, "_psi_b", oracles.psi_ext),
+], ids=["_phi_ext_text-_phi_b-phi_ext", "_psi_ext_text-_psi_b-psi_ext"])
 def test_a_short_ext_calls_its_dyck_core_once_per_word(monkeypatch, ext, core, oracle):
     calls = []
     real = getattr(dyckmaps.maps, core)
@@ -280,13 +284,25 @@ def test_text_maps_equal_the_transducers_on_long_words(name):
     text, dyck = LONG_WORDS[name]
     assert len(text) >= _LONG
     data = text.encode("ascii")
-    want = {_phi_ext_text: _ext_b(data, _phi_b, _beta_b, bytes),
-            _psi_ext_text: _ext_b(data, _psi_b, bytes, _beta_b)}
+    want = {"phi-ext": _ext_b(data, _phi_b, _beta_b, bytes),
+            "psi-ext": _ext_b(data, _psi_b, bytes, _beta_b), "alpha": _alpha_b(data)}
     if dyck:
-        want.update({_phi_text: _phi_b(data), _psi_text: _psi_b(data),
-                     _public_beta: _beta_b(data)})
-    for fn, image in want.items():
-        assert fn(text) == image.decode("ascii"), fn.__name__
+        want.update({"phi": _phi_b(data), "psi": _psi_b(data), "beta": _beta_b(data)})
+        assert _public_beta(text) == want["beta"].decode("ascii")
+    for name, image in want.items():
+        assert _MAPS[name].text(text) == image.decode("ascii"), name
+
+
+def _refuse_first_return(data):
+    raise AssertionError("beta walked to the first return")
+
+
+@pytest.mark.parametrize("name", [name for name, (_, dyck) in LONG_WORDS.items() if dyck])
+def test_the_beta_text_map_takes_a_long_word_through_its_twin(monkeypatch, name):
+    text = LONG_WORDS[name][0]
+    want = _beta_b(text.encode("ascii")).decode("ascii")
+    monkeypatch.setattr(dyckmaps.maps, "_first_return_len", _refuse_first_return)
+    assert _MAPS["beta"].text(text) == want
 
 
 @pytest.mark.parametrize("name", LONG_WORDS)
@@ -329,7 +345,9 @@ def test_the_scan_of_one_column_equals_that_of_a_wider_matrix(name):
         assert a.tolist() == b[:1].tolist(), field
 
 
-@pytest.mark.parametrize("fn", [_phi_text, _psi_text, _public_beta])
+@pytest.mark.parametrize("fn", [_MAPS["phi"].text, _MAPS["psi"].text, _public_beta,
+                                _MAPS["beta"].text],
+                         ids=["_phi_text", "_psi_text", "_public_beta", "_beta_text"])
 def test_long_maps_peak_under_40_bytes_per_step(fn):
     size = 1 << 20
     text = _random_dyck_text(size // 2, np.random.default_rng(5))
@@ -343,7 +361,8 @@ def test_long_maps_peak_under_40_bytes_per_step(fn):
     assert peak < 40 * size, peak / size
 
 
-@pytest.mark.parametrize("fn", [_phi_ext_text, _psi_ext_text])
+@pytest.mark.parametrize("fn", [_MAPS["phi-ext"].text, _MAPS["psi-ext"].text],
+                         ids=["_phi_ext_text", "_psi_ext_text"])
 def test_long_ext_maps_peak_under_40_bytes_per_step(fn):
     size = 1 << 20
     text = _random_balanced_text(size // 2, np.random.default_rng(5))

@@ -52,7 +52,11 @@ def test_semilength_rejects_open_words():
     (require_closed, "not a bilateral Dyck word: path ends at height -2"),
     (semilength, "semilength is defined for balanced words only"),
     (crossing_factorize, "crossing factorization requires a balanced word"),
-], ids=["require_closed", "semilength", "crossing_factorize"])
+    # the maps on balanced words check a long word on their twins' matrix first
+    (alpha, "not a bilateral Dyck word: path ends at height -2"),
+    (phi_ext, "not a bilateral Dyck word: path ends at height -2"),
+    (psi_ext, "not a bilateral Dyck word: path ends at height -2"),
+], ids=["require_closed", "semilength", "crossing_factorize", "alpha", "phi_ext", "psi_ext"])
 def test_long_open_words_are_refused_as_short_ones_are(check, message):
     for text in ("UDDD", "UD" * dyckmaps.words._LONG + "DD"):  # the long one counts by numpy
         with pytest.raises(NotBilateralError) as err:

@@ -27,32 +27,26 @@ from dyckmaps import (
 )
 from dyckmaps.decompose import _negative_steps
 from dyckmaps.generate import _random_balanced_text, _rank_blocks, _rank_rows
-from dyckmaps.maps import (
-    _alpha_text,
-    _beta_text,
-    _key_type,
-    _phi_ext_text,
-    _phi_text,
-    _psi_ext_text,
-    _psi_text,
-)
+from dyckmaps.maps import _MAPS, _key_type, _phi_ext_b
 from dyckmaps.words import _row_texts, _up_and_heights
 
 DATA = Path(__file__).parent / "data"
+# the maps on canonical text, bound before any test patches a record
+_TEXT = {name: op.text for name, op in _MAPS.items()}
 
 
 # deliberately broken forward map: drops the relocated descent run
 def _broken_phi(text):
-    return _phi_text(text).replace("UDD", "UD", 1)
+    return _TEXT["phi"](text).replace("UDD", "UD", 1)
 
 
 # deliberately broken involutions: each damages the first matching factor
 def _broken_alpha(text):
-    return _alpha_text(text).replace("DU", "UD", 1)
+    return _TEXT["alpha"](text).replace("DU", "UD", 1)
 
 
 def _broken_beta(text):
-    return _beta_text(text).replace("UUDD", "UDUD", 1)
+    return _TEXT["beta"](text).replace("UUDD", "UDUD", 1)
 
 
 
@@ -76,7 +70,7 @@ def test_theorem1_catches_mutated_map():
     examples = [c.counterexample for c in failed if c.counterexample is not None]
     assert examples
     assert all(len(e) <= 4 for e in examples)
-    assert _broken_phi(examples[0]) != _phi_text(examples[0])
+    assert _broken_phi(examples[0]) != _TEXT["phi"](examples[0])
 
 
 def test_theorem1_counterexample_is_lexicographically_first():
@@ -338,18 +332,18 @@ def _fake_timing(monkeypatch, n, cost, slow_words=0):
     slows down for a while."""
     state = {"now": 0.0, "slow": None}
 
-    def phi_ext(text):
-        if state["slow"] is None and len(text) == 4 * n:
+    def phi_ext(data):
+        if state["slow"] is None and len(data) == 4 * n:
             state["slow"] = slow_words
         factor = 1
         if state["slow"]:
             state["slow"] -= 1
             factor = 3
-        state["now"] += factor * cost(len(text))
-        return _phi_ext_text(text)
+        state["now"] += factor * cost(len(data))
+        return _phi_ext_b(data)
 
     monkeypatch.setitem(dyckmaps.maps._MAPS, "phi-ext",
-                        dyckmaps.maps._MAPS["phi-ext"]._replace(text=phi_ext))
+                        dyckmaps.maps._MAPS["phi-ext"]._replace(word=phi_ext))
     monkeypatch.setattr(
         dyckmaps.verify, "time", SimpleNamespace(perf_counter=lambda: state["now"])
     )
@@ -491,11 +485,11 @@ def test_default_maps_run_batched_in_chunks_of_at_most_chunk_rows(monkeypatch):
 
 # equal-valued wrappers: any injected map runs word by word
 def _phi_ext_wrapped(text):
-    return _phi_ext_text(text)
+    return _TEXT["phi-ext"](text)
 
 
 def _beta_wrapped(text):
-    return _beta_text(text)
+    return _TEXT["beta"](text)
 
 
 def test_injected_maps_give_the_same_report_in_a_pool(monkeypatch):
@@ -564,10 +558,10 @@ def _both_trips_swept(monkeypatch, verify, max_n, **maps):
 
 
 @pytest.mark.parametrize("verify, arg, inverse, word, other", [
-    (verify_theorem1, "psi_fn", _psi_text, "UUDUDD", "UDUDUD"),
-    (verify_theorem1, "psi_fn", _psi_text, "UUDUDD", "DUDUDU"),  # not Dyck
-    (verify_theorem2, "psi_ext_fn", _psi_ext_text, "DUUD", "UDDU"),
-    (verify_theorem2, "psi_ext_fn", _psi_ext_text, "DUUD", "UUUU"),  # not balanced
+    (verify_theorem1, "psi_fn", _TEXT["psi"], "UUDUDD", "UDUDUD"),
+    (verify_theorem1, "psi_fn", _TEXT["psi"], "UUDUDD", "DUDUDU"),  # not Dyck
+    (verify_theorem2, "psi_ext_fn", _TEXT["psi-ext"], "DUUD", "UDDU"),
+    (verify_theorem2, "psi_ext_fn", _TEXT["psi-ext"], "DUUD", "UUUU"),  # not balanced
 ], ids=["dyck", "dyck-misfit", "bilateral", "bilateral-misfit"])
 def test_an_inverse_wrong_on_one_word_fails_both_round_trips(
         monkeypatch, verify, arg, inverse, word, other):
@@ -633,7 +627,7 @@ def test_no_twin_sees_a_word_outside_its_class(monkeypatch):
     assert report == _both_trips_swept(monkeypatch, verify_theorem1, 5)
 
 
-@pytest.mark.parametrize("arg, fn", [("psi_fn", _psi_text), ("phi_fn", _phi_text)],
+@pytest.mark.parametrize("arg, fn", [("psi_fn", _TEXT["psi"]), ("phi_fn", _TEXT["phi"])],
                          ids=["psi_fn", "phi_fn"])
 def test_a_class_size_mismatch_sweeps_the_second_trip(monkeypatch, arg, fn):
     calls = []
@@ -668,10 +662,10 @@ def test_a_swept_second_trip_runs_in_the_sweep_pool(monkeypatch):
 def test_randomized_sweeps_its_second_trip(monkeypatch):
     rng = np.random.default_rng(1234)
     word = [_random_balanced_text(8, rng) for _ in range(50)][10]
-    assert _phi_ext_text(word) != word
+    assert _TEXT["phi-ext"](word) != word
 
     def wrong(text):
-        return text if text == word else _psi_ext_text(text)
+        return text if text == word else _TEXT["psi-ext"](text)
 
     monkeypatch.setitem(dyckmaps.maps._MAPS, "psi-ext", wrong)
     report = verify_randomized(8, trials=50, seed=1234, check_scaling=False)
