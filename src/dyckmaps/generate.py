@@ -250,37 +250,42 @@ def _step_counts(prev, up: bool, h: int) -> dict:
 def _transfer_counts(n: int, dyck: bool, stats: tuple) -> dict:
     """Exact counts of the words of one class by the values of ``stats``.
 
-    A transfer-matrix count over the steps (Stanley, EC1 4.7): a state is
-    (height, previous step, running max, running min, prime flag, packed
-    counters), mapped to the number of prefixes that reach it.  A field that
-    no requested statistic reads stays constant, so it splits no states.  The
-    prime flag holds while every step but the last ends above the axis,
-    which is ``min_height >= 0 and contacts == 1`` for n >= 1.  Steps that go
-    below the axis (Dyck) or can no longer return to it are pruned.
+    A transfer-matrix count over the steps (Stanley, EC1 4.7).  A state is
+    (height, previous step, running max, running min, prime flag), mapped to
+    one Python int whose base-2**bits digit at index ``packed`` counts the
+    prefixes that reach the state with those packed counter values.  A step
+    shifts the int left by ``bits`` per unit it adds to ``packed``; merging
+    two states is one int add.  No digit carries: each prefix a state counts
+    completes to a distinct word, so a digit is at most C(2n, n) < 2**bits.
+    A field that no requested statistic reads stays constant, so it splits
+    no states.  The prime flag holds while every step but the last ends
+    above the axis: ``min_height >= 0 and contacts == 1`` for n >= 1.  Steps
+    that go below the axis (Dyck) or can no longer return to it are pruned.
     """
     counters = list(dict.fromkeys(_COUNTER_OF[s] for s in stats if s in _COUNTER_OF))
-    base = 2 * n + 1  # above any counter's value
+    base = n + 1  # above any counter's value: each counts at most n steps
     weight = {c: base**i for i, c in enumerate(counters)}
+    bits = comb(2 * n, n).bit_length()
     track_prev = bool(_READS_PREV.intersection(counters))
     track_hi = "max_height" in stats
     track_lo = "min_height" in stats
     floor = 0 if dyck else -n
-    # (h, prev) -> the two steps from it as (next height, next prev, increment)
+    # (h, prev) -> the two steps from it as (next height, next prev, shift)
     moves = {
         (h, prev): [
             (h + 1 if up else h - 1, up if track_prev else None,
-             sum(weight[c] * v for c, v in _step_counts(prev, up, h).items()
-                 if c in weight))
+             bits * sum(weight[c] * v for c, v in _step_counts(prev, up, h).items()
+                        if c in weight))
             for up in (True, False)
         ]
         for h in range(floor, n + 1)
         for prev in ((None, True, False) if track_prev else (None,))
     }
-    states = {(0, None, 0, 0, "is_prime" in stats and n > 0, 0): 1}
+    states = {(0, None, 0, 0, "is_prime" in stats and n > 0): 1}
     for left in range(2 * n - 1, -1, -1):  # steps left after this one
         nxt = {}
-        for (h, prev, hi, lo, prime, packed), count in states.items():
-            for h2, prev2, inc in moves[h, prev]:
+        for (h, prev, hi, lo, prime), digits in states.items():
+            for h2, prev2, shift in moves[h, prev]:
                 if h2 < floor or h2 > left or -h2 > left:
                     continue
                 key = (
@@ -289,9 +294,8 @@ def _transfer_counts(n: int, dyck: bool, stats: tuple) -> dict:
                     h2 if track_hi and h2 > hi else hi,
                     h2 if track_lo and h2 < lo else lo,
                     prime and (h2 > 0 or not left),
-                    packed + inc,
                 )
-                nxt[key] = nxt.get(key, 0) + count
+                nxt[key] = nxt.get(key, 0) + (digits << shift)
         states = nxt
 
     def value(stat: str, hi: int, lo: int, prime: bool, packed: int) -> int:
@@ -307,11 +311,14 @@ def _transfer_counts(n: int, dyck: bool, stats: tuple) -> dict:
         return n - c if stat in ("ups_even", "downs_even") else c
 
     counts = {}
-    for (_, _, *fields), count in states.items():
-        values = tuple(value(stat, *fields) for stat in stats)
-        key = values if len(stats) == 2 else values[0]
-        counts[key] = counts.get(key, 0) + count
-    return counts
+    mask = (1 << bits) - 1
+    for (_, _, *fields), digits in states.items():
+        for packed in range(-(-digits.bit_length() // bits)):
+            if count := digits >> bits * packed & mask:
+                values = tuple(value(stat, *fields, packed) for stat in stats)
+                key = values if len(stats) == 2 else values[0]
+                counts[key] = counts.get(key, 0) + count
+    return dict(sorted(counts.items()))
 
 
 def distribution(
@@ -321,7 +328,9 @@ def distribution(
 
     ``path_class`` is "dyck" or "bilateral".  The counts come from an exact
     dynamic program over the steps, with no enumeration of the class, so
-    cost is polynomial in n (well under a second at n = 30).
+    cost is polynomial in n: at n = 30 on a 2-core machine a table took at
+    most 40 ms, but (max_height, min_height), with no counter, 0.08-0.13 s.
+    The counts iterate in ascending key order.
     """
     cls = path_class.lower()
     if cls not in ("dyck", "bilateral"):

@@ -1,6 +1,7 @@
 import json
 import tracemalloc
 from collections import Counter
+from math import comb
 from operator import attrgetter
 from pathlib import Path
 
@@ -24,12 +25,15 @@ from dyckmaps import (
     stat_record,
 )
 from dyckmaps.generate import (
+    _COUNTER_OF,
     _MAX_RANK_N,
+    _READS_PREV,
     _balanced_texts,
     _dyck_texts,
     _endings,
     _rank_blocks,
     _rank_rows,
+    _step_counts,
 )
 from dyckmaps.words import PathWord, _scan_rows, classify
 
@@ -209,14 +213,17 @@ def test_distribution_matches_golden_fixture(fixture):
         assert all(type(v) is int for v in (key if isinstance(key, tuple) else (key,)))
 
 
+_EVERY_KEY = [(a,) for a in StatRecord._fields] + [
+    (a, b) for a in StatRecord._fields for b in StatRecord._fields
+]
+
+
 @pytest.mark.parametrize("path_class, max_n", [("dyck", 10), ("bilateral", 8)])
 def test_distribution_equals_enumeration_for_every_field_and_pair(path_class, max_n):
-    fields = StatRecord._fields
-    keys = [(a,) for a in fields] + [(a, b) for a in fields for b in fields]
     for n in range(max_n + 1):
         texts = _dyck_texts(n) if path_class == "dyck" else _balanced_texts(n)
         records = [stat_record(PathWord(t)) for t in texts]
-        for stats in keys:
+        for stats in _EVERY_KEY:
             expected = Counter(map(attrgetter(*stats), records))
             got = distribution(path_class, n, *stats).counts
             assert got == dict(expected), (path_class, n, stats)
@@ -248,6 +255,114 @@ def test_theorem_distributions_equal_a_tally_of_the_swept_rows(path_class, max_n
         for stats, tally in tallies.items():
             got = distribution(path_class, n, *stats).counts
             assert got == dict(tally), (path_class, n, stats)
+
+
+# the dict transfer-matrix count that the digit-packed one in
+# ``_transfer_counts`` replaced, kept verbatim as its slow reference: every
+# counter value is a state of its own
+def _dict_transfer_counts(n: int, dyck: bool, stats: tuple) -> dict:
+    counters = list(dict.fromkeys(_COUNTER_OF[s] for s in stats if s in _COUNTER_OF))
+    base = 2 * n + 1  # above any counter's value
+    weight = {c: base**i for i, c in enumerate(counters)}
+    track_prev = bool(_READS_PREV.intersection(counters))
+    track_hi = "max_height" in stats
+    track_lo = "min_height" in stats
+    floor = 0 if dyck else -n
+    # (h, prev) -> the two steps from it as (next height, next prev, increment)
+    moves = {
+        (h, prev): [
+            (h + 1 if up else h - 1, up if track_prev else None,
+             sum(weight[c] * v for c, v in _step_counts(prev, up, h).items()
+                 if c in weight))
+            for up in (True, False)
+        ]
+        for h in range(floor, n + 1)
+        for prev in ((None, True, False) if track_prev else (None,))
+    }
+    states = {(0, None, 0, 0, "is_prime" in stats and n > 0, 0): 1}
+    for left in range(2 * n - 1, -1, -1):  # steps left after this one
+        nxt = {}
+        for (h, prev, hi, lo, prime, packed), count in states.items():
+            for h2, prev2, inc in moves[h, prev]:
+                if h2 < floor or h2 > left or -h2 > left:
+                    continue
+                key = (
+                    h2,
+                    prev2,
+                    h2 if track_hi and h2 > hi else hi,
+                    h2 if track_lo and h2 < lo else lo,
+                    prime and (h2 > 0 or not left),
+                    packed + inc,
+                )
+                nxt[key] = nxt.get(key, 0) + count
+        states = nxt
+
+    def value(stat: str, hi: int, lo: int, prime: bool, packed: int) -> int:
+        if stat == "n":
+            return n
+        if stat == "max_height":
+            return hi
+        if stat == "min_height":
+            return lo
+        if stat == "is_prime":
+            return int(prime)
+        c = packed // weight[_COUNTER_OF[stat]] % base
+        return n - c if stat in ("ups_even", "downs_even") else c
+
+    counts = {}
+    for (_, _, *fields), count in states.items():
+        values = tuple(value(stat, *fields) for stat in stats)
+        key = values if len(stats) == 2 else values[0]
+        counts[key] = counts.get(key, 0) + count
+    return counts
+
+
+# past the semilengths that the enumeration test reaches
+@pytest.mark.parametrize("n", [11, 12])
+@pytest.mark.parametrize("path_class", ["dyck", "bilateral"])
+def test_distribution_equals_the_dict_transfer_count_for_every_field_and_pair(
+    path_class, n
+):
+    for stats in _EVERY_KEY:
+        got = distribution(path_class, n, *stats).counts
+        assert got == _dict_transfer_counts(n, path_class == "dyck", stats), stats
+        assert list(got) == sorted(got), stats
+
+
+@pytest.mark.parametrize("path_class, keys", [
+    ("dyck", [("contacts", "ups_odd"), ("contacts", "peaks")]),
+    ("bilateral", [("ups_odd",), ("peaks",)]),
+], ids=["dyck", "bilateral"])
+def test_theorem_distributions_equal_the_dict_transfer_count_at_n20(path_class, keys):
+    for stats in keys:
+        got = distribution(path_class, 20, *stats).counts
+        assert got == _dict_transfer_counts(20, path_class == "dyck", stats), stats
+
+
+def test_distributions_at_n30_equal_their_closed_forms():
+    n = 30
+    narayana_row = {k: narayana(n, k) for k in range(1, n + 1)}
+    assert distribution("dyck", n, "peaks").counts == narayana_row
+    ballot = {k: k * comb(2 * n - k, n) // (2 * n - k) for k in range(1, n + 1)}
+    assert sum(ballot.values()) == catalan(n)  # so each quotient is exact
+    assert distribution("dyck", n, "contacts").counts == ballot
+    squares = {k: comb(n, k) ** 2 for k in range(n + 1)}  # OEIS A008459
+    assert distribution("bilateral", n, "peaks").counts == squares
+    assert distribution("bilateral", n, "ups_odd").counts == squares
+    # phi_ext carries odd-height up-steps to peaks and keeps the crossings
+    assert (distribution("bilateral", n, "crossings", "ups_odd").counts
+            == distribution("bilateral", n, "crossings", "peaks").counts)
+
+
+# C(68, 34) is past 2^63, so every count here is past int64 or summed past it
+@pytest.mark.parametrize("n", [34, 40])
+def test_single_statistic_counts_past_2_63_are_exact_python_ints(n):
+    assert central_binomial(n) > 2**63
+    for path_class, size in (("dyck", catalan(n)), ("bilateral", central_binomial(n))):
+        for stat in StatRecord._fields:
+            counts = distribution(path_class, n, stat).counts
+            assert sum(counts.values()) == size, (path_class, stat)
+            assert all(type(c) is int for c in counts.values()), (path_class, stat)
 
 
 # --- sampling -------------------------------------------------------------------
