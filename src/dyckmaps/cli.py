@@ -60,7 +60,7 @@ _MAX_RANDOM_STEPS = 10**8
 _CHUNK_CHARS = 1 << 17
 # Equal-length lines of a chunk that are parsed, checked and answered as one
 # matrix; a shorter run goes word by word.  With the parse and the check, psi
-# and psi-ext break even at 20-32 words of 20 or 400 steps, the others at 4-20.
+# and psi-ext break even at 16-20 words of 20 or 400 steps, the others at 4-20.
 _MIN_ROWS = 32
 
 _STAGED_OPS = {"phi": phi_stages, "psi": psi_stages}

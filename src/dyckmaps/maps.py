@@ -18,18 +18,18 @@ core and twin.  A record's ``text`` runs the core on a word under
 and its ``image``, which the public maps, ``map`` lines and traces run,
 checks such a word on that matrix first.  phi and psi run in O(length)
 with no recursion.  phi reads its blocks level by level: its core walks
-that level rule, and its twin is a rank core, one stable argsort of the odd
+that level rule, and its twin is a rank core, one level order of the odd
 vertices keyed by word and height.  psi keeps a run transducer, a
 left-to-right stack machine on the reversed-and-flipped word; its twin
 loops over the steps of a matrix of words under ``_LONG`` steps and runs
-its own rank core, one stable argsort of the vertex heights per parity, on
-each longer word, from the heights the twin is given.  The sort keys are
-uint16 (a radix sort) while the words times the heights fit in 2^16 and
-int32 above.  Both forms of an extension call the Dyck core once per word;
+its own rank core, one level order of the vertex heights per parity, on
+each longer word.  A level order sorts each key packed above its position
+in uint32 where the two fit 32 bits, else the keys by a stable argsort.
+Both forms of an extension call the Dyck core once per word;
 the extensions of a matrix with no step below the axis, so with no
 negative factor, are its Dyck maps, with no beta gather.  At 10^6 steps a
-rank core peaks at about 11 bytes per step, and phi, psi, beta and the
-extensions at 13-14.  Every twin takes the matrix of no steps, the chunk
+rank core peaks at about 10-11 bytes per step, and phi, psi, beta and the
+extensions at 14-15.  Every twin takes the matrix of no steps, the chunk
 of the empty word, without a special case.
 """
 
@@ -177,14 +177,32 @@ _AT = np.int32  # positions in a chunk; half the memory of the default int64
 
 
 def _key_type(top: int, words: int) -> type:
-    """The type of the sort keys ``word * (top + 1) + height`` of ``words``
-    words of heights up to ``top``: uint16 where they fit, which numpy
-    sorts by radix, else int32."""
+    """The type of :func:`_level_order`'s unpacked keys, and of one word's heights:
+    uint16 where they fit, which numpy sorts by radix, else int32."""
     return np.uint16 if words * (top + 1) <= 1 << 16 else np.int32
 
 
+def _level_order(h: np.ndarray, top: int) -> np.ndarray:
+    """The flat stable argsort of the keys ``word * (top + 1) + height`` of heights
+    ``h`` up to ``top``, of one word or one per column.  Where a key and a flat
+    position fit 32 bits, each key shifted above its position makes a distinct
+    uint32, so one in-place sort orders them; else numpy's stable argsort."""
+    words, bits = h.shape[1] if h.ndim > 1 else 1, (h.size - 1).bit_length()
+    packs = (words * (top + 1) - 1).bit_length() + bits <= 32
+    keys = h.astype(np.uint32 if packs else _key_type(top, words))
+    if words > 1:
+        keys += np.arange(0, words * (top + 1), top + 1, dtype=keys.dtype)
+    if not packs:
+        return np.argsort(keys, axis=None, kind="stable")
+    keys <<= bits
+    keys |= np.arange(h.size, dtype=np.uint32).reshape(h.shape)
+    keys = keys.ravel()
+    keys.sort()
+    return np.bitwise_and(keys, (1 << bits) - 1, out=np.empty(h.size, dtype=np.intp))
+
+
 def _phi_rows(mat: np.ndarray, h=None) -> np.ndarray:
-    """:func:`_phi_b` on Dyck words, one per column, by one stable argsort.
+    """:func:`_phi_b` on Dyck words, one per column, by one level order.
 
     In the block parse, applied at every level, a U to odd height opens a
     node and one to even height a block.  So the step leaving odd vertex
@@ -203,13 +221,8 @@ def _phi_rows(mat: np.ndarray, h=None) -> np.ndarray:
         up, h = _up_and_heights(mat)
     else:
         up = mat == _U
-    top = int(h[0::2].max(initial=0))
-    key = _key_type(top, words)
-    keys = h[0::2].astype(key)  # vertex 2j+1 follows step 2j
+    order = _level_order(h[0::2], int(h[0::2].max(initial=0)))  # vertex 2j+1 follows step 2j
     del h
-    keys += np.arange(0, words * (top + 1), top + 1, dtype=key)
-    order = np.argsort(keys, axis=None, kind="stable").astype(_AT)
-    del keys
     rank = np.arange(len(order), dtype=_AT)
     count = up[0::2].ravel()[order] * rank
     np.maximum.accumulate(count, out=count)
@@ -237,10 +250,11 @@ def _psi_rows(mat: np.ndarray, h=None) -> np.ndarray:
     The transducer of :func:`_psi_b` emits two bytes per such D: after a
     U-run of length s+1, U then U (pushing s) or D (s = 0); after another D,
     D then U or D, as the top count, less one, stays above zero or runs out
-    and is popped.
-    The loop runs over the n D's of all words at once, each word with its
-    own depth into a ``(words, n+1)`` stack.  Words of at least ``_LONG``
-    steps go through :func:`_psi_rank` one by one.
+    and is popped.  The loop runs over the n D's of all words at once, each
+    word with its own depth into a ``(words, n+2)`` stack over a base slot of
+    1, so a peak at depth 0 never pops; it records each step's top, which
+    gives the second bytes after the loop.  Words of at least ``_LONG`` steps
+    go through :func:`_psi_rank` one by one.
     """
     size, rows = mat.shape
     if size >= _LONG:
@@ -261,17 +275,18 @@ def _psi_rows(mat: np.ndarray, h=None) -> np.ndarray:
     peak = run > 0
     push = run > 1
     spine = (run - 1).astype(np.int16)
-    stack = np.zeros(rows * (n + 1), dtype=np.int16)
-    top_at = np.arange(-1, rows * (n + 1) - 1, n + 1)  # depth 0 reads an unused slot
-    second_up = np.empty((n, rows), dtype=bool)
+    lone = (~peak).astype(np.int16)
+    stack = np.ones(rows * (n + 2), dtype=np.int16)  # each word's base slot holds 1
+    top_at = np.arange(0, rows * (n + 2), n + 2)
+    record = np.empty((n, rows), dtype=np.int16)  # each step's top, less one if lone
     for k in range(n):
-        lone = ~peak[k]
-        p = push[k]
-        top = stack[top_at]
-        second_up[k] = p | (lone & (top != 1))
-        stack[top_at + p] = np.where(p, spine[k], top - lone)
-        top_at += p
-        top_at -= lone & (top == 1)
+        top = np.take(stack, top_at, out=record[k])
+        top -= lone[k]
+        stack[top_at] = top
+        top_at -= top == 0  # popped
+        stack[top_at + 1] = spine[k]  # read only once a push has written it
+        top_at += push[k]
+    second_up = push | (record != 0) & ~peak
     out = np.empty((size, rows), dtype=np.uint8)  # mirrored
     out[0::2] = _U - _flips(~peak)
     out[1::2] = _U - _flips(~second_up)
@@ -413,7 +428,7 @@ def _psi_ext_rows(mat: np.ndarray, h=None) -> np.ndarray:
 
 # --- the rank core of psi ----------------------------------------------------
 #
-# psi on one long Dyck word of uint8 steps.  A stable argsort of the vertex
+# psi on one long Dyck word of uint8 steps.  The level order of the vertex
 # heights lists the vertices level by level, each level in word order, as in
 # :func:`_phi_rows`.  A vertex's height has the parity of its position, so
 # each parity sorts apart.
@@ -431,13 +446,13 @@ def _psi_rank(row: np.ndarray, h=None) -> np.ndarray:
     h = _up_and_heights(row[:, None])[1][:, 0] if h is None else h
     after = np.ones(size + 2, dtype=bool)  # the step after each vertex; U past the end
     up = np.equal(row, _U, out=after[:size])
-    key = _key_type(int(h.max(initial=0)), 1)
-    keys = np.zeros(size + 1, dtype=key)  # every vertex, the start included
+    top = int(h.max(initial=0))
+    keys = np.zeros(size + 1, dtype=_key_type(top, 1))  # every vertex, the start included
     keys[1:] = h
     del h
     then_up = np.empty(size + 1, dtype=bool)  # the step after the level's next vertex
     for parity in (0, 1):
-        vertex = np.argsort(keys[parity::2], kind="stable")  # intp: no cast to gather
+        vertex = _level_order(keys[parity::2], top)
         vertex *= 2
         vertex += parity
         then_up[vertex[:-1]] = after[vertex[1:]]

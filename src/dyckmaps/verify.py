@@ -13,8 +13,8 @@ order.  One worker checks every chunk as a ``(2n, words)`` uint8 matrix
 whose steps run down axis 0: each map runs once on the chunk, the words
 and images are scanned once each, and the checks are predicates on whole
 columns.  Default maps, ``maps._MAPS`` records, run their twins.  A chunk peaks
-under 30 bytes per step, and 4,096 words keep phi's sort keys uint16 up to
-n = 15.  :func:`verify_randomized` passes its samples to the same worker.
+under 30 bytes per step, and phi packs its sort keys into uint32 up to n = 15.
+:func:`verify_randomized` passes its samples to the same worker.
 
 Each theorem is a bijection of the finite class C_n of words of semilength
 n, so a first round trip that holds on all of C_n implies the second, the

@@ -1,7 +1,8 @@
 """The matrix fast path of the sweeps against the per-word code it stands for:
 the chunked enumerator, the six matrix maps and the row scan, word by word;
 phi's rank core on one-word columns and on matrices past the uint16 sort
-keys, and psi's rank core of long words, against the stack transducers."""
+keys, psi's step loop and psi's rank core of long words, against the stack
+transducers; the level order of both rank cores against a stable argsort."""
 
 import json
 import tracemalloc
@@ -26,6 +27,7 @@ from dyckmaps.maps import (
     _alpha_b,
     _beta_b,
     _ext_b,
+    _level_order,
     _phi_b,
     _phi_ext_rows,
     _phi_rows,
@@ -188,6 +190,88 @@ def test_phi_rows_sort_int32_keys_past_the_uint16_range():
              for i in range(300)]
     image = _phi_rows(_rows(texts))
     assert _texts_of(image) == [_phi_b(t.encode("ascii")).decode("ascii") for t in texts]
+
+
+def test_psi_rows_equals_the_transducer_on_random_and_extreme_columns():
+    """327 random columns of 400 steps, the shape of a CLI chunk, then the
+    deepest and shallowest stacks, U^n D^n and (UD)^n, and U^k (UD)^m D^k,
+    mixed with random columns in one matrix."""
+    rng = np.random.default_rng(31)
+    random = [_random_dyck_text(200, rng) for _ in range(327)]
+    extreme = ["U" * 200 + "D" * 200, "UD" * 200] + [
+        "U" * k + "UD" * (200 - k) + "D" * k for k in (1, 2, 37, 100, 199)]
+    for texts in (random, extreme + random[:9] + extreme[::-1]):
+        want = [_psi_b(t.encode("ascii")).decode("ascii") for t in texts]
+        assert _texts_of(_psi_rows(_rows(texts))) == want
+
+
+def test_psi_rows_keeps_each_word_on_its_own_stack(monkeypatch):
+    """Every top the step loop reads lies in its word's n + 2 slots, so a
+    peak on an empty stack stays on the base slot and no word reads or
+    writes another's."""
+    texts = ["UD" * 40, "U" * 40 + "D" * 40, "UUDD" * 20, "UD" * 40,
+             "U" * 20 + "UD" * 20 + "D" * 20]
+    real, rows, slots = np.take, len(texts), 42  # n + 2 slots a word
+
+    def take(a, indices, *args, **kwargs):
+        if a.dtype == np.int16 and len(a) == rows * slots:  # the stack
+            assert np.array_equal(np.floor_divide(indices, slots), np.arange(rows))
+        return real(a, indices, *args, **kwargs)
+
+    monkeypatch.setattr(np, "take", take)
+    image = _psi_rows(_rows(texts))
+    assert _texts_of(image) == [_psi_b(t.encode("ascii")).decode("ascii") for t in texts]
+
+
+def _vertex_heights(text):
+    """The heights of the vertices of a word, the start included."""
+    h = np.zeros(len(text) + 1, dtype=np.int32)
+    h[1:] = _up_and_heights(_rows([text]))[1][:, 0]
+    return h
+
+
+def _level_cases():
+    """name: (heights, their top, whether key and position pack in 32 bits)."""
+    rng = np.random.default_rng(37)
+    size = 10**6
+    walk = _vertex_heights(_random_dyck_text(size // 2, rng))
+    climb = _vertex_heights("U" * (size // 2) + "D" * (size // 2))
+    return {
+        # a full sweep chunk of heights up to n: 16 + 16 bits at n = 15
+        "chunk-n15": (rng.integers(0, 16, (15, _CHUNK)), 15, True),
+        "chunk-n16": (rng.integers(0, 17, (16, _CHUNK)), 16, False),
+        # one parity of a 10^6-step word: 19 bits of position
+        "random-1e6": (walk[1::2], int(walk.max()), True),
+        "U^n-D^n-1e6": (climb[0::2], size // 2, False),
+    }
+
+
+def _count_argsorts(monkeypatch):
+    """The calls of np.argsort from here on, one item each."""
+    calls, real = [], np.argsort
+    monkeypatch.setattr(np, "argsort", lambda *a, **k: calls.append(1) or real(*a, **k))
+    return calls
+
+
+@pytest.mark.parametrize("name", ["chunk-n15", "chunk-n16", "random-1e6", "U^n-D^n-1e6"])
+def test_the_level_order_equals_the_stable_argsort(monkeypatch, name):
+    h, top, packs = _level_cases()[name]
+    words = h.shape[1] if h.ndim > 1 else 1
+    want = np.argsort(h + np.arange(words) * (top + 1), axis=None, kind="stable")
+    calls = _count_argsorts(monkeypatch)
+    kept = h.copy()
+    got = _level_order(h, top)
+    assert got.dtype == np.intp and np.array_equal(got, want)
+    assert np.array_equal(h, kept)
+    assert not calls if packs else calls  # the packed sort, else the stable argsort
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_a_full_chunk_takes_the_packed_sort_up_to_n15(monkeypatch, n):
+    # phi sorts the heights of a chunk's Dyck words, at most n
+    calls = _count_argsorts(monkeypatch)
+    _level_order(np.zeros((n, _CHUNK), np.int8), n)
+    assert bool(calls) == (n > 15)
 
 
 @pytest.mark.parametrize("n", range(1, 9))
