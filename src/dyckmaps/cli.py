@@ -8,9 +8,10 @@ Every command that reads stdin runs one driver, :func:`_per_chunk`, which
 answers a chunk of lines at a time.  ``map`` (without ``--trace``) and
 ``stats`` have matrix twins: their chunk ends once it holds more than
 ``_CHUNK_CHARS`` characters, or at the end of the input, and each run of at
-least ``_MIN_ROWS`` equal-length lines of a chunk is parsed and checked as
-one matrix and goes through the twin of the op's ``maps._MAPS`` record or
-the matrix scan of the statistics; the output is the same as word by word.
+least ``_MIN_ROWS`` equal-length lines of a chunk is parsed as one matrix,
+which the op's ``maps._MAPS`` record checks against its domain and maps
+(``_Map.images``), or the matrix scan of the statistics checks and
+formats; the output is the same as word by word.
 ``classify``, ``render`` and ``map --trace`` have no twin and read one
 line per chunk, as every command does on a terminal.
 """
@@ -20,8 +21,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-
-import numpy as np
 
 from . import __version__
 from .decompose import crossing_factorize, first_return_split
@@ -37,16 +36,7 @@ from .verify import (
     verify_theorem1,
     verify_theorem2,
 )
-from .words import (
-    _LONG,
-    _closed_rows,
-    _dyck_rows,
-    _parse_rows,
-    _row_texts,
-    _up_and_heights,
-    classify,
-    parse_word,
-)
+from .words import _LONG, _parse_rows, classify, parse_word
 
 _MAX_N = 30  # the range of --n and --max-n
 # Words one enum or verify command may walk: enum walks one class at one n,
@@ -129,18 +119,17 @@ def _chunks(stdin, limit: int):
     return iter(lambda: stdin.readlines(limit), [])  # the line loop runs in C
 
 
-def _per_chunk(stdin, stdout, one, *, many=None, dyck=False) -> int:
+def _per_chunk(stdin, stdout, one, *, many=None) -> int:
     """Print ``one(word)`` for each parsed input line, a chunk of lines at a
     time; ``one`` checks its word.  A run of at least ``_MIN_ROWS`` lines of
-    one length below ``_LONG`` goes from its text to a uint8 matrix, which
-    is checked by :func:`~dyckmaps.words._dyck_rows` if ``dyck``, else by
-    :func:`~dyckmaps.words._closed_rows`, and answered by the matrix twin
-    ``many``, given the heights that the Dyck check scans (else None); only
-    the lines from the first column that fails there on are parsed and
-    answered word by word, like every other line.  A chunk is one line
-    without a twin, since one answer can reach the render or trace cap, and
-    on a terminal.  The first DyckError ends the command once the answers to
-    the lines before it are printed, and names its line."""
+    one length below ``_LONG`` goes from its text to a uint8 matrix of the
+    lines before the first one that does not parse, and ``many`` checks it
+    and answers the columns before the first that fails; only the lines
+    from there on are parsed and answered word by word, like every other
+    line.  A chunk is one line without a twin, since one answer can reach
+    the render or trace cap, and on a terminal.  The first DyckError ends
+    the command once the answers to the lines before it are printed, and
+    names its line."""
     limit = 0 if many is None or stdin.isatty() else _CHUNK_CHARS
     lineno = 0  # the lines before the chunk
     for chunk in _chunks(stdin, limit):
@@ -152,15 +141,10 @@ def _per_chunk(stdin, stdout, one, *, many=None, dyck=False) -> int:
         bad, error = len(texts), None  # the first line that fails, and why
         for size, rows in by_length.items():
             if many is not None and len(rows) >= _MIN_ROWS and 0 < size < _LONG:
-                mat, passed = _parse_rows([texts[i] for i in rows])
-                h = _up_and_heights(mat)[1] if dyck else None
-                passed &= _dyck_rows(mat, h) if dyck else _closed_rows(mat)
-                k = len(rows) if passed.all() else int(passed.argmin())
-                if k:
-                    h = None if h is None else h[:, :k]
-                    for i, answer in zip(rows, many(np.ascontiguousarray(mat[:, :k]), h)):
-                        answers[i] = answer
-                rows = rows[k:]
+                done = many(_parse_rows([texts[i] for i in rows]))
+                for i, answer in zip(rows, done):
+                    answers[i] = answer
+                rows = rows[len(done):]
             for i in rows:
                 if i >= bad:
                     break
@@ -179,14 +163,13 @@ def _cmd_map(args, stdin, stdout) -> int:
     if args.trace:
         return _per_chunk(stdin, stdout, lambda word: "\n".join(_trace_lines(args, word)))
     op = _MAPS[args.op]
-    return _per_chunk(stdin, stdout, op.image,
-                      many=lambda mat, h: _row_texts(op.rows(mat, h)), dyck=op.dyck)
+    return _per_chunk(stdin, stdout, op.image, many=op.images)
 
 
 def _cmd_stats(args, stdin, stdout) -> int:
     template = _JSON_TEMPLATE if args.format == "json" else _TEXT_TEMPLATE
     return _per_chunk(stdin, stdout, lambda word: _stat_line(stat_record(word), template),
-                      many=lambda mat, h: _stat_lines_rows(mat, template))
+                      many=lambda mat: _stat_lines_rows(mat, template))
 
 
 def _trace_lines(args, word) -> list:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain
+from itertools import chain, product
 from math import comb
 from typing import Iterator
 
@@ -270,7 +270,9 @@ def _transfer_counts(n: int, dyck: bool, stats: tuple) -> dict:
     track_hi = "max_height" in stats
     track_lo = "min_height" in stats
     floor = 0 if dyck else -n
-    # (h, prev) -> the two steps from it as (next height, next prev, shift)
+    # (h, prev) -> the two steps from it as (next height, next prev, shift);
+    # a tracked prev is None only before the first step, at h = 0
+    prevs = (True, False) if track_prev else (None,)
     moves = {
         (h, prev): [
             (h + 1 if up else h - 1, up if track_prev else None,
@@ -278,8 +280,7 @@ def _transfer_counts(n: int, dyck: bool, stats: tuple) -> dict:
                         if c in weight))
             for up in (True, False)
         ]
-        for h in range(floor, n + 1)
-        for prev in ((None, True, False) if track_prev else (None,))
+        for h, prev in {(0, None), *product(range(floor, n + 1), prevs)}
     }
     states = {(0, None, 0, 0, "is_prime" in stats and n > 0): 1}
     for left in range(2 * n - 1, -1, -1):  # steps left after this one

@@ -16,21 +16,21 @@ equal-length words, one per column; ``_MAPS`` holds each map's domain,
 core and twin.  A record's ``text`` runs the core on a word under
 ``words._LONG`` = 4,096 steps and the twin on a longer one, as one column,
 and its ``image``, which the public maps, ``map`` lines and traces run,
-checks such a word on that matrix first.  phi and psi run in O(length)
-with no recursion.  phi reads its blocks level by level: its core walks
-that level rule, and its twin is a rank core, one level order of the odd
-vertices keyed by word and height.  psi keeps a run transducer, a
-left-to-right stack machine on the reversed-and-flipped word; its twin
-loops over the steps of a matrix of words under ``_LONG`` steps and runs
-its own rank core, one level order of the vertex heights per parity, on
-each longer word.  A level order sorts each key packed above its position
-in uint32 where the two fit 32 bits, else the keys by a stable argsort.
-Both forms of an extension call the Dyck core once per word;
-the extensions of a matrix with no step below the axis, so with no
-negative factor, are its Dyck maps, with no beta gather.  At 10^6 steps a
-rank core peaks at about 10-11 bytes per step, and phi, psi, beta and the
-extensions at 14-15.  Every twin takes the matrix of no steps, the chunk
-of the empty word, without a special case.
+checks such a word on that matrix first, by ``images``, the check and map
+of a ``map`` run.  phi and psi run in O(length) with no recursion.  phi
+reads its blocks level by level: its core walks that level rule, and its
+twin is a rank core, one level order of the odd vertices keyed by word and
+height.  psi keeps a run transducer, a left-to-right stack machine on the
+reversed-and-flipped word; its twin loops over the steps of a matrix of
+words under ``_LONG`` steps and runs its own rank core, one level order of
+the vertex heights per parity, on each longer word.  A level order sorts
+each key packed above its position in uint32 where the two fit 32 bits,
+else the keys by a stable argsort.  Both forms of an extension call the
+Dyck core once per word; the extensions of a matrix with no step below the
+axis, so with no negative factor, are its Dyck maps, with no beta gather.
+At 10^6 steps a rank core peaks at about 10-11 bytes per step, and phi,
+psi, beta and the extensions at 14-15.  Every twin takes the matrix of no
+steps, the chunk of the empty word, without a special case.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ from .decompose import (
 from .errors import DyckError
 from .render import _MAX_CELLS
 from .words import (_D, _FLIP_B, _FLIP_BITS, _LONG, _U, PathWord, _closed_rows,
-                    _cumsum_down, _dyck_rows, _flips, _row_texts, _rows,
+                    _cumsum_down, _dyck_rows, _flips, _leading, _row_texts, _rows,
                     _up_and_heights, require_closed, require_dyck)
 
 
@@ -469,7 +469,8 @@ def _psi_rank(row: np.ndarray, h=None) -> np.ndarray:
 
 
 class _Map(NamedTuple):
-    """A map as the API, the CLI and the sweeps run it; ``image`` checks, then maps, a word."""
+    """A map as the API, the CLI and the sweeps run it; ``images`` checks, then
+    maps, a matrix of words up to the first outside the domain, ``image`` a word."""
 
     dyck: bool  # its domain: Dyck words, else balanced words
     word: Callable[[bytes], bytes]  # its per-word core on ASCII steps
@@ -482,16 +483,24 @@ class _Map(NamedTuple):
             return _row_texts(self.rows(_rows([text])))[0]
         return self.word(text.encode("ascii")).decode("ascii")
 
+    def images(self, mat: np.ndarray) -> list:
+        """The images, as texts, of the words of a ``(steps, words)`` uint8 matrix of
+        at least one step before its first column outside the domain, checked by
+        ``_dyck_rows`` from heights that the twin then takes, or by ``_closed_rows``."""
+        h = _up_and_heights(mat)[1] if self.dyck else None
+        k = _leading(_dyck_rows(mat, h) if self.dyck else _closed_rows(mat))
+        h = None if h is None else h[:, :k]
+        return _row_texts(self.rows(np.ascontiguousarray(mat[:, :k]), h)) if k else []
+
     def image(self, w: PathWord) -> str:
-        """A word of ``_LONG`` steps or more is checked on its twin's matrix, by
-        ``_dyck_rows`` from a height scan that the twin then takes or by
-        ``_closed_rows``; any other goes to the domain's ``require_*``, then the core."""
+        """A word of ``_LONG`` steps or more is checked and mapped by
+        :meth:`images` as one column; any other, or one that fails there,
+        goes to the domain's ``require_*``, then the core."""
         text = w.text
         if len(text) >= _LONG:
-            mat = _rows([text])
-            h = _up_and_heights(mat)[1] if self.dyck else None
-            if (_dyck_rows(mat, h) if self.dyck else _closed_rows(mat))[0]:
-                return _row_texts(self.rows(mat, h))[0]
+            done = self.images(_rows([text]))
+            if done:
+                return done[0]
         (require_dyck if self.dyck else require_closed)(w)
         return self.word(text.encode("ascii")).decode("ascii")
 

@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import NotBilateralError
-from .words import PathWord, _Scan, _scan_rows, _ups
+from .words import PathWord, _Scan, _leading, _scan_rows, _ups
 
 
 class StatRecord(NamedTuple):
@@ -138,11 +138,13 @@ def _record(s: _Scan, size: int) -> StatRecord:
 
 
 def _stat_lines_rows(mat: np.ndarray, template: str) -> list:
-    """:func:`_stat_line` of the records of balanced words, one per column of
-    a ``(steps, words)`` uint8 matrix, formatted from one scan's columns."""
-    rec = _record(_scan_rows(mat), mat.shape[0])  # its fields are columns
-    fields = [f.tolist() for f in rec[1:-1]]
-    fields.append([_PRIME_TEXT[prime] for prime in rec.is_prime.tolist()])
+    """:func:`_stat_line` of the records of the words, one per column of a ``(steps,
+    words)`` uint8 matrix, before the first that ends off the axis, from one scan."""
+    scan = _scan_rows(mat)
+    k = _leading(scan.final == 0)
+    rec = _record(scan, mat.shape[0])  # its fields are columns
+    fields = [f[:k].tolist() for f in rec[1:-1]]
+    fields.append([_PRIME_TEXT[prime] for prime in rec.is_prime[:k].tolist()])
     return [template.format(rec.n, *line) for line in zip(*fields)]
 
 

@@ -85,16 +85,21 @@ def _rows(texts: list) -> np.ndarray:
     return np.ascontiguousarray(by_word.T)
 
 
-def _parse_rows(texts: list) -> tuple[np.ndarray, np.ndarray]:
+def _parse_rows(texts: list) -> np.ndarray:
     """:func:`parse_word` of equal-length texts at once: the matrix of
-    :func:`_rows` after the alias table, and which columns parse.  A
-    character outside the alphabets, non-ASCII included, fails its column."""
+    :func:`_rows`, after the alias table, of the texts before the first one
+    with a character outside the alphabets, non-ASCII included."""
     text = "".join(texts)
     if any(alias in text for alias in "ud()"):  # the table reads every character
         text = text.translate(_ALIAS_TABLE)
     data = text.encode("ascii", "replace")
     mat = np.frombuffer(data, dtype=np.uint8).reshape(len(texts), -1).T.copy()
-    return mat, ((mat == _U) | (mat == _D)).all(axis=0)
+    return np.ascontiguousarray(mat[:, :_leading(((mat == _U) | (mat == _D)).all(axis=0))])
+
+
+def _leading(passed: np.ndarray) -> int:
+    """How many entries of a boolean vector come before its first False."""
+    return len(passed) if passed.all() else int(passed.argmin())
 
 
 def _row_texts(mat: np.ndarray) -> list:

@@ -4,8 +4,11 @@ import subprocess
 import sys
 from math import comb
 from pathlib import Path
+from unittest import mock
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 import dyckmaps.cli
 import dyckmaps.generate
@@ -385,18 +388,21 @@ _PER_LINE_CASES = [["map", "--op", op] for op in _PUBLIC_MAPS] + [
     ["stats"], ["stats", "--format", "json"]]
 
 
+def _answer(argv, line):
+    """What the command prints for one input line, through the public API."""
+    word = dyckmaps.parse_word(line.rstrip("\r\n"))
+    if argv[0] == "classify":
+        return dyckmaps.classify(word).value
+    if argv[0] == "map":
+        return _PUBLIC_MAPS[argv[2]](word).text
+    if argv[1:] == ["--format", "json"]:
+        return json.dumps(dyckmaps.stat_record(word).to_dict())
+    return dyckmaps.stat_record(word).to_text()
+
+
 def _reference(argv, stdin_text):
     """What the command prints, line by line through the public API."""
-    out = []
-    for line in io.StringIO(stdin_text):
-        word = dyckmaps.parse_word(line.rstrip("\r\n"))
-        if argv[0] == "map":
-            out.append(_PUBLIC_MAPS[argv[2]](word).text)
-        elif argv[1:] == ["--format", "json"]:
-            out.append(json.dumps(dyckmaps.stat_record(word).to_dict()))
-        else:
-            out.append(dyckmaps.stat_record(word).to_text())
-    return "".join(line + "\n" for line in out)
+    return "".join(_answer(argv, line) + "\n" for line in io.StringIO(stdin_text))
 
 
 def _words(dyck, n, count, seed):
@@ -500,7 +506,7 @@ def test_a_dyck_run_scans_its_heights_once(monkeypatch, op):
         scans.append(mat.shape)
         return heights(mat)
 
-    for module in (dyckmaps.cli, dyckmaps.words, dyckmaps.maps):
+    for module in (dyckmaps.words, dyckmaps.maps):
         monkeypatch.setattr(module, "_up_and_heights", counted)
     assert _run(argv, stdin_text) == (0, want, "")
     assert scans == [(20, 64)]  # for the check, and passed on to the twin
@@ -537,7 +543,7 @@ def test_a_long_dyck_line_scans_its_heights_once(monkeypatch, op):
         scans.append(mat.shape)
         return heights(mat)
 
-    for module in (dyckmaps.cli, dyckmaps.words, dyckmaps.maps):
+    for module in (dyckmaps.words, dyckmaps.maps):
         monkeypatch.setattr(module, "_up_and_heights", counted)
     assert _run(argv, stdin_text) == (0, want, "")
     assert scans == [(dyckmaps.words._LONG, 1)]  # for the check, and passed on to the twin
@@ -598,6 +604,10 @@ _RUN_BAD_CASES = {
 }
 
 
+def _refuse_closed_rows(mat):
+    raise AssertionError("_closed_rows ran")
+
+
 def _spy_on_the_check(monkeypatch, argv):
     """The texts of the words that the command's domain check sees from now
     on, in every module that binds the check."""
@@ -633,6 +643,11 @@ def test_a_bad_word_in_a_run_is_checked_by_matrix_with_the_same_output(
     lines[49] = "DU" * 10
     want = _reference(argv, "".join(line + "\n" for line in lines[:32]))
     checked = _spy_on_the_check(monkeypatch, argv)
+    if argv[0] == "stats":  # the run's scan checks it, with no second count of its U's
+        for module in (dyckmaps.cli, dyckmaps.maps, dyckmaps.stats, dyckmaps.words):
+            for name, value in list(vars(module).items()):
+                if value is dyckmaps.words._closed_rows:
+                    monkeypatch.setattr(module, name, _refuse_closed_rows)
     code, out, err = _run(argv, "".join(line + "\n" for line in lines))
     assert code == 1
     assert out == want
@@ -804,3 +819,75 @@ def test_a_line_over_the_cap_ends_the_output_after_the_lines_before_it(
     assert out == "".join(_run(argv, line)[1] for line in good)
     assert out.count("\n") > 5  # each good line answered
     assert err == f"error: {exc.value} (line 6)\n"
+
+
+# --- whole streams against the public API, line by line -------------------------
+
+_STREAM_CASES = _PER_LINE_CASES + [["classify"]]
+
+
+def _line_by_line(argv, lines):
+    """(exit status, stdout, stderr) of a command on ``lines`` by the public
+    API one line at a time, up to the first error and its line number."""
+    out = []
+    for lineno, line in enumerate(lines, 1):
+        try:
+            out.append(_answer(argv, line) + "\n")
+        except dyckmaps.DyckError as exc:
+            return 1, "".join(out), f"error: {exc} (line {lineno})\n"
+    return 0, "".join(out), ""
+
+
+def _dress(text, how):
+    """The line of a word in an alias alphabet or with a CRLF ending."""
+    if how == "lower":
+        return text.lower()
+    if how == "brackets":
+        return text.replace("U", "(").replace("D", ")")
+    if how == "mixed":
+        return "".join(ch.lower() if i % 3 else ch for i, ch in enumerate(text))
+    return text + "\r"
+
+
+@st.composite
+def _streams(draw):
+    """Input lines: runs of 1-33 words of one length, Dyck or balanced, 31, 32
+    and 33 often; at most one line of a run dipping below the axis, open or
+    with a character outside the alphabets; some lines in an alias alphabet
+    or with a CRLF ending; empty lines; a word of about ``_LONG`` steps."""
+    lines = []
+    for _ in range(draw(st.integers(1, 4))):
+        if draw(st.integers(0, 9)) == 9:  # shrinks away from the long word
+            size = dyckmaps.words._LONG + draw(st.sampled_from([-2, 0, 2]))
+            lines.append(dyckmaps.sample_dyck(size // 2, draw(st.integers(0, 99))).text)
+            continue
+        n = draw(st.integers(1, 12))
+        count = draw(st.sampled_from([31, 32, 33, 31, 32, 33, 1, 5, 20]))
+        sample = dyckmaps.sample_dyck if draw(st.booleans()) else dyckmaps.sample_bilateral
+        seed = draw(st.integers(0, 10**6))
+        run = [sample(n, seed + i).text for i in range(count)]
+        bad = draw(st.sampled_from([None, None, "dipping", "open", "X", "é", "\r"]))
+        if bad is not None:
+            i = draw(st.integers(0, count - 1))
+            word = run[i]
+            if bad == "dipping":
+                run[i] = "D" + word[:-1] if word[-1] == "D" else "DU" * n
+            elif bad == "open":
+                run[i] = word[:-1] + ("U" if word[-1] == "D" else "D")
+            else:
+                at = draw(st.integers(0, 2 * n - 1))
+                run[i] = word[:at] + bad + word[at + 1:]
+        for i, how in draw(st.dictionaries(st.integers(0, count - 1), st.sampled_from(
+                ["lower", "brackets", "mixed", "crlf"]), max_size=4)).items():
+            run[i] = _dress(run[i], how)
+        lines += run + [""] * draw(st.sampled_from([0, 0, 1, 3]))
+    return lines
+
+
+@settings(max_examples=100, deadline=None)
+@given(lines=_streams(), chunk_chars=st.integers(100, 4000))
+def test_streams_answer_as_the_public_api_line_by_line(lines, chunk_chars):
+    stdin_text = "".join(line + "\n" for line in lines)
+    with mock.patch.object(dyckmaps.cli, "_CHUNK_CHARS", chunk_chars):
+        for argv in _STREAM_CASES:
+            assert _run(argv, stdin_text) == _line_by_line(argv, lines), argv

@@ -142,6 +142,33 @@ def test_twins_of_cli_sized_chunks_equal_the_word_maps(dyck):
         stat_record(PathWord(t)).to_text() for t in texts]
 
 
+def _outside(text, kind):
+    """A word of the length of ``text`` outside a domain: a "dipping" balanced
+    word that is not Dyck, from a Dyck word, or an "open" one."""
+    if kind == "dipping":
+        return text[-1] + text[:-1]  # starts with the D that ends a Dyck word
+    return text[:-1] + ("U" if text[-1] == "D" else "D")
+
+
+@pytest.mark.parametrize("bad_at", [None, 0, 17, 39], ids=["none", "first", "middle", "last"])
+@pytest.mark.parametrize("name", list(_MAPS))
+def test_images_map_the_columns_before_the_first_outside_the_domain(name, bad_at):
+    op = _MAPS[name]
+    sample = dyckmaps.sample_dyck if op.dyck else dyckmaps.sample_bilateral
+    for kind in ["dipping", "open"] if op.dyck else ["open"]:
+        texts = [sample(10, seed).text for seed in range(40)]
+        keep = len(texts)
+        if bad_at is not None:
+            keep = bad_at
+            if bad_at < 39:
+                texts[39] = _outside(texts[39], "open")  # a later one changes nothing
+            texts[bad_at] = _outside(texts[bad_at], kind)
+            with pytest.raises(dyckmaps.DyckError):
+                op.image(PathWord(texts[bad_at]))
+        want = [op.image(PathWord(t)) for t in texts[:keep]]
+        assert op.images(_rows(texts)) == want, kind
+
+
 # every pair of dtypes that the heights scan, phi and beta's sources sum in
 _SUM_TYPES = [(np.int8, np.int8), (np.int8, np.int16), (np.int32, np.int32),
               (np.intp, np.intp)]

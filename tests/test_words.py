@@ -4,6 +4,7 @@ import pickle
 import random
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given
 
@@ -21,7 +22,7 @@ from dyckmaps import (
     reflect,
     step_height,
 )
-from dyckmaps.words import _LONG, _ups
+from dyckmaps.words import _LONG, _parse_rows, _row_texts, _ups
 
 GOLDEN_TOP = "UUUUDDDUUUUDDUDDDD"
 
@@ -220,3 +221,17 @@ def test_only_words_spells_out_the_step_bytes():
             assert not [node.lineno for node in ast.walk(tree)
                         if isinstance(node, ast.ImportFrom)
                         and node.module in ("maps", "dyckmaps.maps")], path.name
+
+
+@pytest.mark.parametrize("bad, at", [
+    (None, 6), ("UXDD", 0), ("UD.D", 2), ("UD\u00e9D", 2), ("UD\rD", 4), ("[]()", 5),
+], ids=["none", "first", "middle", "non-ascii", "carriage-return", "last"])
+def test_parse_rows_holds_the_texts_before_the_first_that_does_not_parse(bad, at):
+    texts = ["UUDD", "uudd", "(())", "uU)D", "DdUu", "U(D)"]  # the aliases mixed in one run
+    if bad is not None:
+        texts[at] = bad
+        with pytest.raises(InvalidCharacterError):
+            parse_word(bad)
+    mat = _parse_rows(texts)
+    assert mat.dtype == np.uint8 and mat.flags.c_contiguous and mat.shape == (4, at)
+    assert _row_texts(mat) == [parse_word(text).text for text in texts[:at]]
