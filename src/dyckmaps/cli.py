@@ -5,15 +5,15 @@ word.  Exit codes: 0 success, 1 input or validation error, 2 internal
 error (a bug), 3 verification failure.
 
 Every command that reads stdin runs one driver, :func:`_per_chunk`, which
-answers a chunk of lines at a time.  ``map`` (without ``--trace``) and
-``stats`` have matrix twins: their chunk ends once it holds more than
-``_CHUNK_CHARS`` characters, or at the end of the input, and each run of at
-least ``_MIN_ROWS`` equal-length lines of a chunk is parsed as one matrix,
-which the op's ``maps._MAPS`` record checks against its domain and maps
-(``_Map.images``), or the matrix scan of the statistics checks and
-formats; the output is the same as word by word.
-``classify``, ``render`` and ``map --trace`` have no twin and read one
-line per chunk, as every command does on a terminal.
+reads a chunk of lines at a time and writes their :func:`_answers`.
+``map`` (without ``--trace``) and ``stats`` have matrix twins: their chunk
+ends once it holds more than ``_CHUNK_CHARS`` characters, or at the end of
+the input, and ``_answers`` parses each run of at least ``_MIN_ROWS``
+equal-length lines of a chunk as one matrix, which the op's ``maps._MAPS``
+record checks against its domain and maps (``_Map.images``), or the matrix
+scan of the statistics checks and formats; the output is the same as word
+by word.  ``classify``, ``render`` and ``map --trace`` have no twin and read
+one line per chunk, as every command does on a terminal.
 """
 
 from __future__ import annotations
@@ -54,13 +54,6 @@ _CHUNK_CHARS = 1 << 17
 _MIN_ROWS = 32
 
 _STAGED_OPS = {"phi": phi_stages, "psi": psi_stages}
-
-
-class _LineError(Exception):
-    """Validation error tagged with the offending input line."""
-
-    def __init__(self, lineno: int, message: str):
-        super().__init__(f"{message} (line {lineno})")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -119,42 +112,46 @@ def _chunks(stdin, limit: int):
     return iter(lambda: stdin.readlines(limit), [])  # the line loop runs in C
 
 
+def _answers(texts: list, one, many=None) -> tuple:
+    """The answers to ``texts`` before the first that fails, and its
+    DyckError, or None; ``one`` checks and answers a word.  A run of at
+    least ``_MIN_ROWS`` texts of one length below ``_LONG`` is parsed as a
+    uint8 matrix up to its first bad text, and ``many`` answers its columns
+    up to the first that fails; the texts from there on go word by word,
+    and none after a text that fails is answered."""
+    by_length = {}
+    for i, text in enumerate(texts):
+        by_length.setdefault(len(text), []).append(i)
+    answers = [None] * len(texts)
+    bad, error = len(texts), None  # the first text that fails, and why
+    for size, rows in by_length.items():
+        if many is not None and len(rows) >= _MIN_ROWS and 0 < size < _LONG:
+            done = many(_parse_rows([texts[i] for i in rows]))
+            for i, answer in zip(rows, done):
+                answers[i] = answer
+            rows = rows[len(done):]
+        for i in rows:
+            if i >= bad:
+                break
+            try:
+                answers[i] = one(parse_word(texts[i]))
+            except DyckError as exc:
+                bad, error = i, exc
+    return answers[:bad], error
+
+
 def _per_chunk(stdin, stdout, one, *, many=None) -> int:
-    """Print ``one(word)`` for each parsed input line, a chunk of lines at a
-    time; ``one`` checks its word.  A run of at least ``_MIN_ROWS`` lines of
-    one length below ``_LONG`` goes from its text to a uint8 matrix of the
-    lines before the first one that does not parse, and ``many`` checks it
-    and answers the columns before the first that fails; only the lines
-    from there on are parsed and answered word by word, like every other
-    line.  A chunk is one line without a twin, since one answer can reach
-    the render or trace cap, and on a terminal.  The first DyckError ends
-    the command once the answers to the lines before it are printed, and
-    names its line."""
+    """Print the :func:`_answers` to the input lines a chunk at a time; a
+    chunk is one line without a twin, since one answer can reach the render
+    or trace cap, and on a terminal.  The first DyckError ends the command
+    once the answers to the lines before it are printed, and names its line."""
     limit = 0 if many is None or stdin.isatty() else _CHUNK_CHARS
     lineno = 0  # the lines before the chunk
     for chunk in _chunks(stdin, limit):
-        texts = [line.rstrip("\r\n") for line in chunk]
-        by_length = {}
-        for i, text in enumerate(texts):
-            by_length.setdefault(len(text), []).append(i)
-        answers = [None] * len(texts)
-        bad, error = len(texts), None  # the first line that fails, and why
-        for size, rows in by_length.items():
-            if many is not None and len(rows) >= _MIN_ROWS and 0 < size < _LONG:
-                done = many(_parse_rows([texts[i] for i in rows]))
-                for i, answer in zip(rows, done):
-                    answers[i] = answer
-                rows = rows[len(done):]
-            for i in rows:
-                if i >= bad:
-                    break
-                try:
-                    answers[i] = one(parse_word(texts[i]))
-                except DyckError as exc:
-                    bad, error = i, exc
-        stdout.write("".join([answer + "\n" for answer in answers[:bad]]))
+        answers, error = _answers([line.rstrip("\r\n") for line in chunk], one, many)
+        stdout.write("".join([answer + "\n" for answer in answers]))
         if error is not None:
-            raise _LineError(lineno + bad + 1, str(error)) from error
+            raise DyckError(f"{error} (line {lineno + len(answers) + 1})") from error
         lineno += len(chunk)
     return 0
 
@@ -284,7 +281,7 @@ def run(argv, stdin=None, stdout=None, stderr=None) -> int:
         return 1 if exc.code else 0
     try:
         return _COMMANDS[args.command](args, stdin, stdout)
-    except (_LineError, DyckError, ValueError) as exc:
+    except (DyckError, ValueError) as exc:
         print(f"error: {exc}", file=stderr)
         return 1
     except BrokenPipeError:

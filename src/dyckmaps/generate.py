@@ -31,6 +31,11 @@ def _check_semilength(n: int) -> None:
         raise ValueError("semilength must be nonnegative")
 
 
+def _check_rank_n(n: int) -> None:
+    if n > _MAX_RANK_N:
+        raise ValueError(f"semilength must be at most {_MAX_RANK_N} for int64 ranks")
+
+
 def catalan(n: int) -> int:
     """Number of Dyck words of semilength n, exactly."""
     _check_semilength(n)
@@ -76,8 +81,7 @@ def _rank_blocks(n: int, dyck: bool, rows: int) -> Iterator[tuple]:
     or negative n raises ``ValueError`` at the call.
     """
     _check_semilength(n)
-    if n > _MAX_RANK_N:
-        raise ValueError(f"semilength must be at most {_MAX_RANK_N} for int64 ranks")
+    _check_rank_n(n)
     size = int(_endings(n, dyck)[2 * n, n + 1])
     return ((n, dyck, start, min(start + rows, size)) for start in range(0, size, rows))
 

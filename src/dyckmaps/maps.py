@@ -258,8 +258,9 @@ def _psi_rows(mat: np.ndarray, h=None) -> np.ndarray:
     """
     size, rows = mat.shape
     if size >= _LONG:
-        return np.stack([_psi_rank(mat[:, j], None if h is None else h[:, j])
-                         for j in range(rows)], axis=1)
+        columns = [_psi_rank(mat[:, j], None if h is None else h[:, j])
+                   for j in range(rows)]
+        return np.stack(columns, axis=1) if rows else np.empty((size, 0), np.uint8)
     n = size // 2
     if h is None:
         h = _up_and_heights(mat)[1]
@@ -486,11 +487,12 @@ class _Map(NamedTuple):
     def images(self, mat: np.ndarray) -> list:
         """The images, as texts, of the words of a ``(steps, words)`` uint8 matrix of
         at least one step before its first column outside the domain, checked by
-        ``_dyck_rows`` from heights that the twin then takes, or by ``_closed_rows``."""
+        ``_dyck_rows`` from heights that the twin then takes, or by ``_closed_rows``;
+        none if the first column fails, since every twin maps a matrix of no words."""
         h = _up_and_heights(mat)[1] if self.dyck else None
         k = _leading(_dyck_rows(mat, h) if self.dyck else _closed_rows(mat))
         h = None if h is None else h[:, :k]
-        return _row_texts(self.rows(np.ascontiguousarray(mat[:, :k]), h)) if k else []
+        return _row_texts(self.rows(np.ascontiguousarray(mat[:, :k]), h))
 
     def image(self, w: PathWord) -> str:
         """A word of ``_LONG`` steps or more is checked and mapped by

@@ -5,8 +5,8 @@ from __future__ import annotations
 from .errors import DyckError, NotBilateralError
 from .words import PathWord
 
-# Most glyph-block cells (steps times rows) a drawing may take; drawing costs
-# one pass over the word per row, so this bounds the time as well.
+# Most glyph-block cells (steps times rows) a drawing may take; drawing holds
+# one byte per cell, so this bounds its memory as well as its time.
 _MAX_CELLS = 10_000_000
 
 
@@ -29,19 +29,13 @@ def render_ascii(w: PathWord) -> str:
         raise DyckError(
             f"rendering needs {size} cells, more than the cap of {_MAX_CELLS}"
         )
-    heights = w._height_list()
-    rows = []
-    for band in range(hi, lo, -1):
-        cells = []
-        prev = 0
-        for i, ch in enumerate(text):
-            h = heights[i]
-            top = prev if prev > h else h
-            if top == band:
-                cells.append("/" if ch == "U" else "\\")
-            else:
-                cells.append(" ")
-            prev = h
-        rows.append("".join(cells).rstrip())
-    rows.insert(hi, "-" * len(text))
-    return "\n".join(rows)
+    bands = [bytearray(b" " * len(text)) for _ in range(hi - lo)]  # top down
+    prev = 0
+    for i, h in enumerate(w._height_list()):  # a step's band is its higher vertex's
+        if h > prev:
+            bands[hi - h][i] = 47  # '/'
+        else:
+            bands[hi - prev][i] = 92  # '\\'
+        prev = h
+    bands.insert(hi, b"-" * len(text))  # the axis
+    return "\n".join([band.decode("ascii").rstrip() for band in bands])

@@ -51,6 +51,7 @@ from .decompose import _negative_steps
 from .generate import (
     CATALAN_NUMBERS,
     CENTRAL_BINOMIALS,
+    _check_rank_n,
     _dyck_texts,
     _random_balanced_text,
     _rank_blocks,
@@ -303,6 +304,7 @@ def _sweep(spec: _Theorem, max_n: int, jobs: int) -> VerificationReport:
     The distribution identity reads only the swept words' own statistics,
     which no map changes, so it is counted exactly in this process.
     """
+    _check_rank_n(max_n)  # before the classes below max_n are swept
     jobs = _check_jobs(jobs, spec.maps)
     dyck = spec.path_class == "dyck"
     sizes = CATALAN_NUMBERS if dyck else CENTRAL_BINOMIALS

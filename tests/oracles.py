@@ -211,6 +211,28 @@ def psi_ext(text):
     return "".join(parts)
 
 
+def render(text):
+    """ASCII drawing of a balanced word, one band at a time, top down: the
+    band between heights j-1 and j holds '/' or '\\' at each step whose
+    higher vertex is at height j, and a rule of '-' marks the axis."""
+    if not text:
+        return ""
+    hs = heights(text)
+    rows = []
+    for band in range(max(0, *hs), min(0, *hs), -1):
+        cells = []
+        prev = 0
+        for ch, h in zip(text, hs):
+            if max(prev, h) == band:
+                cells.append("/" if ch == "U" else "\\")
+            else:
+                cells.append(" ")
+            prev = h
+        rows.append("".join(cells).rstrip())
+    rows.insert(max(0, *hs), "-" * len(text))
+    return "\n".join(rows)
+
+
 def all_balanced(n):
     """Every balanced word of semilength n by filtering the full cube."""
     for combo in product("UD", repeat=2 * n):

@@ -393,6 +393,8 @@ def _answer(argv, line):
     word = dyckmaps.parse_word(line.rstrip("\r\n"))
     if argv[0] == "classify":
         return dyckmaps.classify(word).value
+    if argv[0] == "render":  # a blank line after each drawing
+        return dyckmaps.render_ascii(word) + "\n"
     if argv[0] == "map":
         return _PUBLIC_MAPS[argv[2]](word).text
     if argv[1:] == ["--format", "json"]:
@@ -823,7 +825,7 @@ def test_a_line_over_the_cap_ends_the_output_after_the_lines_before_it(
 
 # --- whole streams against the public API, line by line -------------------------
 
-_STREAM_CASES = _PER_LINE_CASES + [["classify"]]
+_STREAM_CASES = _PER_LINE_CASES + [["classify"], ["render"]]
 
 
 def _line_by_line(argv, lines):
@@ -891,3 +893,73 @@ def test_streams_answer_as_the_public_api_line_by_line(lines, chunk_chars):
     with mock.patch.object(dyckmaps.cli, "_CHUNK_CHARS", chunk_chars):
         for argv in _STREAM_CASES:
             assert _run(argv, stdin_text) == _line_by_line(argv, lines), argv
+
+
+# --- one chunk's answers, without a stream -------------------------------------
+
+def _op_answers(texts, op="phi-ext", many=True):
+    record = dyckmaps.maps._MAPS[op]
+    return dyckmaps.cli._answers(texts, record.image, record.images if many else None)
+
+
+def _error_of(text):
+    try:
+        dyckmaps.phi_ext(dyckmaps.parse_word(text))
+    except dyckmaps.DyckError as exc:
+        return exc
+    raise AssertionError(f"{text!r} has no error")
+
+
+def test_an_empty_chunk_has_no_answers_and_no_error():
+    assert _op_answers([]) == ([], None)
+    assert _op_answers([], many=False) == ([], None)
+
+
+@pytest.mark.parametrize("bad_at", [None, 0, 20, 39])
+def test_answers_without_a_twin_go_word_by_word(bad_at):
+    texts = _words(False, 10, 40, 0)
+    if bad_at is not None:
+        texts[bad_at] = texts[bad_at][:-1] + "U"  # open
+    answers, error = _op_answers(texts, many=False)
+    keep = len(texts) if bad_at is None else bad_at
+    assert answers == [_answer(["map", "--op", "phi-ext"], t) for t in texts[:keep]]
+    if bad_at is None:
+        assert error is None
+    else:
+        assert str(error) == str(_error_of(texts[bad_at]))
+
+
+def test_a_run_whose_first_column_fails_has_no_answers():
+    texts = _words(False, 10, 40, 0)
+    texts[0] = texts[0][:-1] + "U"
+    answers, error = _op_answers(texts)
+    assert answers == [] and str(error) == str(_error_of(texts[0]))
+
+
+def test_the_first_bad_text_of_the_chunk_wins_across_lengths():
+    # a run of 33 10-step texts fails at index 5, which the twin reaches first,
+    # and a group of 12-step texts at index 3
+    short = _words(False, 5, 33, 0)
+    short[2] = short[2][:-1] + "U"  # open, at index 5
+    group = _words(False, 6, 2, 100) + ["UDXD" + "UD" * 4]
+    texts = [short[0], *group, short[1], short[2]] + short[3:]
+    answers, error = _op_answers(texts)
+    assert answers == [_answer(["map", "--op", "phi-ext"], t) for t in texts[:3]]
+    assert isinstance(error, dyckmaps.InvalidCharacterError)
+    assert str(error) == str(_error_of(texts[3]))
+
+
+@pytest.mark.parametrize("many", [False, True], ids=["word-by-word", "twin"])
+def test_no_text_after_a_failing_one_of_its_length_is_answered(many):
+    texts = _words(True, 10, 40, 0)
+    texts[10] = "D" + texts[10][:-1]  # dipping, so the twin stops there
+    record = dyckmaps.maps._MAPS["phi"]
+    seen = []
+
+    def one(word):
+        seen.append(word.text)
+        return record.image(word)
+
+    answers, error = dyckmaps.cli._answers(texts, one, record.images if many else None)
+    assert len(answers) == 10 and isinstance(error, dyckmaps.NotADyckWordError)
+    assert seen == (texts[:11] if not many else texts[10:11])

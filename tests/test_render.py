@@ -2,7 +2,8 @@ import time
 
 import pytest
 
-from dyckmaps import DyckError, NotBilateralError, parse_word, render_ascii
+import oracles
+from dyckmaps import DyckError, NotBilateralError, parse_word, render_ascii, sample_bilateral
 
 
 def test_render_single_peak():
@@ -55,3 +56,17 @@ def test_render_cap_admits_the_largest_measured_hill():
     k = 2000  # 4000 steps x 2000 rows = 8 * 10^6 cells, under the cap
     rows = render_ascii(parse_word("U" * k + "D" * k)).splitlines()
     assert len(rows) == k + 1 and rows[-1] == "-" * (2 * k)
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_render_equals_the_band_by_band_oracle_on_every_balanced_word(n):
+    for text in oracles.all_balanced(n):
+        assert render_ascii(parse_word(text)) == oracles.render(text), text
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_render_equals_the_band_by_band_oracle_on_long_words(seed):
+    text = sample_bilateral(2000, seed).text
+    if seed == 4:  # a hill and a valley, each the word's whole height
+        text = "U" * 700 + "D" * 1400 + "U" * 700
+    assert render_ascii(parse_word(text)) == oracles.render(text)

@@ -200,6 +200,14 @@ def test_every_twin_maps_a_matrix_of_no_steps_to_a_fresh_one(words):
     assert verify_randomized(0, 600, 1, check_scaling=False).ok
 
 
+@pytest.mark.parametrize("shape", [(0, 0), (0, 3), (8, 0), (_LONG, 0)])
+def test_every_twin_maps_a_matrix_of_no_words(shape):
+    # psi's long branch stacks its columns, and a matrix of none has no column
+    for name, op in _MAPS.items():
+        image = op.rows(np.empty(shape, np.uint8))
+        assert image.shape == shape and image.dtype == np.uint8, name
+
+
 @pytest.mark.parametrize("n", range(1, 11))
 def test_rank_cores_equal_the_transducers_on_every_dyck_word(n):
     mat, texts = _class("dyck", n)

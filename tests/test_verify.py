@@ -283,6 +283,17 @@ def test_beta_peak_preservation_check_fails_honestly():
     assert failed[0].counterexample == "UUDD"
 
 
+@pytest.mark.parametrize("sweep", [verify_theorem1, verify_involutions_and_transport])
+def test_a_sweep_past_the_rank_range_is_refused_before_it_sweeps(monkeypatch, sweep):
+    def swept(*args):
+        raise AssertionError("swept a semilength")
+
+    monkeypatch.setattr(dyckmaps.verify, "_sweep_n", swept)
+    with pytest.raises(ValueError, match="at most 33 for int64 ranks"):
+        sweep(34)
+    assert sweep(-1).checks[0].words_tested == 0  # an empty range, as before
+
+
 def test_randomized_small():
     report = verify_randomized(8, trials=50, seed=1234, check_scaling=False)
     assert report.ok
