@@ -254,7 +254,7 @@ def _psi_rows(mat: np.ndarray, h=None) -> np.ndarray:
     word with its own depth into a ``(words, n+2)`` stack over a base slot of
     1, so a peak at depth 0 never pops; it records each step's top, which
     gives the second bytes after the loop.  Words of at least ``_LONG`` steps
-    go through :func:`_psi_rank` one by one.
+    go through :func:`_psi_rank` one by one, which alone reads ``h``.
     """
     size, rows = mat.shape
     if size >= _LONG:
@@ -262,20 +262,16 @@ def _psi_rows(mat: np.ndarray, h=None) -> np.ndarray:
                    for j in range(rows)]
         return np.stack(columns, axis=1) if rows else np.empty((size, 0), np.uint8)
     n = size // 2
-    if h is None:
-        h = _up_and_heights(mat)[1]
-    # the U-run before a mirrored D is the D-run after its U in the word;
-    # (steps + height) / 2 counts the U's so far, so a U and the D's after
-    # it share a bin of the count, word by word
-    last_up = h + np.arange(1, size + 1, dtype=_AT)[:, None]
-    last_up >>= 1
-    last_up *= rows
-    last_up += np.arange(rows, dtype=_AT)
-    run = np.bincount(last_up.ravel(), minlength=(n + 1) * rows).reshape(n + 1, rows)
-    run = run[:0:-1] - 1  # mirrored: the last U first
+    # the U-run before a mirrored D is the D-run after its U in the word: the
+    # steps up to the next U, which is where the next word starts after a
+    # word's last U, since a Dyck word starts with a U
+    up = np.flatnonzero(mat.T == _U)  # word by word
+    run = (np.append(up[1:], size * rows) - up).reshape(rows, n)
+    run = np.ascontiguousarray(run.T[::-1], dtype=np.int16)  # mirrored: the last U first
+    run -= 1
     peak = run > 0
     push = run > 1
-    spine = (run - 1).astype(np.int16)
+    spine = run - 1
     lone = (~peak).astype(np.int16)
     stack = np.ones(rows * (n + 2), dtype=np.int16)  # each word's base slot holds 1
     top_at = np.arange(0, rows * (n + 2), n + 2)
@@ -298,28 +294,22 @@ def _alpha_rows(mat: np.ndarray, h=None) -> np.ndarray:
     return mat ^ np.uint8(_FLIP_BITS)
 
 
-def _in_word_order(flat: np.ndarray, rows: int, size: int) -> np.ndarray:
-    """Flat positions of a ``(size, rows)`` matrix as ``word * (size + 1) +
-    step``, which orders them word by word."""
-    step, word = np.divmod(flat, rows)
-    word *= size + 1
-    word += step
-    return word
-
-
 def _beta_source(negative: np.ndarray, returns) -> np.ndarray:
     """Where beta on the negative crossing factors of the words of a
     ``(steps, words)`` matrix takes each step from: its flat positions, as
     an intp matrix of the same shape for :func:`_gather`.  ``negative``
     marks the steps of those factors, which are Dyck up to a flip, and
-    ``returns`` lists flat positions of their steps that end on the axis,
-    each factor's first return among them.
+    ``returns`` lists flat positions of their steps that end on the axis:
+    each factor's first and last return among them, in any order.
 
     Beta, U W1 D W2 -> U W2 D W1, moves the pieces U, W2, D and W1 of a
     factor as blocks, so a step's source less its position is constant on
     each piece: a cumsum down each word of its changes at the piece
-    boundaries gives it.  A factor's first return and last step are the
-    next ones of its word, which a search finds in word order.
+    boundaries gives it.  One sort of the factors' starts, tagged by a low
+    bit, with the returns, all in word order, puts each start before its
+    own factor's returns, since a factor ends on the axis: the key after a
+    start is its first return, and the key before the next start, or before
+    a last one past every word, its last step.
     The sources are intp, which the gather reads without a conversion; on a
     long word they are also the largest block, which keeps the working set
     under twice that size, so glibc keeps the freed heap for the next call
@@ -329,15 +319,21 @@ def _beta_source(negative: np.ndarray, returns) -> np.ndarray:
     edges = negative.copy()
     edges[1:] &= ~negative[:-1]
     start = np.flatnonzero(edges)
-    edges[:] = negative
-    edges[:-1] &= ~negative[1:]
-    last = np.flatnonzero(edges)
     del edges
-    at = _in_word_order(start, rows, size)
-    first = np.sort(_in_word_order(returns, rows, size))
-    first = first[np.searchsorted(first, at)]  # the step that ends U W1 D
-    end = np.sort(_in_word_order(last, rows, size))
-    end = end[np.searchsorted(end, at)] + 1
+    step, word = np.divmod(np.concatenate((returns, start)), rows)
+    word *= size + 1  # in word order: word * (size + 1) + step
+    word += step
+    keys = np.append(word, rows * (size + 1))  # a start past the last word
+    keys <<= 1
+    keys[len(returns):] |= 1
+    keys.sort()
+    at = np.flatnonzero(keys & 1)
+    first = keys[at[:-1] + 1] >> 1  # the step that ends U W1 D
+    end = keys[at[1:] - 1] >> 1
+    end += 1
+    at = keys[at[:-1]] >> 1
+    word, step = np.divmod(at, size + 1)
+    start = step * rows + word
     # the flat lengths of U W1 and of D W2: a step moves a whole row
     r = (first - at) * rows
     m = (end - first) * rows
@@ -362,15 +358,17 @@ def _gather(words: np.ndarray, source: np.ndarray) -> np.ndarray:
 
 def _beta_rows(mat: np.ndarray, h=None) -> np.ndarray:
     """:func:`_beta_b` on Dyck words, one per column: each word is one factor,
-    whose first return is the first step of its column to end on the axis."""
+    whose first return is the first step of its column to end on the axis,
+    and whose last step ends there too."""
     if h is None:
         h = _up_and_heights(mat)[1]
-    rows = mat.shape[1]
-    zero = np.ones((len(mat) + 1, rows), dtype=bool)  # a last row for the matrix of no steps
+    size, rows = mat.shape
+    zero = np.ones((size + 1, rows), dtype=bool)  # a last row for the matrix of no steps
     np.equal(h, 0, out=zero[:-1])
-    returns = zero.argmax(axis=0) * rows
+    first = zero.argmax(axis=0)
     del zero
-    returns += np.arange(rows)
+    word = np.arange(rows)
+    returns = np.concatenate((first * rows + word, (size - 1) * rows + word))
     return _gather(mat, _beta_source(np.ones(mat.shape, dtype=bool), returns))
 
 
@@ -418,12 +416,9 @@ def _psi_ext_rows(mat: np.ndarray, h=None) -> np.ndarray:
     if h.min(initial=0) >= 0:
         return _psi_rows(mat, h)
     negative, returns = _negative_factors(mat, h)
-    # |h| are the flipped words' heights; a long word scans them again in its
-    # rank core, which keeps them off the heap beside beta's arrays
-    flipped = np.abs(h) if len(mat) < _LONG else None
-    del h
+    del h  # freed before psi: only a long word's rank core reads heights, its own
     flips = _flips(negative)
-    dyck = _psi_rows(mat ^ flips, flipped)
+    dyck = _psi_rows(mat ^ flips)
     return _gather(dyck, _beta_source(negative, returns)) ^ flips
 
 

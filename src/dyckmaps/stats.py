@@ -13,6 +13,7 @@ once however many of them are asked for.
 from __future__ import annotations
 
 import math
+from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -45,15 +46,15 @@ class StatRecord(NamedTuple):
         return dict(zip(self._fields, self))
 
 
-# a record's line per ``stats --format``: its fields in order, is_prime
+# a record's %-template per ``stats --format``: its fields in order, is_prime
 # as _PRIME_TEXT, which is also its JSON form
-_TEXT_TEMPLATE = " ".join(f"{name}:{{}}" for name in StatRecord._fields)
-_JSON_TEMPLATE = "{{" + ", ".join(f'"{name}": {{}}' for name in StatRecord._fields) + "}}"
+_TEXT_TEMPLATE = " ".join(f"{name}:%s" for name in StatRecord._fields)
+_JSON_TEMPLATE = "{" + ", ".join(f'"{name}": %s' for name in StatRecord._fields) + "}"
 _PRIME_TEXT = {False: "false", True: "true"}
 
 
 def _stat_line(rec: StatRecord, template: str) -> str:
-    return template.format(*rec[:-1], _PRIME_TEXT[rec.is_prime])
+    return template % (*rec[:-1], _PRIME_TEXT[rec.is_prime])
 
 
 def semilength(w: PathWord) -> int:
@@ -145,7 +146,7 @@ def _stat_lines_rows(mat: np.ndarray, template: str) -> list:
     rec = _record(scan, mat.shape[0])  # its fields are columns
     fields = [f[:k].tolist() for f in rec[1:-1]]
     fields.append([_PRIME_TEXT[prime] for prime in rec.is_prime[:k].tolist()])
-    return [template.format(rec.n, *line) for line in zip(*fields)]
+    return [template % line for line in zip(repeat(rec.n), *fields)]
 
 
 def narayana(n: int, k: int) -> int:

@@ -89,10 +89,7 @@ def _parse_rows(texts: list) -> np.ndarray:
     """:func:`parse_word` of equal-length texts at once: the matrix of
     :func:`_rows`, after the alias table, of the texts before the first one
     with a character outside the alphabets, non-ASCII included."""
-    text = "".join(texts)
-    if any(alias in text for alias in "ud()"):  # the table reads every character
-        text = text.translate(_ALIAS_TABLE)
-    data = text.encode("ascii", "replace")
+    data = _canonical("".join(texts)).encode("ascii", "replace")
     mat = np.frombuffer(data, dtype=np.uint8).reshape(len(texts), -1).T.copy()
     return np.ascontiguousarray(mat[:, :_leading(((mat == _U) | (mat == _D)).all(axis=0))])
 
@@ -353,8 +350,13 @@ def parse_word(text: str) -> PathWord:
     up/down.  The empty string parses to the empty word.  Raises
     InvalidCharacterError (1-based position) on anything else.
     """
-    canon = text.translate(_ALIAS_TABLE)
-    return PathWord(canon)
+    return PathWord(_canonical(text))
+
+
+def _canonical(text: str) -> str:
+    """``text`` after the alias table, which reads every character, so only
+    where an alias occurs."""
+    return text.translate(_ALIAS_TABLE) if any(a in text for a in "ud()") else text
 
 
 def classify(w: PathWord) -> PathClass:

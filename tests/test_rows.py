@@ -15,7 +15,7 @@ import dyckmaps.decompose
 import dyckmaps.maps
 import oracles
 from dyckmaps import beta
-from dyckmaps.decompose import _crossing_factors
+from dyckmaps.decompose import _crossing_factors, _first_return_len
 from dyckmaps.generate import (
     _random_balanced_text,
     _random_dyck_text,
@@ -26,8 +26,12 @@ from dyckmaps.maps import (
     _MAPS,
     _alpha_b,
     _beta_b,
+    _beta_rows,
+    _beta_source,
     _ext_b,
+    _gather,
     _level_order,
+    _negative_factors,
     _phi_b,
     _phi_ext_rows,
     _phi_rows,
@@ -371,6 +375,57 @@ def test_an_extension_maps_a_matrix_with_no_negative_factor_by_its_dyck_map(
     image = ext(_rows(texts))
     assert _texts_of(image) == [_ext_b(t.encode("ascii"), core, before, after).decode("ascii")
                                 for t in texts]
+
+
+def _beta_pieces(text):
+    """The word with beta on each negative crossing factor, flipped and back,
+    by the per-word code: the pieces of :func:`_ext_b` that the gather of
+    :func:`_beta_source` takes to one word."""
+    data = text.encode("ascii")
+    return b"".join(_alpha_b(_beta_b(_alpha_b(data[a:b]))) if negative else data[a:b]
+                    for a, b, negative in _crossing_factors(data)).decode("ascii")
+
+
+def _beta_gather(mat):
+    source = _beta_source(*_negative_factors(mat, _up_and_heights(mat)[1]))
+    assert source.dtype == np.intp and source.shape == mat.shape
+    return _texts_of(_gather(mat, source))
+
+
+@pytest.mark.parametrize("n", range(8))
+def test_the_beta_gather_equals_the_per_word_pieces_on_every_balanced_word(n):
+    mat, texts = _class("bilateral", n)
+    assert _beta_gather(mat) == [_beta_pieces(t) for t in texts]
+
+
+@pytest.mark.parametrize("texts", [
+    ["UDUDDU", "UUDDDU", "UDDDUU", "DDUUDU", "UUUDDD"],  # a factor ends on the last row
+    ["DDDUUU", "DUDUDU", "DDUUDU", "DUDDUU"],  # every step negative
+    ["UDDUUD", "DUUUDD", "UUDDDU", "DUUDDU"],  # lone DU factors
+    ["DU", "UD", "DU"],
+], ids=["ends-last", "all-negative", "lone-DU", "one-DU"])
+def test_the_beta_gather_on_the_edges_of_its_factors(texts):
+    assert _beta_gather(_rows(texts)) == [_beta_pieces(t) for t in texts]
+    assert _beta_gather(_rows(texts[::-1])) == [_beta_pieces(t) for t in texts[::-1]]
+
+
+@pytest.mark.parametrize("shape", [(0, 0), (0, 3), (6, 0)])
+def test_the_beta_gather_of_no_words_or_no_steps(shape):
+    mat = np.empty(shape, np.uint8)
+    assert _beta_gather(mat) == [""] * shape[1]
+    assert _beta_rows(mat).shape == shape
+
+
+def test_beta_rows_on_words_whose_first_return_is_their_last_step():
+    """Primes, whose first return and last step are one step, alone and mixed
+    with words that return to the axis earlier."""
+    primes = ["UUDUDUDUDD", "UUUUUDDDDD", "UUDUUDDUDD"]
+    assert all(_first_return_len(t.encode("ascii")) == 10 for t in primes)
+    for texts in (primes, primes[:1], ["UDUDUDUDUD"] + primes + ["UUDDUUUDDD"], ["UD"] * 3):
+        mat = _rows(texts)
+        want = [_beta_b(t.encode("ascii")).decode("ascii") for t in texts]
+        assert _texts_of(_beta_rows(mat)) == want
+        assert _texts_of(_beta_rows(mat, _up_and_heights(mat)[1])) == want
 
 
 def _long_words():

@@ -85,6 +85,23 @@ def test_parse_alias_alphabets(alias, canonical):
     assert parse_word(alias).serialize() == canonical
 
 
+@pytest.mark.parametrize("text", ["", "UD" * 3000, "UUDD"])
+def test_a_canonical_word_is_parsed_without_the_alias_table(text):
+    assert parse_word(text).text is text  # translate would copy it
+
+
+@pytest.mark.parametrize("alias", ["u", "d", "(", ")"])
+@pytest.mark.parametrize("bad", ["x", "é", " "])
+def test_an_alias_leaves_the_position_of_an_invalid_character(alias, bad):
+    for text in ("UD" * 3000 + bad + "UD", alias + "D" * 4 + bad):
+        with pytest.raises(InvalidCharacterError) as plain:
+            parse_word(text)
+        with pytest.raises(InvalidCharacterError) as aliased:
+            parse_word(alias + text[1:])
+        assert (plain.value.position, plain.value.char) == (text.index(bad) + 1, bad)
+        assert (aliased.value.position, aliased.value.char) == (text.index(bad) + 1, bad)
+
+
 @pytest.mark.parametrize(
     "text,expected",
     [
