@@ -308,8 +308,8 @@ def _beta_source(negative: np.ndarray, returns) -> np.ndarray:
     boundaries gives it.  One sort of the factors' starts, tagged by a low
     bit, with the returns, all in word order, puts each start before its
     own factor's returns, since a factor ends on the axis: the key after a
-    start is its first return, and the key before the next start, or before
-    a last one past every word, its last step.
+    start is its first return, and the key before the next start its last
+    step, the last factor's before a start past every word.
     The sources are intp, which the gather reads without a conversion; on a
     long word they are also the largest block, which keeps the working set
     under twice that size, so glibc keeps the freed heap for the next call
@@ -416,7 +416,7 @@ def _psi_ext_rows(mat: np.ndarray, h=None) -> np.ndarray:
     if h.min(initial=0) >= 0:
         return _psi_rows(mat, h)
     negative, returns = _negative_factors(mat, h)
-    del h  # freed before psi: only a long word's rank core reads heights, its own
+    del h  # freed before psi, whose rank core scans a long word's flipped heights itself
     flips = _flips(negative)
     dyck = _psi_rows(mat ^ flips)
     return _gather(dyck, _beta_source(negative, returns)) ^ flips
