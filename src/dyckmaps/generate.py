@@ -24,6 +24,7 @@ from .words import _D, _U, PathWord, _flips, _row_texts
 
 _MAX_RANK_N = 33  # the largest n whose C(2n, n) ranks fit in int64
 _TEXT_STEPS = 1 << 18  # steps per block of the text streams
+_TAIL = 14  # the last steps of a word, read from a table of walks
 
 
 def _check_semilength(n: int) -> None:
@@ -86,26 +87,53 @@ def _rank_blocks(n: int, dyck: bool, rows: int) -> Iterator[tuple]:
     return ((n, dyck, start, min(start + rows, size)) for start in range(0, size, rows))
 
 
+def _unrank(ends: np.ndarray, left: int, rank: np.ndarray, h, rows) -> np.ndarray:
+    """Unrank words with ``left`` steps to go into ``rows``, a step a row, by
+    ``ends`` (Kreher & Stinson, *Combinatorial Algorithms*, ch. 2): a word steps
+    D where its rank is at least the completions after a U, then drops those
+    from its rank (in place); returns ``h``, its ``ends`` column after a U."""
+    for step, row in enumerate(rows):
+        after_up = ends[left - step - 1].take(h)
+        down = rank >= after_up
+        rank -= after_up * down  # arithmetic: np.where branches on every word
+        row[:] = _U - _flips(down)
+        h = h + 1 - 2 * down
+    return h
+
+
+@lru_cache(maxsize=None)  # at most two classes of each t <= _TAIL
+def _tails(t: int, dyck: bool) -> tuple:
+    """The at most 2^t t-step walks back to the axis (never below it for Dyck
+    words) as read-only uint8 columns, by starting height, then lexicographic;
+    and ``first[h + t]``, the column of the first walk from height h."""
+    ends = _endings(t, dyck)
+    sizes = ends[t, 1 : 2 * t + 2]  # from heights -t..t
+    first = np.cumsum(sizes) - sizes
+    walks = np.empty((t, int(sizes.sum())), dtype=np.uint8)
+    h = np.repeat(np.arange(2, 2 * t + 3), sizes)  # ends' column after a U
+    _unrank(ends, t, np.arange(walks.shape[1]) - first.repeat(sizes), h, walks)
+    for table in (walks, first):
+        table.setflags(write=False)
+    return walks, first
+
+
 def _rank_rows(n: int, dyck: bool, start: int, stop: int) -> np.ndarray:
     """The words of ranks start..stop-1 of a class of :func:`_rank_blocks`,
     one per column of a C-contiguous ``(2n, words)`` uint8 matrix.
 
-    Unranks step by step, each step one contiguous row of the matrix,
-    against the completion counts of :func:`_endings` (Kreher & Stinson,
-    *Combinatorial Algorithms*, ch. 2): a word steps D where its rank is at
-    least the number of completions after a U, and then drops those
-    completions from its rank.
+    Unranks the first 2n - t steps, t = min(2n, ``_TAIL``), by :func:`_unrank`;
+    a word's height and rank there pick its last t steps from :func:`_tails`
+    (2^t * t bytes at most, 229 KB for balanced words) in one gather, or the
+    whole block in one slice where t = 2n.
     """
-    ends = _endings(n, dyck)
+    t = min(2 * n, _TAIL)
+    walks, first = _tails(t, dyck)
+    if t == 2 * n:
+        return walks[:, first[t] + start : first[t] + stop].copy()
     rank = np.arange(start, stop, dtype=np.int64)
-    h = np.full(len(rank), n + 2)  # column of ends: the height after a U
     mat = np.empty((2 * n, len(rank)), dtype=np.uint8)
-    for step in range(2 * n):
-        after_up = ends[2 * n - step - 1].take(h)
-        down = rank >= after_up
-        rank -= after_up * down  # arithmetic: np.where branches on every word
-        mat[step] = _U - _flips(down)
-        h += 1 - 2 * down
+    h = _unrank(_endings(n, dyck), 2 * n, rank, n + 2, mat[: 2 * n - t])  # height + n + 2
+    walks.take(rank + first.take(h - (n + 2 - t)), axis=1, out=mat[2 * n - t :])
     return mat
 
 
@@ -200,27 +228,19 @@ class DistributionTable:
     def total(self) -> int:
         return sum(self.counts.values())
 
+    def _cells(self) -> list:
+        """Each key's cells and then its count, in ascending key order."""
+        return [(*(key if isinstance(key, tuple) else (key,)), self.counts[key])
+                for key in sorted(self.counts)]
+
     def to_csv(self) -> str:
-        header = ",".join(self.stats + ("count",))
-        lines = [header]
-        for key in sorted(self.counts):
-            cells = key if isinstance(key, tuple) else (key,)
-            lines.append(",".join(str(c) for c in cells + (self.counts[key],)))
-        return "\n".join(lines) + "\n"
+        lines = [self.stats + ("count",), *self._cells()]
+        return "".join(",".join(map(str, line)) + "\n" for line in lines)
 
     def to_dict(self) -> dict:
-        entries = []
-        for key in sorted(self.counts):
-            cells = key if isinstance(key, tuple) else (key,)
-            entry = dict(zip(self.stats, cells))
-            entry["count"] = self.counts[key]
-            entries.append(entry)
-        return {
-            "class": self.path_class,
-            "n": self.n,
-            "stats": list(self.stats),
-            "counts": entries,
-        }
+        entries = [dict(zip(self.stats + ("count",), row)) for row in self._cells()]
+        return {"class": self.path_class, "n": self.n, "stats": list(self.stats),
+                "counts": entries}
 
 
 def _check_stat_name(name: str) -> str:
@@ -251,8 +271,9 @@ def _step_counts(prev, up: bool, h: int) -> dict:
             "contacts": h == 1, "downs_odd": h & 1}
 
 
-def _transfer_counts(n: int, dyck: bool, stats: tuple) -> dict:
-    """Exact counts of the words of one class by the values of ``stats``.
+def _transfer_counts(n: int, dyck: bool, stats: tuple, every: bool = False) -> dict:
+    """Exact counts of the words of one class by the values of ``stats``, as
+    ``{n: counts}``, or with ``every`` as ``{k: counts}`` for each k <= n.
 
     A transfer-matrix count over the steps (Stanley, EC1 4.7).  A state is
     (height, previous step, running max, running min, prime flag), mapped to
@@ -263,8 +284,10 @@ def _transfer_counts(n: int, dyck: bool, stats: tuple) -> dict:
     completes to a distinct word, so a digit is at most C(2n, n) < 2**bits.
     A field that no requested statistic reads stays constant, so it splits
     no states.  The prime flag holds while every step but the last ends
-    above the axis: ``min_height >= 0 and contacts == 1`` for n >= 1.  Steps
-    that go below the axis (Dyck) or can no longer return to it are pruned.
+    above the axis: ``min_height >= 0 and contacts == 1`` for n >= 1; a step
+    clears it by the height it starts from.  Steps that go below the axis
+    (Dyck) or can no longer return to it by step 2n are pruned, so the states
+    at height 0 after step 2k are the words of semilength k, flag and all.
     """
     counters = list(dict.fromkeys(_COUNTER_OF[s] for s in stats if s in _COUNTER_OF))
     base = n + 1  # above any counter's value: each counts at most n steps
@@ -274,19 +297,21 @@ def _transfer_counts(n: int, dyck: bool, stats: tuple) -> dict:
     track_hi = "max_height" in stats
     track_lo = "min_height" in stats
     floor = 0 if dyck else -n
+    # the rules read a height h only as -1, 0, 1 or its parity, 2 + (h & 1)
+    shifts = {(prev, up, h): bits * sum(weight[c] * v for c, v in
+                                        _step_counts(prev, up, h).items() if c in weight)
+              for prev in (None, True, False) for up in (True, False) for h in range(-1, 4)}
     # (h, prev) -> the two steps from it as (next height, next prev, shift);
     # a tracked prev is None only before the first step, at h = 0
     prevs = (True, False) if track_prev else (None,)
     moves = {
-        (h, prev): [
-            (h + 1 if up else h - 1, up if track_prev else None,
-             bits * sum(weight[c] * v for c, v in _step_counts(prev, up, h).items()
-                        if c in weight))
-            for up in (True, False)
-        ]
+        (h, prev): [(h + 1 if up else h - 1, up if track_prev else None,
+                     shifts[prev, up, h if -1 <= h <= 1 else 2 + (h & 1)])
+                    for up in (True, False)]
         for h, prev in {(0, None), *product(range(floor, n + 1), prevs)}
     }
-    states = {(0, None, 0, 0, "is_prime" in stats and n > 0): 1}
+    states = {(0, None, 0, 0, "is_prime" in stats): 1}
+    at_axis = {0: states} if every else {}  # the words of each semilength
     for left in range(2 * n - 1, -1, -1):  # steps left after this one
         nxt = {}
         for (h, prev, hi, lo, prime), digits in states.items():
@@ -298,32 +323,36 @@ def _transfer_counts(n: int, dyck: bool, stats: tuple) -> dict:
                     prev2,
                     h2 if track_hi and h2 > hi else hi,
                     h2 if track_lo and h2 < lo else lo,
-                    prime and (h2 > 0 or not left),
+                    prime and (h > 0 or left == 2 * n - 1),
                 )
                 nxt[key] = nxt.get(key, 0) + (digits << shift)
         states = nxt
+        if every and left % 2 == 0:
+            at_axis[n - left // 2] = {key: d for key, d in states.items() if key[0] == 0}
+    at_axis[n] = states
 
-    def value(stat: str, hi: int, lo: int, prime: bool, packed: int) -> int:
+    def value(stat: str, k: int, hi: int, lo: int, prime: bool, packed: int) -> int:
         if stat == "n":
-            return n
+            return k
         if stat == "max_height":
             return hi
         if stat == "min_height":
             return lo
         if stat == "is_prime":
-            return int(prime)
+            return int(prime and k > 0)
         c = packed // weight[_COUNTER_OF[stat]] % base
-        return n - c if stat in ("ups_even", "downs_even") else c
+        return k - c if stat in ("ups_even", "downs_even") else c
 
-    counts = {}
-    mask = (1 << bits) - 1
-    for (_, _, *fields), digits in states.items():
-        for packed in range(-(-digits.bit_length() // bits)):
-            if count := digits >> bits * packed & mask:
-                values = tuple(value(stat, *fields, packed) for stat in stats)
-                key = values if len(stats) == 2 else values[0]
-                counts[key] = counts.get(key, 0) + count
-    return dict(sorted(counts.items()))
+    tables, mask = {}, (1 << bits) - 1
+    for k, states in at_axis.items():
+        counts = tables[k] = {}
+        for (_, _, *fields), digits in states.items():
+            for packed in range(-(-digits.bit_length() // bits)):
+                if count := digits >> bits * packed & mask:
+                    values = tuple(value(stat, k, *fields, packed) for stat in stats)
+                    key = values if len(stats) == 2 else values[0]
+                    counts[key] = counts.get(key, 0) + count
+    return {k: dict(sorted(counts.items())) for k, counts in tables.items()}
 
 
 def distribution(
@@ -345,4 +374,4 @@ def distribution(
         _check_stat_name(stat2)
     _check_semilength(n)
     stats = (stat1,) if stat2 is None else (stat1, stat2)
-    return DistributionTable(cls, n, stats, _transfer_counts(n, cls == "dyck", stats))
+    return DistributionTable(cls, n, stats, _transfer_counts(n, cls == "dyck", stats)[n])

@@ -277,7 +277,7 @@ def _psi_rows(mat: np.ndarray, h=None) -> np.ndarray:
     top_at = np.arange(0, rows * (n + 2), n + 2)
     record = np.empty((n, rows), dtype=np.int16)  # each step's top, less one if lone
     for k in range(n):
-        top = np.take(stack, top_at, out=record[k])
+        top = stack.take(top_at, out=record[k])
         top -= lone[k]
         stack[top_at] = top
         top_at -= top == 0  # popped

@@ -3,9 +3,9 @@
 Each function sweeps a word class exhaustively (or samples it) and checks
 round trips and statistic transport, returning a
 :class:`VerificationReport`.  The theorems' distribution identities are
-counted exactly, once per semilength, by the dynamic program of
-:func:`~dyckmaps.generate.distribution`; the sweep only checks that it saw
-the whole class.
+counted exactly, every semilength of a sweep from one run of the dynamic
+program of :func:`~dyckmaps.generate.distribution`; the sweep only checks
+that it saw the whole class.
 
 A sweep reads each class in chunks of at most ``_CHUNK`` = 4,096 words,
 the rank ranges of :func:`~dyckmaps.generate._rank_blocks` in lexicographic
@@ -56,7 +56,7 @@ from .generate import (
     _random_balanced_text,
     _rank_blocks,
     _rank_rows,
-    distribution,
+    _transfer_counts,
 )
 from .maps import _MAPS, _Map, _beta_b
 from .words import (_D, _U, _dyck_rows, _row_texts, _rows, _scan_rows, _scan_text,
@@ -312,6 +312,7 @@ def _sweep(spec: _Theorem, max_n: int, jobs: int) -> VerificationReport:
     failures = {}  # first counterexample per check name, in stream order
     total = 0
     dist_note = ""  # why the distribution check fails, if it does
+    tables = [_transfer_counts(max(max_n, 0), dyck, keys, True) for keys in spec.dist_keys]
     # one pool for every semilength; the builtin map runs chunks in-process
     with (Pool(jobs) if jobs > 1 else nullcontext()) as pool:
         imap = map if pool is None else pool.imap
@@ -327,8 +328,7 @@ def _sweep(spec: _Theorem, max_n: int, jobs: int) -> VerificationReport:
             if not dist_note and n < len(sizes) and not sized:
                 dist_note = f"class size mismatch at n={n}: {count_n}"
             if not dist_note and spec.dist_keys:
-                dist_a, dist_b = (distribution(spec.path_class, n, *keys).counts
-                                  for keys in spec.dist_keys)
+                dist_a, dist_b = (table[n] for table in tables)
                 if dist_a != dist_b:
                     diff = min(k for k in dist_a.keys() | dist_b.keys()
                                if dist_a.get(k) != dist_b.get(k))

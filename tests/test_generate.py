@@ -1,6 +1,7 @@
 import json
 import tracemalloc
 from collections import Counter
+from itertools import product
 from math import comb
 from operator import attrgetter
 from pathlib import Path
@@ -8,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import dyckmaps.generate
 import oracles
 from dyckmaps import (
     CATALAN_NUMBERS,
@@ -28,12 +30,15 @@ from dyckmaps.generate import (
     _COUNTER_OF,
     _MAX_RANK_N,
     _READS_PREV,
+    _TAIL,
     _balanced_texts,
     _dyck_texts,
     _endings,
     _rank_blocks,
     _rank_rows,
     _step_counts,
+    _tails,
+    _transfer_counts,
 )
 from dyckmaps.words import PathWord, _scan_rows, classify
 
@@ -112,6 +117,70 @@ def test_the_cached_completion_table_is_read_only(dyck):
     assert ends is _endings(5, dyck)  # every block of the class shares it
     with pytest.raises(ValueError, match="read-only"):
         ends[0, 0] = 1
+
+
+def _stepwise_rank_rows(block) -> np.ndarray:
+    """``_rank_rows`` with no tail table: the step loop over every step."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dyckmaps.generate, "_TAIL", 0)
+        return _rank_rows(*block)
+
+
+def _tail_path_cases():
+    """(n, dyck, rows, every) for the tail-path tests: every block at each
+    size up to n = 9; past it, 1- and 7-word blocks are taken at a stride
+    (every block of n = 11 one word at a time would take about 20 s)."""
+    for dyck in (True, False):
+        for n in range(12):
+            for rows in (1, 7, 1024, 4096):
+                yield n, dyck, rows, 1 if n <= 9 or rows > 7 else 97
+
+
+@pytest.mark.parametrize("n, dyck, rows, every", _tail_path_cases())
+def test_rank_rows_with_its_tail_table_equal_the_step_loop_alone(n, dyck, rows, every):
+    blocks = list(_rank_blocks(n, dyck, rows))
+    reference = np.concatenate([_stepwise_rank_rows(b) for b in _rank_blocks(n, dyck, 4096)],
+                               axis=1)
+    for block in blocks[::every] + blocks[-1:]:
+        mat = _rank_rows(*block)
+        assert mat.dtype == np.uint8 and mat.flags.c_contiguous and mat.flags.writeable
+        assert np.array_equal(mat, reference[:, block[2] : block[3]]), block
+
+
+@pytest.mark.parametrize("dyck", [True, False], ids=["dyck", "bilateral"])
+def test_rank_rows_at_n33_equal_the_step_loop_alone_on_the_first_and_last_block(dyck):
+    size = (CATALAN_NUMBERS if dyck else CENTRAL_BINOMIALS)[33]
+    blocks = _rank_blocks(33, dyck, 4096)
+    # the last block, without listing the 10^13 or more before it
+    for block in (next(blocks), (33, dyck, size - size % 4096, size)):
+        assert np.array_equal(_rank_rows(*block), _stepwise_rank_rows(block)), block
+
+
+@pytest.mark.parametrize("dyck", [True, False], ids=["dyck", "bilateral"])
+def test_the_cached_tail_table_is_read_only_and_lists_every_walk_in_order(dyck):
+    walks, first = _tails(_TAIL, dyck)
+    assert _tails(_TAIL, dyck)[0] is walks  # every block of every class shares it
+    _rank_rows(20, dyck, 0, 10)
+    assert _tails(_TAIL, dyck)[0] is walks
+    with pytest.raises(ValueError, match="read-only"):
+        walks[0, 0] = 1
+    with pytest.raises(ValueError, match="read-only"):
+        first[0] = 1
+    assert walks.shape[1] <= 2**_TAIL and walks.nbytes <= 2**_TAIL * _TAIL
+    # each t-step walk back to the axis once, by starting height, then in
+    # lexicographic order
+    for t in range(9):
+        walks, first = _tails(t, dyck)
+        by_height = sorted(
+            (-text.count("U") + text.count("D"), oracles.lex_key(text), text)
+            for text in map("".join, product("UD", repeat=t))
+        )
+        expected = [text for h, _, text in by_height
+                    if not dyck or h + min([0, *oracles.heights(text)]) >= 0]
+        assert [col.tobytes().decode() for col in walks.T] == expected
+        starts = [h for h, _, text in by_height if text in expected]
+        assert [first[h + t] for h in sorted(set(starts))] == [
+            starts.index(h) for h in sorted(set(starts))]
 
 
 def test_the_first_word_costs_one_block_of_memory():
@@ -337,6 +406,17 @@ def test_theorem_distributions_equal_the_dict_transfer_count_at_n20(path_class, 
     for stats in keys:
         got = distribution(path_class, 20, *stats).counts
         assert got == _dict_transfer_counts(20, path_class == "dyck", stats), stats
+
+
+# a sweep reads every semilength's table from one run at its largest n
+@pytest.mark.parametrize("path_class", ["dyck", "bilateral"])
+def test_one_dp_run_gives_the_table_of_every_semilength_up_to_its_n(path_class):
+    for stats in _EVERY_KEY:
+        tables = _transfer_counts(12, path_class == "dyck", stats, every=True)
+        assert list(tables) == list(range(13)), stats
+        for k, counts in tables.items():
+            assert counts == distribution(path_class, k, *stats).counts, (stats, k)
+            assert list(counts) == sorted(counts), (stats, k)
 
 
 def test_distributions_at_n30_equal_their_closed_forms():

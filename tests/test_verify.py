@@ -2,7 +2,6 @@ import io
 import json
 import os
 import tracemalloc
-from dataclasses import replace
 from functools import partial
 from pathlib import Path
 from types import SimpleNamespace
@@ -26,8 +25,10 @@ from dyckmaps import (
     verify_theorem2,
 )
 from dyckmaps.decompose import _negative_steps
-from dyckmaps.generate import _random_balanced_text, _rank_blocks, _rank_rows
+from dyckmaps.generate import (_random_balanced_text, _rank_blocks, _rank_rows,
+                               _transfer_counts)
 from dyckmaps.maps import _MAPS, _key_type, _phi_ext_b
+from dyckmaps.verify import _Theorem, _sweep
 from dyckmaps.words import _row_texts, _up_and_heights
 
 DATA = Path(__file__).parent / "data"
@@ -202,15 +203,13 @@ _DIST_CHECKS = {
 }
 
 
-def _skewed_distribution(path_class, n, *stats):
-    """The exact table, but at n = 3 the peak table counts its least key once
+def _skewed_transfer_counts(n, dyck, stats, every=False):
+    """The exact tables, but at n = 3 the peak table counts its least key once
     more than it should."""
-    table = distribution(path_class, n, *stats)
-    if n != 3 or "peaks" not in stats:
-        return table
-    counts = dict(table.counts)
-    counts[min(counts)] += 1
-    return replace(table, counts=counts)
+    tables = _transfer_counts(n, dyck, stats, every)
+    if 3 in tables and "peaks" in stats:
+        tables[3][min(tables[3])] += 1
+    return tables
 
 
 def _only_distribution_fails(report, expected, name, note):
@@ -227,7 +226,7 @@ def _only_distribution_fails(report, expected, name, note):
 def test_a_distribution_mismatch_fails_only_the_distribution_check(monkeypatch, verify):
     expected = verify(5)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(dyckmaps.verify, "distribution", _skewed_distribution)
+    monkeypatch.setattr(dyckmaps.verify, "_transfer_counts", _skewed_transfer_counts)
     serial = verify(5)
     _only_distribution_fails(serial, expected, *_DIST_CHECKS[verify])
     # the tables are counted in the parent, so workers change nothing
@@ -246,7 +245,7 @@ def test_a_class_size_mismatch_is_reported_and_ends_the_comparison(monkeypatch):
     wrong = list(CATALAN_NUMBERS)
     wrong[2] += 1
     monkeypatch.setattr(dyckmaps.verify, "CATALAN_NUMBERS", tuple(wrong))
-    monkeypatch.setattr(dyckmaps.verify, "distribution", _skewed_distribution)
+    monkeypatch.setattr(dyckmaps.verify, "_transfer_counts", _skewed_transfer_counts)
     _only_distribution_fails(verify_theorem1(5), expected, name,
                              "class size mismatch at n=2: 2")
     # the first mismatch names the note, not the last
@@ -258,6 +257,35 @@ def test_a_class_size_mismatch_is_reported_and_ends_the_comparison(monkeypatch):
     wrong[2] -= 1
     monkeypatch.setattr(dyckmaps.verify, "CATALAN_NUMBERS", tuple(wrong))
     _only_distribution_fails(verify_theorem1(5), expected, *_DIST_CHECKS[verify_theorem1])
+
+
+# a sweep reads every semilength's tables from one run of the dynamic program;
+# the notes are those of one distribution() call per semilength and key set
+@pytest.mark.parametrize("path_class, keys, note", [
+    ("dyck", (("max_height", "peaks"), ("max_height", "ups_odd")),
+     "tables differ at n=3, key=(2, 1)"),
+    ("dyck", (("is_prime", "contacts"), ("is_prime", "peaks")),
+     "tables differ at n=3, key=(1, 1)"),
+    ("bilateral", (("min_height", "peaks"), ("min_height", "valleys")),
+     "tables differ at n=1, key=(-1, 0)"),
+    ("bilateral", (("is_prime", "peaks"), ("is_prime", "ups_odd")), ""),
+])
+def test_a_sweep_names_the_first_semilength_and_key_whose_tables_differ(
+    path_class, keys, note
+):
+    involution = _MAPS["beta" if path_class == "dyck" else "alpha"]
+    spec = _Theorem(path_class, {"map": involution}, ("involution",), (), keys,
+                    ("distribution", "tables"))
+    check = _sweep(spec, 6, jobs=1).checks[-1]
+    assert (check.name, check.passed, check.note) == ("distribution", not note, note)
+    for n in range(7):  # the same first difference, one semilength at a time
+        a, b = (distribution(path_class, n, *stats).counts for stats in keys)
+        if a != b:
+            diff = min(k for k in a.keys() | b.keys() if a.get(k) != b.get(k))
+            assert note == f"tables differ at n={n}, key={diff}"
+            break
+    else:
+        assert note == ""
 
 
 def test_involutions_pass():
