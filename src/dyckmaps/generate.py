@@ -2,9 +2,11 @@
 
 Words are enumerated in lexicographic order with U < D by unranking: a
 block is a range of ranks, and its words are built step by step as the
-columns of a uint8 matrix, so enumeration is deterministic, restartable at
-any rank, and bounded in memory by one block.  The text streams, ``enum``
-and the verification sweeps all read these blocks.
+columns of a uint8 matrix up to their last ``_TAIL`` = 14 steps, which one
+gather reads from a cached table of every such walk back to the axis (at
+most 2^14 walks, 229 KB).  So enumeration is deterministic, restartable at
+any rank, and bounded in memory by one block and that table.  The text
+streams, ``enum`` and the verification sweeps all read these blocks.
 Counts are exact Python integers throughout.
 """
 
