@@ -198,7 +198,7 @@ def _check_n(n: int) -> None:
         raise DyckError(f"--n must be between 0 and {_MAX_N}")
 
 
-def _check_cap(what: str, count: int, cap=_MAX_WORDS, unit="words") -> None:
+def _check_cap(what: str, count: int, cap: int, unit="words") -> None:
     if count > cap:
         raise DyckError(f"{what} = {count} {unit} exceeds the cap of {cap}")
 
@@ -207,9 +207,9 @@ def _cmd_enum(args, stdin, stdout) -> int:
     _check_n(args.n)
     n = args.n
     if args.path_class == "dyck":
-        _check_cap(f"Catalan({n})", catalan(n))
+        _check_cap(f"Catalan({n})", catalan(n), _MAX_WORDS)
     else:
-        _check_cap(f"C({2 * n}, {n})", central_binomial(n))
+        _check_cap(f"C({2 * n}, {n})", central_binomial(n), _MAX_WORDS)
     for texts in _text_blocks(n, args.path_class == "dyck"):
         stdout.write("\n".join(texts) + "\n")
     return 0
@@ -232,8 +232,7 @@ def _cmd_verify(args, stdin, stdout) -> int:
     # theorem 2 and alpha over balanced words
     _check_cap(
         f"2 * sum over n <= {args.max_n} of (Catalan(n) + C(2n, n))",
-        2 * sum(catalan(n) + central_binomial(n) for n in range(args.max_n + 1)),
-    )
+        2 * sum(catalan(n) + central_binomial(n) for n in range(args.max_n + 1)), _MAX_WORDS)
     if args.randomized:  # negative sizes are refused by verify_randomized
         _check_cap("6 * trials * rand-n", 6 * max(args.trials, 0) * max(args.rand_n, 0),
                      _MAX_RANDOM_STEPS, "steps")

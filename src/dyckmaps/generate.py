@@ -4,9 +4,11 @@ Words are enumerated in lexicographic order with U < D by unranking: a
 block is a range of ranks, and its words are built step by step as the
 columns of a uint8 matrix up to their last ``_TAIL`` = 14 steps, which one
 gather reads from a cached table of every such walk back to the axis (at
-most 2^14 walks, 229 KB).  So enumeration is deterministic, restartable at
-any rank, and bounded in memory by one block and that table.  The text
-streams, ``enum`` and the verification sweeps all read these blocks.
+most 2^14 walks, 229 KB); a shorter word is the tail of such a walk.  Each
+class has that table and one of completion counts, built once for n = 33.
+So enumeration is deterministic, restartable at any rank, and bounded in
+memory by one block and those tables.  The text streams, ``enum`` and the
+verification sweeps all read these blocks.
 Counts are exact Python integers throughout.
 """
 
@@ -27,6 +29,7 @@ from .words import _D, _U, PathWord, _flips, _row_texts
 _MAX_RANK_N = 33  # the largest n whose C(2n, n) ranks fit in int64
 _TEXT_STEPS = 1 << 18  # steps per block of the text streams
 _TAIL = 14  # the last steps of a word, read from a table of walks
+_AXIS = _MAX_RANK_N + 1  # the column of height 0 in the table of _endings
 
 
 def _check_semilength(n: int) -> None:
@@ -57,20 +60,20 @@ CATALAN_NUMBERS = tuple(catalan(n) for n in range(_MAX_RANK_N + 1))
 CENTRAL_BINOMIALS = tuple(central_binomial(n) for n in range(_MAX_RANK_N + 1))
 
 
-@lru_cache(maxsize=None)  # at most two classes of each n <= _MAX_RANK_N
-def _endings(n: int, dyck: bool) -> np.ndarray:
-    """``ends[r, h + n + 1]``: the number of r-step walks from height h back
-    to the axis (never below it for Dyck words), for 0 <= r <= 2n.
+@lru_cache(maxsize=None)  # one table per class
+def _endings(dyck: bool) -> np.ndarray:
+    """``ends[r, h + _AXIS]``: the number of r-step walks from height h back
+    to the axis (never below it for Dyck words), for 0 <= r <= 2n and
+    |h| <= n at n = ``_MAX_RANK_N``, which holds every class the ranks reach.
 
-    Cached, so the table is read-only: every block of a class reads the same
-    one."""
-    off = n + 1
+    Cached, so the table is read-only: every block of the class reads it."""
+    n = _MAX_RANK_N
     ends = np.zeros((2 * n + 1, 2 * n + 3), dtype=np.int64)
-    ends[0, off] = 1
+    ends[0, _AXIS] = 1
     for r in range(1, 2 * n + 1):
         ends[r, 1:-1] = ends[r - 1, 2:] + ends[r - 1, :-2]
         if dyck:
-            ends[r, :off] = 0
+            ends[r, :_AXIS] = 0
     ends.setflags(write=False)
     return ends
 
@@ -85,7 +88,7 @@ def _rank_blocks(n: int, dyck: bool, rows: int) -> Iterator[tuple]:
     """
     _check_semilength(n)
     _check_rank_n(n)
-    size = int(_endings(n, dyck)[2 * n, n + 1])
+    size = int(_endings(dyck)[2 * n, _AXIS])
     return ((n, dyck, start, min(start + rows, size)) for start in range(0, size, rows))
 
 
@@ -103,39 +106,44 @@ def _unrank(ends: np.ndarray, left: int, rank: np.ndarray, h, rows) -> np.ndarra
     return h
 
 
-@lru_cache(maxsize=None)  # at most two classes of each t <= _TAIL
-def _tails(t: int, dyck: bool) -> tuple:
-    """The at most 2^t t-step walks back to the axis (never below it for Dyck
-    words) as read-only uint8 columns, by starting height, then lexicographic;
-    and ``first[h + t]``, the column of the first walk from height h."""
-    ends = _endings(t, dyck)
-    sizes = ends[t, 1 : 2 * t + 2]  # from heights -t..t
+@lru_cache(maxsize=None)  # one table per class
+def _tails(dyck: bool) -> tuple:
+    """The at most 2^t t-step walks back to the axis, t = ``_TAIL`` (never
+    below it for Dyck words), as read-only uint8 columns, by starting height,
+    then lexicographic; ``first[h + t]``, the column of the first walk from
+    height h; and ``pad[n]``, n <= t/2, the walks from height 0 before those
+    that start (UD)^(t/2 - n) and end with the words of semilength n."""
+    t, ends = _TAIL, _endings(dyck)
+    sizes = ends[t, _AXIS - t : _AXIS + t + 1]  # from heights -t..t
     first = np.cumsum(sizes) - sizes
     walks = np.empty((t, int(sizes.sum())), dtype=np.uint8)
-    h = np.repeat(np.arange(2, 2 * t + 3), sizes)  # ends' column after a U
+    h = np.repeat(np.arange(_AXIS + 1 - t, _AXIS + t + 2), sizes)  # ends' column after a U
     _unrank(ends, t, np.arange(walks.shape[1]) - first.repeat(sizes), h, walks)
     for table in (walks, first):
         table.setflags(write=False)
-    return walks, first
+    # the walks that step U at the prefix's i-th D: height 2, t - 2 - 2i steps left
+    pad = np.cumsum(ends[t - 2 :: -2, _AXIS + 2])[::-1].tolist() + [0]
+    return walks, first, tuple(pad)
 
 
 def _rank_rows(n: int, dyck: bool, start: int, stop: int) -> np.ndarray:
     """The words of ranks start..stop-1 of a class of :func:`_rank_blocks`,
     one per column of a C-contiguous ``(2n, words)`` uint8 matrix.
 
-    Unranks the first 2n - t steps, t = min(2n, ``_TAIL``), by :func:`_unrank`;
+    Unranks the first max(2n - t, 0) steps, t = ``_TAIL``, by :func:`_unrank`;
     a word's height and rank there pick its last t steps from :func:`_tails`
-    (2^t * t bytes at most, 229 KB for balanced words) in one gather, or the
-    whole block in one slice where t = 2n.
+    (2^t * t bytes at most, 229 KB for balanced words) in one gather.  A word
+    shorter than t steps is the tail of a walk padded in front with UD's: its
+    rank moves on by ``pad[n]``, and the gather reads the walks' last 2n rows.
     """
-    t = min(2 * n, _TAIL)
-    walks, first = _tails(t, dyck)
-    if t == 2 * n:
-        return walks[:, first[t] + start : first[t] + stop].copy()
-    rank = np.arange(start, stop, dtype=np.int64)
+    walks, first, pad = _tails(dyck)
+    head = max(2 * n - _TAIL, 0)
+    skip = pad[min(n, _TAIL // 2)]  # 0 where head > 0
+    rank = np.arange(start + skip, stop + skip, dtype=np.int64)
     mat = np.empty((2 * n, len(rank)), dtype=np.uint8)
-    h = _unrank(_endings(n, dyck), 2 * n, rank, n + 2, mat[: 2 * n - t])  # height + n + 2
-    walks.take(rank + first.take(h - (n + 2 - t)), axis=1, out=mat[2 * n - t :])
+    h = _unrank(_endings(dyck), 2 * n, rank, _AXIS + 1, mat[:head])  # height + _AXIS + 1
+    column = rank + first.take(h - (_AXIS + 1 - _TAIL))
+    walks[head + _TAIL - 2 * n :].take(column, axis=1, out=mat[head:])
     return mat
 
 

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import numpy as np
+
 from .errors import DyckError, NotBilateralError
-from .words import PathWord
+from .words import PathWord, _rows, _up_and_heights
 
 # Most glyph-block cells (steps times rows) a drawing may take; drawing holds
 # one byte per cell, so this bounds its memory as well as its time.
@@ -18,24 +20,26 @@ def render_ascii(w: PathWord) -> str:
     the axis.  The glyph block is max_height - min_height rows tall; a word
     whose block would exceed ``_MAX_CELLS`` cells raises DyckError.
     """
-    if w.text and w.final_height != 0:
-        raise NotBilateralError("rendering requires a balanced word")
-    text = w.text
-    if not text:
+    steps = len(w.text)
+    if not steps:
         return ""
-    hi, lo = w.max_height, w.min_height
-    size = len(text) * (hi - lo)
+    up, h = (col[:, 0] for col in _up_and_heights(_rows([w.text])))
+    if h[-1]:
+        raise NotBilateralError("rendering requires a balanced word")
+    hi, lo = int(h.max()), int(h.min())
+    size = steps * (hi - lo)
     if size > _MAX_CELLS:
-        raise DyckError(
-            f"rendering needs {size} cells, more than the cap of {_MAX_CELLS}"
-        )
-    bands = [bytearray(b" " * len(text)) for _ in range(hi - lo)]  # top down
-    prev = 0
-    for i, h in enumerate(w._height_list()):  # a step's band is its higher vertex's
-        if h > prev:
-            bands[hi - h][i] = 47  # '/'
-        else:
-            bands[hi - prev][i] = 92  # '\\'
-        prev = h
-    bands.insert(hi, b"-" * len(text))  # the axis
-    return "\n".join([band.decode("ascii").rstrip() for band in bands])
+        raise DyckError(f"rendering needs {size} cells, more than the cap of {_MAX_CELLS}")
+    # '\\' less 45 is '/': arithmetic, as np.where of two scalars is 8x slower
+    glyphs = np.uint8(ord("\\")) - up.view(np.uint8) * np.uint8(ord("\\") - ord("/"))
+    cells = h.astype(np.int32, copy=False)  # h itself from 32,768 steps on
+    cells += ~up  # a step's band is its higher vertex's
+    del up, h  # freed for the block: (UD)^(5*10^6) peaked at 145 against 154 MB
+    np.subtract(hi, cells, out=cells)  # the band's row, top down
+    cells *= steps
+    cells += np.arange(steps, dtype=np.int32)  # under _MAX_CELLS < 2^31
+    block = np.full(size, ord(" "), dtype=np.uint8)
+    block[cells] = glyphs
+    rows = [row.tobytes().decode("ascii").rstrip() for row in block.reshape(hi - lo, steps)]
+    rows.insert(hi, "-" * steps)  # the axis
+    return "\n".join(rows)

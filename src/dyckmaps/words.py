@@ -23,8 +23,8 @@ _U, _D = 85, 68  # ord("U"), ord("D")
 _FLIP_BITS = _U ^ _D  # byte ^ _FLIP_BITS turns U into D and D into U
 _FLIP_B = bytes.maketrans(b"UD", b"DU")
 
-# From this many steps on, a word goes through numpy: its height scans and
-# per-word maps, _ups, _height_list and _crossing_factors.
+# From this many steps on, a word's statistics scan, per-word maps, _ups and
+# _crossing_factors go through numpy; its vertex heights do at every length.
 _LONG = 4096
 # From this many words on, a cumsum of int8 or int16 down at least _BLOCKS
 # steps of a matrix adds whole rows, in blocks of about sqrt(steps) rows; any
@@ -248,8 +248,8 @@ class PathWord:
 
     Construction requires canonical text over {U, D}; use :func:`parse_word`
     for the lenient alphabets.  The word's one statistics scan (its height
-    extremes, contacts, crossings and parity counts) and its vertex height
-    list are computed once on demand and cached.  All transforms return
+    extremes, contacts, crossings and parity counts) and its vertex heights
+    are computed once on demand and cached.  All transforms return
     fresh words, and a pickle or copy is rebuilt from the text alone, so
     instances are safe to share between workers.
     """
@@ -327,18 +327,12 @@ class PathWord:
     def max_height(self) -> int:
         return self._scan().hi
 
-    def _height_list(self) -> list:
+    def _height_list(self) -> np.ndarray:
+        """The heights of :func:`_up_and_heights`, cached read-only: 1-4 B a step."""
         heights = self._heights
         if heights is None:
-            text = self.text
-            if len(text) >= _LONG:
-                heights = _up_and_heights(_rows([text]))[1][:, 0].tolist()
-            else:
-                heights = []
-                h = 0
-                for ch in text:
-                    h = h + 1 if ch == "U" else h - 1
-                    heights.append(h)
+            heights = _up_and_heights(_rows([self.text]))[1][:, 0]
+            heights.setflags(write=False)
             self._cache("_heights", heights)
         return heights
 
@@ -375,7 +369,7 @@ def classify(w: PathWord) -> PathClass:
 
 def height_profile(w: PathWord) -> HeightProfile:
     """Vertex heights after each step (prefix sums of +-1)."""
-    return list(w._height_list())
+    return w._height_list().tolist()
 
 
 def step_height(w: PathWord, i: int) -> int:
@@ -383,14 +377,11 @@ def step_height(w: PathWord, i: int) -> int:
 
     An up-step ending at height j and a down-step starting at height j are
     both at height j; equivalently the larger endpoint height of the step.
-    O(1) after the word's height list has been built once.
+    O(1) after the word's heights have been scanned once.
     """
     if not 1 <= i <= len(w.text):
         raise IndexError(f"step index {i} out of range 1..{len(w.text)}")
-    heights = w._height_list()
-    before = heights[i - 2] if i >= 2 else 0
-    after = heights[i - 1]
-    return before if before > after else after
+    return int(w._height_list()[i - 1]) + (w.text[i - 1] == "D")
 
 
 def reflect(w: PathWord) -> PathWord:
@@ -400,12 +391,10 @@ def reflect(w: PathWord) -> PathWord:
 
 def _describe_dyck_violation(text: str) -> str:
     """Human-readable reason why text is not a Dyck word (1-based positions)."""
-    h = 0
-    for i, ch in enumerate(text, 1):
-        h = h + 1 if ch == "U" else h - 1
-        if h < 0:
-            return f"vertex below axis at step {i}"
-    return f"path ends at height {h} instead of 0"
+    h = _up_and_heights(_rows([text]))[1][:, 0]
+    if h.min() < 0:
+        return f"vertex below axis at step {int((h < 0).argmax()) + 1}"
+    return f"path ends at height {int(h[-1])} instead of 0"
 
 
 def require_dyck(w: PathWord) -> None:

@@ -190,6 +190,17 @@ def test_enum_refuses_a_class_over_the_word_cap(monkeypatch, path_class, n, mess
     assert (code, out, err) == (1, "", f"error: {message}\n")
 
 
+def test_the_word_cap_admits_a_class_of_exactly_its_words(monkeypatch):
+    monkeypatch.setattr(dyckmaps.cli, "_MAX_WORDS", 42)  # Catalan(5)
+    code, out, err = _run(["enum", "--class", "dyck", "--n", "5"])
+    assert (code, err) == (0, "")
+    assert out.splitlines() == sorted(oracles.all_dyck(5), key=oracles.lex_key)
+    monkeypatch.setattr(dyckmaps.cli, "_MAX_WORDS", 41)
+    _refuse_enumeration(monkeypatch)
+    assert _run(["enum", "--class", "dyck", "--n", "5"]) == (
+        1, "", "error: Catalan(5) = 42 words exceeds the cap of 41\n")
+
+
 def test_verify_refuses_sweeps_over_the_word_cap(monkeypatch):
     _refuse_enumeration(monkeypatch)
     code, out, err = _run(["verify", "--max-n", "14", "--randomized"])
@@ -289,6 +300,19 @@ def test_render_command_refuses_oversized_word():
     code, out, err = _run(["render"], "U" * 20000 + "D" * 20000 + "\n")
     assert (code, out) == (1, "")
     assert "line 1" in err and "cells" in err
+
+
+def test_the_cell_cap_admits_a_drawing_of_exactly_its_cells(monkeypatch):
+    text = "UUDDDUUD"  # 8 steps x 3 rows
+    drawing = oracles.render(text)
+    monkeypatch.setattr(dyckmaps.render, "_MAX_CELLS", 24)
+    assert dyckmaps.render_ascii(dyckmaps.parse_word(text)) == drawing
+    assert _run(["render"], text + "\n") == (0, drawing + "\n\n", "")
+    monkeypatch.setattr(dyckmaps.render, "_MAX_CELLS", 23)
+    message = "rendering needs 24 cells, more than the cap of 23"
+    with pytest.raises(dyckmaps.DyckError, match=message):
+        dyckmaps.render_ascii(dyckmaps.parse_word(text))
+    assert _run(["render"], text + "\n") == (1, "", f"error: {message} (line 1)\n")
 
 
 def test_trace_command_refuses_an_over_cap_trace(monkeypatch):

@@ -9,7 +9,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import dyckmaps.generate
 import oracles
 from dyckmaps import (
     CATALAN_NUMBERS,
@@ -27,6 +26,7 @@ from dyckmaps import (
     stat_record,
 )
 from dyckmaps.generate import (
+    _AXIS,
     _COUNTER_OF,
     _MAX_RANK_N,
     _READS_PREV,
@@ -39,6 +39,7 @@ from dyckmaps.generate import (
     _step_counts,
     _tails,
     _transfer_counts,
+    _unrank,
 )
 from dyckmaps.words import PathWord, _scan_rows, classify
 
@@ -113,17 +114,18 @@ def test_generators_refuse_semilengths_past_the_int64_ranks(generate):
 
 @pytest.mark.parametrize("dyck", [True, False], ids=["dyck", "bilateral"])
 def test_the_cached_completion_table_is_read_only(dyck):
-    ends = _endings(5, dyck)
-    assert ends is _endings(5, dyck)  # every block of the class shares it
+    ends = _endings(dyck)
+    assert ends is _endings(dyck)  # every block of the class shares it
     with pytest.raises(ValueError, match="read-only"):
         ends[0, 0] = 1
 
 
 def _stepwise_rank_rows(block) -> np.ndarray:
     """``_rank_rows`` with no tail table: the step loop over every step."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(dyckmaps.generate, "_TAIL", 0)
-        return _rank_rows(*block)
+    n, dyck, start, stop = block
+    mat = np.empty((2 * n, stop - start), dtype=np.uint8)
+    _unrank(_endings(dyck), 2 * n, np.arange(start, stop, dtype=np.int64), _AXIS + 1, mat)
+    return mat
 
 
 def _tail_path_cases():
@@ -158,29 +160,36 @@ def test_rank_rows_at_n33_equal_the_step_loop_alone_on_the_first_and_last_block(
 
 @pytest.mark.parametrize("dyck", [True, False], ids=["dyck", "bilateral"])
 def test_the_cached_tail_table_is_read_only_and_lists_every_walk_in_order(dyck):
-    walks, first = _tails(_TAIL, dyck)
-    assert _tails(_TAIL, dyck)[0] is walks  # every block of every class shares it
+    walks, first, pad = _tails(dyck)
+    assert _tails(dyck)[0] is walks  # every block of every semilength shares it
     _rank_rows(20, dyck, 0, 10)
-    assert _tails(_TAIL, dyck)[0] is walks
+    _rank_rows(3, dyck, 0, 5)
+    assert _tails(dyck)[0] is walks
     with pytest.raises(ValueError, match="read-only"):
         walks[0, 0] = 1
     with pytest.raises(ValueError, match="read-only"):
         first[0] = 1
     assert walks.shape[1] <= 2**_TAIL and walks.nbytes <= 2**_TAIL * _TAIL
-    # each t-step walk back to the axis once, by starting height, then in
-    # lexicographic order
-    for t in range(9):
-        walks, first = _tails(t, dyck)
-        by_height = sorted(
-            (-text.count("U") + text.count("D"), oracles.lex_key(text), text)
-            for text in map("".join, product("UD", repeat=t))
-        )
-        expected = [text for h, _, text in by_height
-                    if not dyck or h + min([0, *oracles.heights(text)]) >= 0]
-        assert [col.tobytes().decode() for col in walks.T] == expected
-        starts = [h for h, _, text in by_height if text in expected]
-        assert [first[h + t] for h in sorted(set(starts))] == [
-            starts.index(h) for h in sorted(set(starts))]
+    # each walk back to the axis once, by starting height, then in
+    # lexicographic order, from one listing of the 2^t words
+    by_height = sorted(
+        (text.count("D") - text.count("U"), oracles.lex_key(text), text)
+        for text in map("".join, product("UD", repeat=_TAIL))
+    )
+    expected = [(h, text) for h, _, text in by_height
+                if not dyck or h + min([0, *oracles.heights(text)]) >= 0]
+    assert [col.tobytes().decode() for col in walks.T] == [text for _, text in expected]
+    starts = [h for h, _ in expected]
+    assert [first[h + _TAIL] for h in sorted(set(starts))] == [
+        starts.index(h) for h in sorted(set(starts))]
+    # the words of semilength n <= t/2 follow (UD)^(t/2 - n) from pad[n] on
+    assert len(pad) == _TAIL // 2 + 1
+    column = {text: i for i, (_, text) in enumerate(expected)}
+    for n in range(_TAIL // 2 + 1):
+        words = sorted(oracles.all_dyck(n) if dyck else oracles.all_balanced(n),
+                       key=oracles.lex_key)
+        got = [column["UD" * (_TAIL // 2 - n) + text] - first[_TAIL] for text in words]
+        assert got == list(range(pad[n], pad[n] + len(words))), n
 
 
 def test_the_first_word_costs_one_block_of_memory():

@@ -1,9 +1,11 @@
 import time
+import tracemalloc
 
 import pytest
 
 import oracles
 from dyckmaps import DyckError, NotBilateralError, parse_word, render_ascii, sample_bilateral
+from dyckmaps.words import _LONG
 
 
 def test_render_single_peak():
@@ -64,9 +66,27 @@ def test_render_equals_the_band_by_band_oracle_on_every_balanced_word(n):
         assert render_ascii(parse_word(text)) == oracles.render(text), text
 
 
-@pytest.mark.parametrize("seed", range(5))
-def test_render_equals_the_band_by_band_oracle_on_long_words(seed):
-    text = sample_bilateral(2000, seed).text
-    if seed == 4:  # a hill and a valley, each the word's whole height
+@pytest.mark.parametrize("case", [*range(5), "UD", "DU"])
+def test_render_equals_the_band_by_band_oracle_on_long_words(case):
+    if case == 4:  # a hill and a valley, each the word's whole height
         text = "U" * 700 + "D" * 1400 + "U" * 700
+    elif isinstance(case, str):  # one band, above or below the axis, past _LONG steps
+        text = case * (_LONG // 2 + 1)
+    else:
+        text = sample_bilateral(2000, case).text
     assert render_ascii(parse_word(text)) == oracles.render(text)
+
+
+def test_render_of_a_flat_word_peaks_under_12_bytes_per_step():
+    # one band: the drawing is a byte a step, and the height scan's int32
+    # heights and their cast copy of the steps make the peak
+    steps = 4 * 10**5
+    render_ascii(parse_word("DU" * 100))  # numpy's one-time set-up is not render's
+    w = parse_word("UD" * (steps // 2))
+    tracemalloc.start()
+    try:
+        render_ascii(w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * steps, peak / steps
