@@ -320,7 +320,9 @@ def _beta_source(negative: np.ndarray, returns) -> np.ndarray:
     edges[1:] &= ~negative[:-1]
     start = np.flatnonzero(edges)
     del edges
-    step, word = np.divmod(np.concatenate((returns, start)), rows)
+    word = np.concatenate((returns, start))
+    step = word // rows  # numpy divides by a scalar without divmod's cost
+    word -= step * rows
     word *= size + 1  # in word order: word * (size + 1) + step
     word += step
     keys = np.append(word, rows * (size + 1))  # a start past the last word
@@ -332,11 +334,13 @@ def _beta_source(negative: np.ndarray, returns) -> np.ndarray:
     end = keys[at[1:] - 1] >> 1
     end += 1
     at = keys[at[:-1]] >> 1
-    word, step = np.divmod(at, size + 1)
-    start = step * rows + word
+    del keys
+    word = at // (size + 1)
+    start = (at - word * (size + 1)) * rows + word
     # the flat lengths of U W1 and of D W2: a step moves a whole row
     r = (first - at) * rows
     m = (end - first) * rows
+    del first, end, at, word, step  # before the largest block
     # the cumsum counts the flat position: the word's column, plus a row a step
     shift = np.full((size + 1) * rows, rows, dtype=np.intp)
     shift[:rows] = np.arange(rows)

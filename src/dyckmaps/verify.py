@@ -10,9 +10,10 @@ that it saw the whole class.
 A sweep reads each class in chunks of at most ``_CHUNK`` = 4,096 words,
 the rank ranges of :func:`~dyckmaps.generate._rank_blocks` in lexicographic
 order.  One worker checks every chunk as a ``(2n, words)`` uint8 matrix
-whose steps run down axis 0: each map runs once on the chunk, the words
-and images are scanned once each, and the checks are predicates on whole
-columns.  Default maps, ``maps._MAPS`` records, run their twins.  A chunk peaks
+whose steps run down axis 0: each map runs once on the chunk, the heights
+of the words and of their images are scanned once each, the checks are
+predicates on whole columns, and the statistics scans count only the
+fields that the checks read, each on its first read.  Default maps, ``maps._MAPS`` records, run their twins.  A chunk peaks
 under 30 bytes per step, and phi packs its sort keys into uint32 up to n = 15.
 :func:`verify_randomized` passes its samples to the same worker.
 
@@ -238,8 +239,8 @@ def _check_chunk(chunk, spec: _Theorem):
     ``chunk`` is a ``(steps, words)`` uint8 matrix or the arguments of
     :func:`_rank_rows`, which is what a worker process is sent.  The words
     make the one round trip of ``spec``; they and their images are scanned
-    for heights once each, and the class test, the maps, the scans and the
-    checks share them.  A word whose image misfits (:func:`_images`) or
+    for heights once each, and the class test, the maps, the lazy scans
+    and the checks share them; a trip with no checks counts no statistic.  A word whose image misfits (:func:`_images`) or
     lies outside the class fails the trip and every check, and here its
     image column takes the word, so the inverse sees only words of its class.
     """

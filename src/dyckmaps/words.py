@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from enum import Enum
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -219,28 +220,45 @@ def _count(mask: np.ndarray) -> np.ndarray:
     return np.add.reduce(mask, axis=0, dtype=np.int32)
 
 
-def _scan_rows(mat: np.ndarray, h=None) -> _Scan:
+class _RowScan:
     """The fields of :func:`_scan_text` for equal-length words, one per column
-    of a ``(steps, words)`` uint8 matrix, as int arrays from one height scan
-    down axis 0; ``h`` holds the words' heights if known."""
-    up = mat == _U
-    if h is None:
-        h = _up_and_heights(mat)[1]
-    down = ~up
-    same = up[:-1] == up[1:]
-    ups = _count(up)
-    return _Scan(
-        2 * ups - mat.shape[0],
-        h.min(axis=0, initial=0),
-        h.max(axis=0, initial=0),
-        _count(up[:-1] & down[1:]),
-        _count(down[:-1] & up[1:]),
-        _count(h == 0),
-        _count((h[:-1] == 0) & same),
-        ups,
-        _count(up[0::2]),  # an up-step at index i ends at the parity of i + 1
-        _count(down[1::2]),  # a down-step at index i starts at the parity of i
-    )
+    of a ``(steps, words)`` uint8 matrix, as int arrays: each field, the
+    up-step and down-step masks and the heights are computed on first read
+    and cached, so a caller pays only for the fields it reads.  It iterates
+    and indexes in ``_Scan._fields`` order, as the named tuple does."""
+
+    _fields = _Scan._fields
+
+    def __init__(self, mat: np.ndarray, h=None):
+        self._mat, self._h = mat, h
+
+    def __iter__(self):
+        return (getattr(self, name) for name in self._fields)
+
+    def __getitem__(self, index: int):
+        return getattr(self, self._fields[index])
+
+    up = cached_property(lambda self: self._mat == _U)
+    down = cached_property(lambda self: ~self.up)
+    h = cached_property(
+        lambda self: _up_and_heights(self._mat)[1] if self._h is None else self._h)
+    final = cached_property(lambda self: 2 * self.ups - self._mat.shape[0])
+    lo = cached_property(lambda self: self.h.min(axis=0, initial=0))
+    hi = cached_property(lambda self: self.h.max(axis=0, initial=0))
+    peaks = cached_property(lambda self: _count(self.up[:-1] & self.down[1:]))
+    valleys = cached_property(lambda self: _count(self.down[:-1] & self.up[1:]))
+    contacts = cached_property(lambda self: _count(self.h == 0))
+    crossings = cached_property(
+        lambda self: _count((self.h[:-1] == 0) & (self.up[:-1] == self.up[1:])))
+    ups = cached_property(lambda self: _count(self.up))
+    # an up-step at index i ends at the parity of i + 1, a down-step starts at that of i
+    ups_odd = cached_property(lambda self: _count(self.up[0::2]))
+    downs_odd = cached_property(lambda self: _count(self.down[1::2]))
+
+
+def _scan_rows(mat: np.ndarray, h=None) -> _RowScan:
+    """The lazy scan of the columns of ``mat``; ``h`` holds their heights if known."""
+    return _RowScan(mat, h)
 
 
 class PathWord:

@@ -8,6 +8,7 @@ formula, and the independent recurrences in oracles.py.
 import time
 
 import numpy as np
+import pytest
 
 import oracles
 from dyckmaps import (
@@ -66,6 +67,7 @@ def _timed_once(fn, arg) -> float:
     return time.perf_counter() - start
 
 
+@pytest.mark.slow
 def test_theorem1_exhaustive_to_n12():
     start = time.perf_counter()
     failures = 0
@@ -121,6 +123,7 @@ def test_joint_contact_refinement_to_n10():
     )
 
 
+@pytest.mark.slow
 def test_theorem2_exhaustive_to_n10():
     start = time.perf_counter()
     failures = 0
@@ -219,6 +222,7 @@ def test_involution_suite():
     )
 
 
+@pytest.mark.slow
 def test_scale_and_performance():
     rng = np.random.default_rng(20260808)
 

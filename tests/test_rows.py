@@ -43,8 +43,8 @@ from dyckmaps.maps import (
 from dyckmaps.verify import _CHUNK, verify_randomized
 from dyckmaps.stats import (_JSON_TEMPLATE, _TEXT_TEMPLATE, _stat_line, _stat_lines_rows,
                             stat_record)
-from dyckmaps.words import (_LONG, PathWord, _cumsum_down, _rows, _scan_rows, _scan_text,
-                            _up_and_heights)
+from dyckmaps.words import (_LONG, PathWord, _cumsum_down, _rows, _Scan, _scan_rows,
+                            _scan_text, _up_and_heights)
 
 # every Dyck word with n <= 10 and every balanced word with n <= 8
 CASES = [("dyck", n) for n in range(11)] + [("bilateral", n) for n in range(9)]
@@ -117,6 +117,24 @@ def test_row_scan_equals_the_word_scan_in_every_field(path_class, n):
         assert scan[i].tolist() == [s[i] for s in want], field
     given = _scan_rows(mat, _up_and_heights(mat)[1])
     assert [f.tolist() for f in given] == [f.tolist() for f in scan]
+
+
+@pytest.mark.parametrize("given", [False, True], ids=["scanned", "heights-given"])
+@pytest.mark.parametrize("path_class, n", CASES)
+def test_each_field_of_the_lazy_scan_read_first_equals_the_word_scan(path_class, n, given):
+    # each field is computed on its first read and may read others' caches,
+    # so every field is read first from a fresh scan, then all in reverse
+    mat, texts = _class(path_class, n)
+    h = _up_and_heights(mat)[1] if given else None
+    want = dict(zip(_Scan._fields, zip(*map(_scan_text, texts))))
+    for field in _Scan._fields:
+        assert getattr(_scan_rows(mat, h), field).tolist() == list(want[field]), field
+    scan = _scan_rows(mat, h)
+    for i, field in reversed(list(enumerate(_Scan._fields))):
+        got = getattr(scan, field)
+        assert got.tolist() == list(want[field]), field
+        assert scan[i] is got  # cached, and indexed in the named tuple's order
+    assert [f.tolist() for f in scan] == [list(want[f]) for f in _Scan._fields]
 
 
 @pytest.mark.parametrize("path_class, n", CASES)

@@ -12,6 +12,7 @@ import pytest
 
 import dyckmaps.maps
 import dyckmaps.verify
+import dyckmaps.words
 from dyckmaps import (
     CATALAN_NUMBERS,
     CENTRAL_BINOMIALS,
@@ -25,8 +26,8 @@ from dyckmaps import (
     verify_theorem2,
 )
 from dyckmaps.decompose import _negative_steps
-from dyckmaps.generate import (_random_balanced_text, _rank_blocks, _rank_rows,
-                               _transfer_counts)
+from dyckmaps.generate import (_dyck_texts, _random_balanced_text, _rank_blocks,
+                               _rank_rows, _transfer_counts)
 from dyckmaps.maps import _MAPS, _key_type, _phi_ext_b
 from dyckmaps.verify import _Theorem, _sweep
 from dyckmaps.words import _row_texts, _up_and_heights
@@ -79,6 +80,25 @@ def test_theorem1_counterexample_is_lexicographically_first():
     failing = next(c for c in report.checks if not c.passed and c.counterexample)
     # UUDD is the first word (n ascending, U < D within n) the mutation damages
     assert failing.counterexample == "UUDD"
+
+
+def _raising_phi(text):
+    if "UUDD" in text:
+        raise RuntimeError("a broken map that raises")
+    return _TEXT["phi"](text)
+
+
+def test_a_map_that_raises_gives_the_first_word_it_raises_on():
+    report = verify_theorem1(4, phi_fn=_raising_phi)
+    by_name = {c.name: c for c in report.checks}
+    # UUDD is the first word (n ascending, U < D within n) that contains UUDD
+    for name in ("dyck.round_trip.psi_after_phi", "dyck.transport.peaks_from_ups_odd",
+                 "dyck.transport.contacts_preserved"):
+        assert by_name[name].counterexample == "UUDD", name
+    # the second trip feeds it psi's images, and it raises on the first such image
+    first = next(v for n in range(5) for v in _dyck_texts(n) if "UUDD" in _TEXT["psi"](v))
+    assert by_name["dyck.round_trip.phi_after_psi"].counterexample == first
+    assert by_name["dyck.joint_distribution.contacts_x_stats"].passed
 
 
 @pytest.mark.parametrize("verify, kwargs, counterexample", [
@@ -483,6 +503,21 @@ _GOLDEN.update({
 @pytest.mark.parametrize("fixture", list(_GOLDEN))
 def test_output_matches_golden_fixture(fixture):
     assert _GOLDEN[fixture]() == (DATA / fixture).read_text()
+
+
+def test_the_sweeps_compute_no_final_height_and_no_height_extremes(monkeypatch):
+    # no check compares these fields, so the lazy scan never computes them
+    runs = [partial(verify_theorem1, 8), partial(verify_theorem2, 6),
+            partial(verify_involutions_and_transport, 6),
+            partial(verify_randomized, 20, 50, 0, check_scaling=False)]
+    want = [run().to_dict() for run in runs]
+
+    def unread(scan):
+        raise AssertionError("a sweep computed a field that no check compares")
+
+    for field in ("final", "lo", "hi"):
+        monkeypatch.setattr(dyckmaps.words._RowScan, field, property(unread))
+    assert [run().to_dict() for run in runs] == want
 
 
 # --- the batched path against the per-word path ---------------------------
