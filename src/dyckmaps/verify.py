@@ -13,8 +13,9 @@ order.  One worker checks every chunk as a ``(2n, words)`` uint8 matrix
 whose steps run down axis 0: each map runs once on the chunk, the heights
 of the words and of their images are scanned once each, the checks are
 predicates on whole columns, and the statistics scans count only the
-fields that the checks read, each on its first read.  Default maps, ``maps._MAPS`` records, run their twins.  A chunk peaks
-under 30 bytes per step, and phi packs its sort keys into uint32 up to n = 15.
+fields that the checks read, each on its first read.  Default maps,
+``maps._MAPS`` records, run their twins.  A chunk peaks under 30 bytes per
+step, and phi packs its sort keys into uint32 up to n = 15.
 :func:`verify_randomized` passes its samples to the same worker.
 
 Each theorem is a bijection of the finite class C_n of words of semilength
@@ -240,9 +241,10 @@ def _check_chunk(chunk, spec: _Theorem):
     :func:`_rank_rows`, which is what a worker process is sent.  The words
     make the one round trip of ``spec``; they and their images are scanned
     for heights once each, and the class test, the maps, the lazy scans
-    and the checks share them; a trip with no checks counts no statistic.  A word whose image misfits (:func:`_images`) or
-    lies outside the class fails the trip and every check, and here its
-    image column takes the word, so the inverse sees only words of its class.
+    and the checks share them; a trip with no checks counts no statistic.
+    A word whose image misfits (:func:`_images`) or lies outside the class
+    fails the trip and every check, and here its image column takes the
+    word, so the inverse sees only words of its class.
     """
     mat = chunk if isinstance(chunk, np.ndarray) else _rank_rows(*chunk)
     forward, *rest = spec.maps.values()

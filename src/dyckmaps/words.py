@@ -222,10 +222,9 @@ def _count(mask: np.ndarray) -> np.ndarray:
 
 class _RowScan:
     """The fields of :func:`_scan_text` for equal-length words, one per column
-    of a ``(steps, words)`` uint8 matrix, as int arrays: each field, the
-    up-step and down-step masks and the heights are computed on first read
-    and cached, so a caller pays only for the fields it reads.  It iterates
-    and indexes in ``_Scan._fields`` order, as the named tuple does."""
+    of a ``(steps, words)`` uint8 matrix, as int arrays.  Each field, the up
+    and down masks and the heights are computed on first read and cached; it
+    iterates and indexes in ``_Scan._fields`` order, as the named tuple does."""
 
     _fields = _Scan._fields
 
